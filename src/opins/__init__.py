@@ -8,11 +8,11 @@ The block system
 is solved for x first by splitting it into a particular part in range(B^T)
 and a null-space part, with the null-space part obtained from a projected,
 singular-but-compatible inner equation solved by a Krylov method.  The
-orthonormal basis of range(B^T) comes from a rank-revealing pivoted QR of
-B^T, kept as implicit Householder reflectors, so the method pays O(m^2 n)
-setup when the number of constraints m is small against n.  Nonsingular
-systems recover the unique x; compatible singular systems recover the x of
-minimum norm.
+orthonormal basis U of range(B^T) comes from a rank-revealing pivoted QR of
+B^T (LAPACK ``geqp3``) and is formed once as an n-by-q matrix, so the method
+pays O(m^2 n) setup when the number of constraints m is small against n, and
+each projection costs two products with U.  Nonsingular systems recover the
+unique x; compatible singular systems recover the x of minimum norm.
 """
 
 from .driver import OpinsError, OpinsOptions, OpinsReport, SaddleSystem, opins_solve

@@ -37,12 +37,29 @@ class OpinsError(ValueError):
     """Invalid solver configuration or system."""
 
 
+def _check_matrix(name, mat):
+    """Reject a block that is not a 2-d array or sparse matrix, or not finite."""
+    if sp.issparse(mat):
+        values = mat.data
+    elif isinstance(mat, np.ndarray):
+        values = mat
+    else:
+        raise OpinsError(f"{name} must be a numpy array or a scipy.sparse matrix, "
+                         f"got {type(mat).__name__}")
+    if mat.ndim != 2:
+        raise OpinsError(f"{name} must be 2-d, got shape {mat.shape}")
+    if not np.all(np.isfinite(values)):
+        raise OpinsError(f"{name} has non-finite entries")
+
+
 @dataclass
 class SaddleSystem:
     """Blocks of the saddle-point system: A (n x n), B (m x n), f, g.
 
     Compatibility of f (f in range(A) + range(B^T)) is assumed, not checked.
-    ``a_symmetric`` selects the symmetric inner solver.
+    ``a_symmetric`` selects the symmetric inner solver.  A and B must be
+    numpy arrays or scipy.sparse matrices; a block of another type, of the
+    wrong shape or with a non-finite entry raises ``OpinsError`` naming it.
     """
 
     a: object
@@ -52,6 +69,8 @@ class SaddleSystem:
     a_symmetric: bool = False
 
     def __post_init__(self):
+        _check_matrix("A", self.a)
+        _check_matrix("B", self.b)
         self.f = np.asarray(self.f, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         n_a, n_a2 = self.a.shape
@@ -64,6 +83,9 @@ class SaddleSystem:
             raise OpinsError(f"f has shape {self.f.shape}, expected ({n_a},)")
         if self.g.shape != (m_b,):
             raise OpinsError(f"g has shape {self.g.shape}, expected ({m_b},)")
+        for name, vec in (("f", self.f), ("g", self.g)):
+            if not np.all(np.isfinite(vec)):
+                raise OpinsError(f"{name} has non-finite entries")
 
     @property
     def n(self):
@@ -207,7 +229,12 @@ def opins_solve(sys, opts=None):
     projector = Projector(fact)
     x_p = particular_solution(projector, sys.g)
 
-    rhs = projector.complement(sys.f - sys.a @ x_p)
+    if fact.rank == n:
+        # null(B) = {0}: x = x_p exactly, and the projected right-hand side
+        # would hold only rounding noise
+        rhs = np.zeros(n)
+    else:
+        rhs = projector.complement(sys.f - sys.a @ x_p)
     pns_op = LinearOperator(
         dim=n,
         apply=lambda v: projector.complement(sys.a @ projector.complement(v)),

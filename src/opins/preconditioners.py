@@ -8,8 +8,8 @@ G into the null-space-restricted operator
 
 evaluated without Z through the range-space sequence: solve G r = b, solve
 the small dense block (U^T G^{-1} U) t = U^T r, then solve G s = b - U t.
-The q-by-q block is assembled with q applications of G^{-1} to the implicit
-basis columns and factored once at construction.
+The q-by-q block is assembled with q applications of G^{-1} to the columns
+of U and factored once at construction.
 """
 
 from __future__ import annotations

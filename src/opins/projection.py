@@ -1,8 +1,9 @@
 """Orthogonal projection onto null(B) and the outer solve steps built on it.
 
-The projector is ``v - U (U^T v)`` where U is the implicit orthonormal basis
-of range(B^T) from the pivoted QR; it is always applied as two reflector
-sweeps and never materialized.
+The projector is ``v - U (U^T v)`` where U is the n-by-q orthonormal basis of
+range(B^T) that the pivoted QR forms once; each application is two
+matrix-vector products with U.  The n-by-n projector itself and the
+null-space basis are never materialized.
 """
 
 from __future__ import annotations

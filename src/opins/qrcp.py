@@ -1,14 +1,16 @@
 """Householder QR with column pivoting for the transposed constraint matrix.
 
-The factorization ``B^T P = Q R`` is computed on a dense n-by-m working copy
-of ``B^T`` (cheap when m is small compared to n).  Q is never formed: it is
-kept as the sequence of Householder reflectors, and the leading ``q`` columns
-of Q -- an orthonormal basis of range(B^T) -- are applied implicitly.
+The factorization ``B^T P = Q R`` is computed by LAPACK ``geqp3`` on a dense
+n-by-m working copy of ``B^T`` (cheap when m is small compared to n).
+``geqp3`` pivots greedily on the largest remaining column norm, downdating the
+norms with the Drmac-Bujanovic safeguard (LAPACK Working Note 176); ties go
+to the lowest column index.  The numerical rank ``q`` is the largest ``k``
+with ``|R_kk| > rank_tol * |R_11|``.
 
-Pivoting is greedy on the largest remaining column norm, with running norm
-downdates that are recomputed from scratch once a downdated value has lost
-half its digits; ties break toward the lowest column index.  The numerical
-rank ``q`` is the largest ``k`` with ``|R_kk| > rank_tol * |R_11|``.
+The leading ``q`` columns of Q -- U, an orthonormal basis of range(B^T) -- are
+formed once per factorization by LAPACK ``orgqr``, so applying U or U^T is a
+single n-by-q matrix-vector product.  Only this n-by-q range basis is formed,
+never the n-by-(n-q) null-space basis.
 """
 
 from __future__ import annotations
@@ -17,18 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dorgqr
 
 __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block", "solve_r"]
 
 
 @dataclass(frozen=True)
 class RangeBasisFactorization:
-    """QRCP of an n-by-m matrix with implicit Householder reflectors.
+    """QRCP of an n-by-m matrix with the range basis U formed once.
 
     ``work`` holds R in its upper triangle and the reflector vectors (scaled
     to unit leading entry) below the diagonal; ``taus`` are the reflector
     coefficients.  ``permutation[k]`` is the original column placed at
-    position k.  Immutable after construction.
+    position k.  ``u`` is the n-by-rank matrix of the leading columns of Q,
+    built from ``work`` and ``taus`` at construction.  Immutable after
+    construction.
     """
 
     nrows: int
@@ -38,6 +43,10 @@ class RangeBasisFactorization:
     permutation: np.ndarray
     rank: int
     tol_used: float
+    u: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", _leading_q(self.work, self.taus, self.rank))
 
     @property
     def r_block(self):
@@ -52,14 +61,18 @@ class RangeBasisFactorization:
 
     def dense_q(self, ncols=None):
         """Explicitly reconstruct the leading columns of Q (test/oracle use)."""
-        k = self.rank if ncols is None else ncols
-        cols = np.zeros((self.nrows, k))
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = 1.0
-            cols[:, i] = _apply_reflectors(self, np.concatenate([e, np.zeros(self.nrows - k)]),
-                                           nref=k, forward=False)
-        return cols
+        return _leading_q(self.work, self.taus, self.rank if ncols is None else ncols)
+
+
+def _leading_q(work, taus, k):
+    """The first k columns of Q from the reflectors, by LAPACK ``orgqr``."""
+    if k == 0:
+        return np.zeros((work.shape[0], 0), order="F")
+    lwork = dorgqr(work[:, :k], taus[:k], lwork=-1)[1][0]
+    q, _, info = dorgqr(work[:, :k], taus[:k], lwork=int(lwork))
+    if info != 0:
+        raise ValueError(f"orgqr failed with info={info}")
+    return q
 
 
 def qrcp_factor(bt, rank_tol):
@@ -87,83 +100,33 @@ def qrcp_factor(bt, rank_tol):
     n, m = a.shape
     if n < 1 or m < 1:
         raise ValueError("qrcp_factor expects at least one row and column")
-    kmax = min(n, m)
-    perm = np.arange(m)
-    taus = np.zeros(kmax)
-    norms2 = np.einsum("ij,ij->j", a, a)
-    norms2_ref = norms2.copy()
-    # recompute a downdated norm once it has lost half its digits
-    recompute_at = np.sqrt(np.finfo(float).eps)
-    for k in range(kmax):
-        j = k + int(np.argmax(norms2[k:]))
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-            norms2[[k, j]] = norms2[[j, k]]
-            norms2_ref[[k, j]] = norms2_ref[[j, k]]
-        x = a[k:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        lead = x[0] if x[0] != 0.0 else 1.0
-        v = x.copy()
-        v[0] += np.copysign(normx, lead)
-        tau = 2.0 / (v @ v)
-        a[k:, k:] -= np.outer(tau * v, v @ a[k:, k:])
-        a[k, k] = -np.copysign(normx, lead)
-        a[k + 1:, k] = v[1:] / v[0]
-        taus[k] = tau * v[0] ** 2
-        if k + 1 < m:
-            norms2[k + 1:] -= a[k, k + 1:] ** 2
-            np.maximum(norms2[k + 1:], 0.0, out=norms2[k + 1:])
-            stale = norms2[k + 1:] <= recompute_at * norms2_ref[k + 1:]
-            for jj in (k + 1 + np.nonzero(stale)[0]):
-                norms2[jj] = a[k + 1:, jj] @ a[k + 1:, jj]
-                norms2_ref[jj] = norms2[jj]
-    diag = np.abs(np.diagonal(a)[:kmax])
-    if diag.size == 0 or diag[0] <= 0.0:
+    (work, taus), _, perm = sla.qr(a, mode="raw", pivoting=True,
+                                   overwrite_a=True, check_finite=False)
+    diag = np.abs(np.diagonal(work))
+    if diag[0] <= 0.0:
         rank = 0
     else:
         above = diag > rank_tol * diag[0]
-        rank = kmax if above.all() else int(np.argmin(above))
-    return RangeBasisFactorization(nrows=n, ncols=m, work=a, taus=taus,
+        rank = diag.size if above.all() else int(np.argmin(above))
+    return RangeBasisFactorization(nrows=n, ncols=m, work=work, taus=taus,
                                    permutation=perm, rank=rank, tol_used=rank_tol)
 
 
-def _apply_reflectors(fact, v, nref, forward):
-    """Apply H_{nref-1}..H_0 (forward=False) or H_0..H_{nref-1} (forward=True)."""
-    w = np.array(v, dtype=float)
-    order = range(nref) if forward else range(nref - 1, -1, -1)
-    for k in order:
-        tau = fact.taus[k]
-        if tau == 0.0:
-            continue
-        hv = np.empty(fact.nrows - k)
-        hv[0] = 1.0
-        hv[1:] = fact.work[k + 1:, k]
-        w[k:] -= tau * hv * (hv @ w[k:])
-    return w
-
-
 def apply_q_block(fact, v, transpose=False):
-    """Apply U (the leading-rank block of Q) or U^T through the reflectors.
+    """Apply U (the leading-rank block of Q) or U^T.
 
     ``transpose=True`` maps a length-n vector to the length-q coordinates
     ``U^T v``; ``transpose=False`` maps length-q coordinates back to
-    ``U c``.  U is never formed densely, and only the first q reflectors are
-    touched either way.
+    ``U c``.  Either way it is one product with the formed n-by-q U.
     """
     v = np.asarray(v, dtype=float)
-    q = fact.rank
     if transpose:
         if v.shape != (fact.nrows,):
             raise ValueError(f"apply_q_block: expected length {fact.nrows}, got {v.shape}")
-        return _apply_reflectors(fact, v, nref=q, forward=True)[:q]
-    if v.shape != (q,):
-        raise ValueError(f"apply_q_block: expected length {q}, got {v.shape}")
-    padded = np.zeros(fact.nrows)
-    padded[:q] = v
-    return _apply_reflectors(fact, padded, nref=q, forward=False)
+        return fact.u.T @ v
+    if v.shape != (fact.rank,):
+        raise ValueError(f"apply_q_block: expected length {fact.rank}, got {v.shape}")
+    return fact.u @ v
 
 
 def solve_r(fact, rhs, mode):

@@ -117,6 +117,34 @@ class TestBasics:
         assert report.inner.status == krylov.MAX_ITERATIONS
         assert not report.converged
 
+    def test_full_column_rank_b_returns_particular_solution(self):
+        # rank B = n: null(B) = {0}, so x = x_p with no inner iteration
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((5, 3))
+        x0 = rng.standard_normal(3)
+        report = opins_solve(SaddleSystem(a=a, b=b, f=a @ x0, g=b @ x0))
+        assert report.rank_b == 3
+        assert report.inner.status == krylov.CONVERGED
+        assert report.inner.iterations == 0
+        assert report.metrics["relres_x"] == 0.0
+        np.testing.assert_array_equal(report.x, report.x_p)
+        assert np.linalg.norm(report.x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
+class TestIngest:
+    @pytest.mark.parametrize("block, kwargs", [
+        ("A", dict(a=[[1.0, 0.0], [0.0, 1.0]])),
+        ("A", dict(a=np.array([[np.nan, 0.0], [0.0, 1.0]]))),
+        ("A", dict(a=sp.csr_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]])))),
+        ("f", dict(f=np.array([np.inf, 0.0]))),
+    ], ids=["list-A", "nan-A", "inf-sparse-A", "inf-f"])
+    def test_bad_block_raises_opins_error_naming_it(self, block, kwargs):
+        blocks = dict(a=np.eye(2), b=np.ones((1, 2)), f=np.zeros(2), g=np.zeros(1))
+        blocks.update(kwargs)
+        with pytest.raises(OpinsError, match=f"^{block} "):
+            SaddleSystem(**blocks)
+
 
 class TestSingularGuard:
     def test_simple_precond_rejected_when_singular(self):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
+from opins.projection import Projector
 from opins.qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor, solve_r
 
 RANK_TOL = 1e-12
@@ -128,6 +131,65 @@ class TestApplyQBlock:
             apply_q_block(fact, np.zeros(3), transpose=True)
         with pytest.raises(ValueError):
             apply_q_block(fact, np.zeros(3))
+
+
+def averaging_b(seed, n=300, distinct=30, duplicates=6, width=4):
+    """Sparse B whose rows each equate the means of two disjoint random index
+    sets (zero row sums, so constants lie in null(B)); the last ``duplicates``
+    rows repeat earlier ones."""
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = [], [], []
+    for r in range(distinct):
+        idx = rng.choice(n, size=2 * width, replace=False)
+        rows.append(np.full(2 * width, r))
+        cols.append(idx)
+        vals.append(np.repeat([1.0 / width, -1.0 / width], width))
+    b = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(distinct, n))
+    return sp.vstack([b, b[rng.integers(0, distinct, size=duplicates)]]).tocsr()
+
+
+class TestLapackPathOnSparseDuplicatedRows:
+    @pytest.fixture(params=range(3))
+    def case(self, request):
+        b = averaging_b(request.param)
+        return b, qrcp_factor(b.toarray().T, RANK_TOL), np.random.default_rng(request.param)
+
+    def test_rank_drops_by_duplicates(self, case):
+        b, fact, _ = case
+        assert fact.rank == b.shape[0] - 6 == svd_rank(b.toarray())
+
+    def test_basis_orthonormal(self, case):
+        _, fact, _ = case
+        u = fact.u
+        assert u.shape == (fact.nrows, fact.rank)
+        assert np.linalg.norm(u.T @ u - np.eye(fact.rank), 2) <= 1e-14
+
+    def test_projection_annihilated_by_b(self, case):
+        b, fact, rng = case
+        v = rng.standard_normal(fact.nrows)
+        pv = v - apply_q_block(fact, apply_q_block(fact, v, transpose=True))
+        bound = 1e-14 * sla.norm(b.toarray(), "fro") * np.linalg.norm(v)
+        assert np.linalg.norm(b @ pv) <= bound
+
+    def test_projector_matches_svd(self, case):
+        b, fact, _ = case
+        projector = Projector(fact)
+        built = np.column_stack([projector.complement(e) for e in np.eye(fact.nrows)])
+        _, _, vt = np.linalg.svd(b.toarray())
+        range_rows = vt[:fact.rank]
+        reference = np.eye(fact.nrows) - range_rows.T @ range_rows
+        assert np.abs(built - reference).max() <= 1e-13
+
+    def test_apply_q_block_matches_dense_q(self, case):
+        _, fact, rng = case
+        u = fact.dense_q()
+        v = rng.standard_normal(fact.nrows)
+        c = rng.standard_normal(fact.rank)
+        np.testing.assert_allclose(apply_q_block(fact, v, transpose=True), u.T @ v,
+                                   rtol=0, atol=1e-14 * np.linalg.norm(v))
+        np.testing.assert_allclose(apply_q_block(fact, c), u @ c,
+                                   rtol=0, atol=1e-14 * np.linalg.norm(c))
 
 
 def synthetic_fact(r):
