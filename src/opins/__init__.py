@@ -19,9 +19,8 @@ from .driver import OpinsError, OpinsOptions, OpinsReport, SaddleSystem, opins_s
 from .krylov import IterationRecord, SolveOutcome, cg, gmres, minres
 from .operators import LinearOperator, aslinearoperator
 from .preconditioners import (InvertibleOperator, ProjectedPreconditioner,
-                              build_g, ilu0_factor, projected_precond_apply)
-from .projection import (Projector, particular_solution, project_complement,
-                         recover_multipliers)
+                              build_g, ilu0_factor)
+from .projection import Projector, particular_solution, recover_multipliers
 from .qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor, solve_r
 
 __all__ = [
@@ -29,8 +28,7 @@ __all__ = [
     "IterationRecord", "SolveOutcome", "cg", "gmres", "minres",
     "LinearOperator", "aslinearoperator",
     "InvertibleOperator", "ProjectedPreconditioner", "build_g", "ilu0_factor",
-    "projected_precond_apply",
-    "Projector", "particular_solution", "project_complement", "recover_multipliers",
+    "Projector", "particular_solution", "recover_multipliers",
     "RangeBasisFactorization", "apply_q_block", "qrcp_factor", "solve_r",
 ]
 

@@ -21,13 +21,12 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu
 
 from .operators import LinearOperator
 from .qrcp import RangeBasisFactorization, apply_q_block
 
-__all__ = ["InvertibleOperator", "build_g", "ilu0_factor",
-           "ProjectedPreconditioner", "projected_precond_apply"]
+__all__ = ["InvertibleOperator", "build_g", "ilu0_factor", "ProjectedPreconditioner"]
 
 
 @dataclass(frozen=True)
@@ -48,41 +47,101 @@ class InvertibleOperator:
 def ilu0_factor(a):
     """Zero-fill incomplete LU of a sparse square matrix.
 
-    Returns (L, U) in CSR with unit diagonal kept implicit in L.  Raises
-    ``ZeroDivisionError`` naming the row on a structurally missing or exactly
-    zero pivot.
+    Returns (L, U) in CSR: L unit lower triangular with its unit diagonal
+    stored, U upper triangular, both on A's own pattern (explicit zeros
+    kept).  Raises ``ZeroDivisionError`` naming the row on a structurally
+    missing or exactly zero pivot.
+
+    The IKJ elimination is level scheduled (Saad, *Iterative Methods for
+    Sparse Linear Systems*, 2nd ed., section 11.6): a row's level is one more
+    than the highest level among the rows of its strictly lower pattern, so
+    the rows of one level depend only on finished rows.  Lower entries are
+    eliminated in groups of (row level, position within the row), each group
+    one vectorized gather-divide-scatter.  Every entry receives the same
+    updates in the same order as the row-by-row loop, so the factors are
+    bit-identical to it.
     """
-    a = a.tocsr().copy()
-    a.sort_indices()
+    a = a.tocsr().astype(float)  # a copy, eliminated in place
+    a.sum_duplicates()
     n = a.shape[0]
     indptr, indices, data = a.indptr, a.indices, a.data
-    diag_pos = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = indices[indptr[i]:indptr[i + 1]]
-        pos = int(np.searchsorted(row, i))
-        if pos >= len(row) or row[pos] != i:
-            raise ZeroDivisionError(f"ilu0: missing diagonal entry in row {i}")
-        diag_pos[i] = indptr[i] + pos
-    for i in range(n):
-        for pk in range(indptr[i], diag_pos[i]):
-            k = indices[pk]
-            pivot = data[diag_pos[k]]
-            if pivot == 0.0:
-                raise ZeroDivisionError(f"ilu0: zero pivot in row {k}")
-            lik = data[pk] / pivot
-            data[pk] = lik
-            # subtract lik * row_k from row_i on row_i's own pattern, j > k
-            row_k = indices[indptr[k]:indptr[k + 1]]
-            tail = slice(pk + 1, indptr[i + 1])
-            match = np.searchsorted(row_k, indices[tail]) + indptr[k]
-            for offset, pj in enumerate(range(tail.start, tail.stop)):
-                q = match[offset]
-                if q < indptr[k + 1] and indices[q] == indices[pj]:
-                    data[pj] -= lik * data[q]
-    factored = sp.csr_matrix((data, indices, indptr), shape=a.shape)
-    lower = sp.tril(factored, -1).tocsr() + sp.eye(n, format="csr")
-    upper = sp.triu(factored, 0).tocsr()
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    diag_pos = np.flatnonzero(indices == rows)
+    if len(diag_pos) < n:
+        missing = np.setdiff1d(np.arange(n), indices[diag_pos])[0]
+        raise ZeroDivisionError(f"ilu0: missing diagonal entry in row {missing}")
+    nlower = diag_pos - indptr[:-1]
+
+    # rows that use row k in their strictly lower pattern, grouped by k
+    strict = np.flatnonzero(indices < rows)
+    used_by = rows[strict[np.argsort(indices[strict], kind="stable")]]
+    used_ptr = np.concatenate(([0], np.cumsum(np.bincount(indices[strict], minlength=n))))
+    waiting = nlower.copy()
+    keys = rows.astype(np.int64)  # row * n + col, sorted as CSR is
+    keys *= n
+    keys += indices
+    front = np.flatnonzero(waiting == 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while front.size:
+            # the longest lower parts first, so that the rows still
+            # eliminating their p-th lower entry are a prefix of the front
+            front = front[np.argsort(-nlower[front], kind="stable")]
+            for p in range(nlower[front[0]]):
+                r = front[:np.count_nonzero(nlower[front] > p)]
+                pk = indptr[r] + p
+                k = indices[pk]
+                lik = data[pk] / data[diag_pos[k]]
+                data[pk] = lik
+                # subtract lik * row_k from row_i on row_i's own pattern, j > k
+                lens = indptr[r + 1] - pk - 1
+                owner = np.repeat(np.arange(len(r)), lens)
+                pj = _ranges(pk + 1, lens)
+                sought = k[owner].astype(np.int64) * n + indices[pj]
+                q = np.minimum(np.searchsorted(keys, sought), len(keys) - 1)
+                hit = keys[q] == sought
+                data[pj[hit]] -= lik[owner[hit]] * data[q[hit]]
+            # the next front: the rows whose last unfinished dependency was
+            # in this one
+            users, times = np.unique(
+                used_by[_ranges(used_ptr[front], used_ptr[front + 1] - used_ptr[front])],
+                return_counts=True)
+            waiting[users] -= times
+            front = users[waiting[users] == 0]
+    del keys, used_by, used_ptr, waiting
+    _check_pivots(indices[strict], data, diag_pos)
+    del strict
+
+    in_lower, in_upper = indices <= rows, indices >= rows
+    del rows
+    lower_ptr = np.concatenate(([0], np.cumsum(nlower + 1)))
+    lower_data = data[in_lower]
+    lower_data[lower_ptr[1:] - 1] = 1.0
+    lower = sp.csr_matrix((lower_data, indices[in_lower], lower_ptr), shape=a.shape)
+    upper_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr) - nlower)))
+    upper = sp.csr_matrix((data[in_upper], indices[in_upper], upper_ptr), shape=a.shape)
     return lower, upper
+
+
+def _ranges(starts, lens):
+    """The concatenation of ``arange(s, s + l)`` over ``zip(starts, lens)``."""
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+def _check_pivots(lower_cols, data, diag_pos):
+    """Raise on a zero pivot, naming the row the row-by-row loop would.
+
+    ``lower_cols`` are the columns of the strictly lower entries in
+    row-major order.  That loop stops at the first of them whose pivot is
+    zero; the rows before it were factored without dividing by zero, so
+    their pivots are exact here.  A zero pivot that no later row uses is
+    reported after that, at the first such row.
+    """
+    pivots = data[diag_pos]
+    zero = lower_cols[pivots[lower_cols] == 0.0]
+    if not zero.size:
+        zero = np.flatnonzero(pivots == 0.0)
+    if zero.size:
+        raise ZeroDivisionError(f"ilu0: zero pivot in row {zero[0]}")
 
 
 def build_g(a, kind):
@@ -107,11 +166,17 @@ def build_g(a, kind):
     if kind == "ilu0":
         mat = a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
         lower, upper = ilu0_factor(mat)
+        # SuperLU in natural order without pivoting leaves a triangular
+        # factor as it is: splu(L) has factors (L, I) and splu(U) has (I, U).
+        # Unit panels and no relaxed supernodes keep its dense work panel,
+        # which a triangular matrix has no use for, out of the peak memory.
+        lower_lu, upper_lu = (
+            splu(t.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                 relax=1, panel_size=1, options=dict(SymmetricMode=True))
+            for t in (lower, upper))
 
         def solve(v):
-            t = spsolve_triangular(lower, np.asarray(v, dtype=float),
-                                   lower=True, unit_diagonal=True)
-            return spsolve_triangular(upper, t, lower=False)
+            return upper_lu.solve(lower_lu.solve(v))
 
         return InvertibleOperator(dim=n, apply=lambda v: lower @ (upper @ v),
                                   solve=solve, symmetric=False, kind="ilu0")
@@ -154,8 +219,3 @@ class ProjectedPreconditioner:
     def as_solver_operator(self):
         return LinearOperator(dim=self.fact.nrows, apply=self.apply,
                               symmetric=self.g_op.symmetric)
-
-
-def projected_precond_apply(g_op, fact, b):
-    """One-shot ``P_G b`` (constructs the operator; prefer caching it)."""
-    return ProjectedPreconditioner(g_op, fact).apply(b)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .qrcp import RangeBasisFactorization, apply_q_block, solve_r
 
-__all__ = ["Projector", "project_complement", "particular_solution",
-           "recover_multipliers"]
+__all__ = ["Projector", "particular_solution", "recover_multipliers"]
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,6 @@ class Projector:
         if self.basis.rank == 0:
             return np.zeros_like(v, dtype=float)
         return apply_q_block(self.basis, apply_q_block(self.basis, v, transpose=True))
-
-
-def project_complement(p, v):
-    """Functional alias for ``p.complement(v)``."""
-    return p.complement(v)
 
 
 def particular_solution(p, g):

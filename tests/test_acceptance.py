@@ -27,7 +27,7 @@ from opins.harness.problems import generate_problem, problem_from_files
 from opins.linalg import frobenius_norm
 from opins.operators import LinearOperator
 from opins.oracles import nonzero_spectrum, null_basis, pminres_constraint, tsvd_solve
-from opins.preconditioners import build_g, projected_precond_apply
+from opins.preconditioners import ProjectedPreconditioner, build_g
 from opins.projection import Projector, particular_solution
 from opins.qrcp import qrcp_factor
 
@@ -279,7 +279,7 @@ def test_criterion_05_projected_preconditioner_equivalence():
             else:
                 g_dense = np.diag(np.abs(np.diag(a)))
             oracle = z @ np.linalg.solve(z.T @ g_dense @ z, z.T @ v)
-            got = projected_precond_apply(g_op, fact, v)
+            got = ProjectedPreconditioner(g_op, fact).apply(v)
             err = np.linalg.norm(got - oracle) / max(1.0, np.linalg.norm(oracle))
             worst[kind] = max(worst[kind], err)
             assert err <= 1e-10, f"seed {seed} kind {kind}: error {err:.2e}"

@@ -4,13 +4,70 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from opins.preconditioners import (InvertibleOperator, ProjectedPreconditioner,
-                                   build_g, ilu0_factor, projected_precond_apply)
+                                   build_g, ilu0_factor)
 from opins.projection import Projector
 from opins.qrcp import qrcp_factor
+from test_acceptance import _reservoir_standin
 
 RANK_TOL = 1e-12
+
+
+def reference_ilu0(a):
+    """Row-by-row IKJ ILU(0): the loop the level-scheduled factorization
+    replaced, kept as the reference it must reproduce bit for bit."""
+    a = a.tocsr().copy()
+    a.sort_indices()
+    n = a.shape[0]
+    indptr, indices, data = a.indptr, a.indices, a.data
+    diag_pos = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        row = indices[indptr[i]:indptr[i + 1]]
+        pos = int(np.searchsorted(row, i))
+        if pos >= len(row) or row[pos] != i:
+            raise ZeroDivisionError(f"ilu0: missing diagonal entry in row {i}")
+        diag_pos[i] = indptr[i] + pos
+    for i in range(n):
+        for pk in range(indptr[i], diag_pos[i]):
+            k = indices[pk]
+            pivot = data[diag_pos[k]]
+            if pivot == 0.0:
+                raise ZeroDivisionError(f"ilu0: zero pivot in row {k}")
+            lik = data[pk] / pivot
+            data[pk] = lik
+            row_k = indices[indptr[k]:indptr[k + 1]]
+            tail = slice(pk + 1, indptr[i + 1])
+            match = np.searchsorted(row_k, indices[tail]) + indptr[k]
+            for offset, pj in enumerate(range(tail.start, tail.stop)):
+                q = match[offset]
+                if q < indptr[k + 1] and indices[q] == indices[pj]:
+                    data[pj] -= lik * data[q]
+    factored = sp.csr_matrix((data, indices, indptr), shape=a.shape)
+    lower = sp.tril(factored, -1).tocsr() + sp.eye(n, format="csr")
+    upper = sp.triu(factored, 0).tocsr()
+    return lower, upper
+
+
+def random_pattern(seed, n, density, lower=True):
+    """Nonsymmetric sparse matrix with a full, dominant diagonal; without
+    ``lower`` the first half of the rows have no strictly lower entries."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    if not lower:
+        mask[:n // 2] &= np.triu(np.ones((n // 2, n), dtype=bool))
+    np.fill_diagonal(mask, True)
+    return sp.csr_matrix(rng.standard_normal((n, n)) * mask + n * np.eye(n))
+
+
+def raised(factor, a):
+    """The ``ZeroDivisionError`` message ``factor(a)`` raises, or None."""
+    try:
+        factor(a)
+    except ZeroDivisionError as err:
+        return str(err)
+    return None
 
 
 def dense_null_basis(b, rank):
@@ -71,6 +128,12 @@ class TestIlu0:
         produced = set(zip(combined.row.tolist(), combined.col.tolist()))
         assert produced <= original  # no fill outside the original pattern
 
+    def test_integer_matrix_factored_in_float(self):
+        ints = sp.csr_matrix(np.array([[4, 1, 0], [1, 4, 1], [0, 1, 4]]))
+        for got, want in zip(ilu0_factor(ints), ilu0_factor(ints.astype(float))):
+            assert got.dtype == np.float64
+            assert np.array_equal(got.toarray(), want.toarray())
+
     def test_missing_diagonal_reports_row(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
         mat.eliminate_zeros()
@@ -83,6 +146,105 @@ class TestIlu0:
                           [0.0, 1.0, 1.0]])
         with pytest.raises(ZeroDivisionError, match="row 1"):
             ilu0_factor(sp.csr_matrix(dense))
+
+    def test_unused_zero_pivot_reports_row(self):
+        # no later row eliminates with row 1, so the elimination itself never
+        # divides by U_11 = 0; the pivot check after it must still report it
+        dense = np.array([[1.0, 1.0, 0.0],
+                          [1.0, 1.0, 0.0],
+                          [0.0, 0.0, 2.0]])
+        with pytest.raises(ZeroDivisionError, match="zero pivot in row 1"):
+            ilu0_factor(sp.csr_matrix(dense))
+
+
+class TestIlu0MatchesRowByRowLoop:
+    @pytest.mark.parametrize("make", [
+        lambda: random_pattern(0, 30, 0.1),
+        lambda: random_pattern(1, 60, 0.05),
+        lambda: random_pattern(2, 45, 0.2),
+        lambda: random_pattern(3, 40, 0.15, lower=False),
+        lambda: random_pattern(4, 50, 0.08, lower=False),
+        lambda: random_pattern(5, 12, 1.0),  # full pattern
+        lambda: _reservoir_standin(0),
+    ], ids=["random0", "random1", "random2", "upper-rows3", "upper-rows4",
+            "full5", "reservoir-standin"])
+    def test_factors_bit_identical(self, make):
+        a = make()
+        for got, want in zip(ilu0_factor(a), reference_ilu0(a)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("dense", [
+        [[0.0, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+        # U_11 = 0 unused, U_33 = 0 used by row 4: the loop names row 3
+        [[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 0],
+         [0, 0, 1, 1, 1], [0, 0, 0, 1, 1]],
+        # both used by row 4, row 1 first
+        [[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 0],
+         [0, 0, 1, 1, 1], [0, 1, 0, 1, 1]],
+    ])
+    def test_bad_pivots_name_the_same_row(self, dense):
+        a = sp.csr_matrix(np.array(dense, dtype=float))
+        a.eliminate_zeros()
+        want = raised(reference_ilu0, a)
+        assert want is not None
+        assert raised(ilu0_factor, a) == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_zero_one_matrices_agree(self, seed):
+        # small 0/1 matrices hit zero pivots, used and unused, and zero
+        # multipliers (which the loop drops from L and which are kept here)
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 9))
+        dense = (rng.random((n, n)) < 0.5).astype(float)
+        np.fill_diagonal(dense, 1.0)
+        a = sp.csr_matrix(dense)
+        want = raised(reference_ilu0, a)
+        if want is not None:
+            assert raised(ilu0_factor, a) == want
+            return
+        lower_ref, upper_ref = reference_ilu0(a)
+        got = raised(ilu0_factor, a)
+        if got is not None:
+            zero_rows = np.flatnonzero(upper_ref.diagonal() == 0.0)
+            assert got == f"ilu0: zero pivot in row {zero_rows[0]}"
+            return
+        lower, upper = ilu0_factor(a)
+        assert np.array_equal(lower.toarray(), lower_ref.toarray())
+        assert np.array_equal(upper.toarray(), upper_ref.toarray())
+
+
+class TestIlu0Solve:
+    @pytest.fixture(scope="class")
+    def standin(self):
+        a = _reservoir_standin(0)
+        return a, build_g(a, "ilu0"), ilu0_factor(a)
+
+    def test_matches_triangular_solves(self, standin):
+        a, g, (lower, upper) = standin
+        v = np.random.default_rng(7).standard_normal(a.shape[0])
+        want = spsolve_triangular(upper, spsolve_triangular(lower, v, lower=True,
+                                                            unit_diagonal=True),
+                                  lower=False)
+        got = g.solve(v)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_leaves_input_unmodified(self, standin):
+        a, g, _ = standin
+        v = np.random.default_rng(8).standard_normal(a.shape[0])
+        kept = v.copy()
+        g.solve(v)
+        assert np.array_equal(v, kept)
+
+    def test_integer_and_strided_input(self, standin):
+        a, g, _ = standin
+        n = a.shape[0]
+        ints = np.arange(n) % 7 - 3
+        np.testing.assert_array_equal(g.solve(ints), g.solve(ints.astype(float)))
+        wide = np.random.default_rng(9).standard_normal(2 * n)
+        np.testing.assert_array_equal(g.solve(wide[::2]), g.solve(wide[::2].copy()))
 
 
 class TestProjectedPreconditioner:
@@ -116,7 +278,7 @@ class TestProjectedPreconditioner:
         g_op = InvertibleOperator(dim=n, apply=lambda v: d * v, solve=lambda v: v / d,
                                   symmetric=True, kind="user-operator")
         v = rng.standard_normal(n)
-        np.testing.assert_allclose(projected_precond_apply(g_op, fact, v),
+        np.testing.assert_allclose(ProjectedPreconditioner(g_op, fact).apply(v),
                                    oracle_mat @ v, atol=1e-10)
 
     def test_singular_schur_block_rejected(self):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from opins.projection import (Projector, particular_solution, project_complement,
-                              recover_multipliers)
+from opins.projection import Projector, particular_solution, recover_multipliers
 from opins.qrcp import qrcp_factor
 
 RANK_TOL = 1e-12
@@ -58,7 +57,7 @@ class TestComplement:
     def test_length_mismatch(self):
         p = make_projector([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            project_complement(p, np.zeros(3))
+            p.complement(np.zeros(3))
 
 
 class TestParticularSolution:
