@@ -37,6 +37,11 @@ class OpinsError(ValueError):
     """Invalid solver configuration or system."""
 
 
+# relative asymmetry |u^T A v - v^T A u| / ||A||_F above which a declared
+# symmetric A is rejected; rounding in the two products stays far below it
+_SYMMETRY_TOL = np.sqrt(np.finfo(float).eps)
+
+
 def _check_matrix(name, mat):
     """Reject a block that is not a 2-d array or sparse matrix, or not finite."""
     if sp.issparse(mat):
@@ -57,9 +62,11 @@ class SaddleSystem:
     """Blocks of the saddle-point system: A (n x n), B (m x n), f, g.
 
     Compatibility of f (f in range(A) + range(B^T)) is assumed, not checked.
-    ``a_symmetric`` selects the symmetric inner solver.  A and B must be
-    numpy arrays or scipy.sparse matrices; a block of another type, of the
-    wrong shape or with a non-finite entry raises ``OpinsError`` naming it.
+    ``a_symmetric`` selects the symmetric inner solver; ``opins_solve``
+    probes it once and raises ``OpinsError`` when A is plainly nonsymmetric.
+    A and B must be numpy arrays or scipy.sparse matrices; a block of another
+    type, of the wrong shape or with a non-finite entry raises ``OpinsError``
+    naming it.
     """
 
     a: object
@@ -120,6 +127,13 @@ class OpinsOptions:
     otherwise.  ``declared_singular`` is caller-supplied problem metadata;
     singularity of the null-space equation is never detected automatically.
     ``maxit=0`` means 10 * n.
+
+    ``inner_callback(it, w_k, true_relres)``, when set, sees every inner
+    iterate.  It is also what turns on per-iteration observation: the inner
+    solver then recomputes the true residual at every step, and the driver
+    measures the null-space purity of every iterate.  Without it the true
+    residual is computed only where the recurrence residual meets
+    ``solve_tol``, and the purity only of the final iterate.
     """
 
     rank_tol: float = 1e-12
@@ -147,7 +161,13 @@ class OpinsOptions:
 
 @dataclass
 class OpinsReport:
-    """Solution and diagnostics: x = x_p + x_n with x_n the projected inner w."""
+    """Solution and diagnostics: x = x_p + x_n with x_n the projected inner w.
+
+    ``metrics["null_space_purity_max"]`` is ||B P w|| / (||B||_F ||w||) for
+    an inner iterate w: its maximum over every iterate when
+    ``OpinsOptions.inner_callback`` is set, otherwise its value at the final
+    iterate (0 for a zero w).
+    """
 
     x: np.ndarray
     y: Optional[np.ndarray]
@@ -160,6 +180,22 @@ class OpinsReport:
     @property
     def converged(self):
         return self.inner.status == krylov.CONVERGED
+
+
+def _check_declared_symmetry(a):
+    """Two-probe check that a declared symmetric A is symmetric: compare
+    u^T A v with v^T A u for fixed-seed unit vectors, relative to ||A||_F."""
+    n = a.shape[0]
+    if n == 0:
+        return
+    u, v = np.random.default_rng(0).standard_normal((2, n))
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    gap = abs(float(u @ (a @ v)) - float(v @ (a @ u)))
+    if gap > _SYMMETRY_TOL * frobenius_norm(a):
+        raise OpinsError(
+            f"A was declared symmetric but |u^T A v - v^T A u| = {gap:.3e} "
+            f"exceeds {_SYMMETRY_TOL:.1e} * ||A||_F; pass a_symmetric=False")
 
 
 def _resolve_side(sys, opts):
@@ -216,6 +252,8 @@ def opins_solve(sys, opts=None):
     n = sys.n
     maxit = opts.maxit if opts.maxit > 0 else 10 * max(n, 1)
     side = _resolve_side(sys, opts)
+    if sys.a_symmetric:
+        _check_declared_symmetry(sys.a)
 
     if sys.m == 0:
         # no constraints: the projector is the identity and the inner solve
@@ -241,14 +279,17 @@ def opins_solve(sys, opts=None):
         symmetric=sys.a_symmetric)
 
     b_norm_frob = frobenius_norm(sys.b)
-    purity = []
 
-    def inner_cb(it, w_k, relres):
-        x_n_k = projector.complement(w_k)
+    def purity_of(x_n_k, w_k):
         denom = b_norm_frob * np.linalg.norm(w_k)
         drift = np.linalg.norm(sys.b @ x_n_k)
-        purity.append(drift / denom if denom > 0 else 0.0)
-        if opts.inner_callback is not None:
+        return drift / denom if denom > 0 else 0.0
+
+    purity = []
+    inner_cb = None
+    if opts.inner_callback is not None:
+        def inner_cb(it, w_k, relres):
+            purity.append(purity_of(projector.complement(w_k), w_k))
             opts.inner_callback(it, w_k, relres)
 
     precond = _build_precond(sys, opts, fact)
@@ -262,6 +303,8 @@ def opins_solve(sys, opts=None):
                              left_precond=precond, callback=inner_cb)
 
     x_n = projector.complement(inner.solution)
+    if inner_cb is None:
+        purity.append(purity_of(x_n, inner.solution))
     x = x_p + x_n
     y = None
     if opts.compute_y:

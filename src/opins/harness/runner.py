@@ -1,12 +1,15 @@
 """Experiment runner: one (problem, solver configuration) pair per call.
 
-``run_case`` executes the requested solver, streams one CSV row per
-iteration (``iter,relres_x,relres_full,norm_Bxn``) and writes a JSON report
-with the final metrics.  For solvers that split x into particular and
-null-space parts (the opins family, pcg, and the constraint-preconditioned
-MINRES baseline) ``norm_Bxn`` is ||B x_n|| at that iteration; for
-whole-system solvers (pgmres, tsvd, nullspace-oracle) it is the constraint
-violation ||g - B x||.  Direct solvers emit a single summary row.
+``run_case`` executes the requested solver, writes one CSV row per
+iteration (``iter,relres_x,relres_full,norm_Bxn``) when a history path is
+set, and writes a JSON report with the final metrics.  The rows are
+computed only for a history file; without one the solvers run unobserved
+and the final metrics are the same.  For solvers that split x into
+particular and null-space parts (the opins family, pcg, and the
+constraint-preconditioned MINRES baseline) ``norm_Bxn`` is ||B x_n|| at
+that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
+it is the constraint violation ||g - B x||.  Direct solvers emit a single
+summary row.
 
 CSV content depends only on (problem, config), so identical inputs give
 bit-identical files; wall time goes to the JSON report only.
@@ -117,6 +120,11 @@ class _Case:
         self.writer.add(it, self.relres_x_of(x_n_k),
                         relres_full(self.system, self.x_p + x_n_k, y_k), bxn)
 
+    def observer(self, callback):
+        """``callback`` when a history file will be written, else None: each
+        history row costs multipliers, a full residual and a projection."""
+        return callback if self.writer.path is not None else None
+
 
 def _make_case(system, config, writer):
     fact = qrcp_factor(_bt_dense(system), config.qrcp_tol)
@@ -141,14 +149,15 @@ def _opins_case(case, spec, config):
                                   system.f - system.a @ (case.x_p + x_n_k))
         case.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
 
+    callback = case.observer(on_inner)
     opts = OpinsOptions(rank_tol=config.qrcp_tol, solve_tol=config.tol,
                         maxit=config.maxit, restart=config.restart,
                         precond=precond, g_kind=config.g_kind or default_g,
                         precond_side=config.precond_side,
                         declared_singular=spec.declared_singular,
-                        compute_y=True, inner_callback=on_inner)
+                        compute_y=True, inner_callback=callback)
     report = opins_solve(system, opts)
-    if not report.inner.history and report.converged:
+    if callback is not None and not report.inner.history and report.converged:
         # projected right-hand side was zero: single summary row
         case.row(0, report.x_n, report.y,
                  float(np.linalg.norm(system.b @ report.x_n)))
@@ -176,7 +185,7 @@ def _pminres_case(case, spec, config):
 
     outcome, x_p = oracles.pminres_constraint(system, g_matrix, ir_steps,
                                               config.tol, _maxit(config, n),
-                                              callback=on_iter,
+                                              callback=case.observer(on_iter),
                                               rank_tol=config.qrcp_tol)
     x = x_p + outcome.solution[:n]
     y = np.zeros(system.m)
@@ -198,7 +207,7 @@ def _pcg_case(case, spec, config):
         case.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
 
     outcome = krylov.cg(op, case.lead, config.tol, _maxit(config, system.n),
-                        callback=on_iter)
+                        callback=case.observer(on_iter))
     x_n = case.projector.complement(outcome.solution)
     x = case.x_p + x_n
     y = recover_multipliers(case.projector, system.f - system.a @ x)
@@ -223,7 +232,7 @@ def _pgmres_case(case, spec, config):
 
     outcome = krylov.gmres(op, system.rhs_full(), config.restart, config.tol,
                            _maxit(config, n + m), left_precond=prec,
-                           callback=on_iter)
+                           callback=case.observer(on_iter))
     return (outcome.solution[:n], outcome.solution[n:],
             outcome.status, outcome.iterations)
 

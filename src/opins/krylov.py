@@ -1,11 +1,14 @@
 """Krylov solvers for compatible, possibly singular systems.
 
 All solvers start from the zero vector, which is what makes the minimum-norm
-results for compatible singular systems hold, and all record two residuals
-per iteration: the recurrence residual (preconditioned when a preconditioner
-is present) and the explicitly recomputed true residual.  A run is reported
-``converged`` only when both are at or below the tolerance, so a converged
-status always certifies the true relative residual.
+results for compatible singular systems hold.  Each iteration records the
+recurrence residual (preconditioned when a preconditioner is present).  The
+explicitly recomputed true residual costs one more operator application, so
+it is computed only where it is observed: at every step when a callback is
+given, otherwise only at a step whose recurrence residual meets the
+tolerance.  A run is reported ``converged`` only when both are at or below
+the tolerance, so a converged status always certifies the true relative
+residual, and a run stops at the same step with or without a callback.
 
 Preconditioning contract:
 
@@ -59,12 +62,26 @@ class SolveOutcome:
         return self.status == CONVERGED
 
 
-def _record(history, callback, it, relres, true_relres, x):
-    rec = IterationRecord(iter=it, relres=relres,
-                          aux_norms={"true_relres": true_relres})
+def _observed(callback, relres, tol):
+    """Whether a step needs its true residual: a callback sees every step,
+    otherwise only a recurrence residual at the tolerance can converge."""
+    return callback is not None or relres <= tol
+
+
+def _record(history, callback, it, relres, tol, x, true_relres_of):
+    """Append the record of step ``it`` and return whether it converged.
+
+    ``aux_norms["true_relres"]`` is set exactly where ``_observed`` holds.
+    """
+    rec = IterationRecord(iter=it, relres=relres)
     history.append(rec)
+    if not _observed(callback, relres, tol):
+        return False
+    true_relres = true_relres_of(x)
+    rec.aux_norms["true_relres"] = true_relres
     if callback is not None:
         callback(it, x, true_relres)
+    return relres <= tol and true_relres <= tol
 
 
 def minres(op, b, tol, maxit, precond=None, callback=None):
@@ -90,7 +107,9 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
     precond : LinearOperator, optional
         Approximate inverse, applied once per iteration.
     callback : callable, optional
-        Invoked as ``callback(iter, x_candidate, true_relres)`` each step.
+        Invoked as ``callback(iter, x_candidate, true_relres)`` each step;
+        without one the true residual is computed only at steps whose
+        recurrence residual meets ``tol``.
     """
     b = np.asarray(b, dtype=float)
     n = op.dim
@@ -100,6 +119,7 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
     if normb == 0.0:
         return SolveOutcome(x, CONVERGED, 0, history)
 
+    true_relres_of = lambda cand: np.linalg.norm(b - op(cand)) / normb
     r1 = b.copy()
     y = precond(r1) if precond is not None else r1
     beta1 = float(r1 @ y)
@@ -152,9 +172,7 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
         x = x + phi * w
 
         relres = phibar / beta1
-        true_relres = np.linalg.norm(b - op(x)) / normb
-        _record(history, callback, it, relres, true_relres, x)
-        if relres <= tol and true_relres <= tol:
+        if _record(history, callback, it, relres, tol, x, true_relres_of):
             status = CONVERGED
             break
         if beta <= np.finfo(float).eps * beta1:
@@ -186,6 +204,12 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
     normpb = np.linalg.norm(pb)
     if normpb == 0.0:
         return SolveOutcome(x, BREAKDOWN, 0, history)
+    true_relres_of = lambda cand: np.linalg.norm(b - op(cand)) / normb
+
+    def solution_at(j):
+        """Iterate of the current cycle after its step ``j``."""
+        yk = sla.solve_triangular(H[:j + 1, :j + 1], g[:j + 1], lower=False)
+        return x + V[:, :j + 1] @ yk
 
     it = 0
     status = None
@@ -208,7 +232,9 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
         g[0] = beta
         V[:, 0] = pr / beta
         xk = x
-        k = -1
+        # steps of this cycle: k is the current one, done the last whose
+        # Givens update completed, formed the one whose iterate xk holds
+        k = done = formed = -1
         while k + 1 < restart and it < maxit and status is None:
             k += 1
             it += 1
@@ -243,18 +269,20 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
             H[k + 1, k] = 0.0
             g[k + 1] = -givens_s[k] * g[k]
             g[k] = givens_c[k] * g[k]
+            done = k
 
             relres = abs(g[k + 1]) / normpb
-            yk = sla.solve_triangular(H[:k + 1, :k + 1], g[:k + 1], lower=False)
-            xk = x + V[:, :k + 1] @ yk
-            true_relres = np.linalg.norm(b - op(xk)) / normb
-            _record(history, callback, it, relres, true_relres, xk)
-            if relres <= tol and true_relres <= tol:
+            if _observed(callback, relres, tol):
+                xk = solution_at(k)
+                formed = k
+            if _record(history, callback, it, relres, tol, xk, true_relres_of):
                 status = CONVERGED
             elif lucky:
                 # invariant subspace reached without meeting the tolerance
                 status = BREAKDOWN
-        x = xk
+        # the triangle and g[:done + 1] are final once step done completes,
+        # so forming the iterate here gives the same x as forming it then
+        x = xk if formed == done else solution_at(done)
         cycle_res = abs(g[min(k + 1, restart)]) / normpb
         full_cycle = k + 1 == restart
         if status is None and full_cycle and prev_cycle is not None \
@@ -278,6 +306,7 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
     normb = np.linalg.norm(b)
     if normb == 0.0:
         return SolveOutcome(x, CONVERGED, 0, history)
+    true_relres_of = lambda cand: np.linalg.norm(b - op(cand)) / normb
     r = b.copy()
     z = precond(r) if precond is not None else r
     p = z.copy()
@@ -297,9 +326,7 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
         x = x + alpha * p
         r = r - alpha * ap
         relres = np.linalg.norm(r) / normb
-        true_relres = np.linalg.norm(b - op(x)) / normb
-        _record(history, callback, it, relres, true_relres, x)
-        if relres <= tol and true_relres <= tol:
+        if _record(history, callback, it, relres, tol, x, true_relres_of):
             status = CONVERGED
             break
         if relres >= best:

@@ -1,10 +1,7 @@
-"""Matrix storage and products.
+"""Matrix helpers shared by the driver and the tests.
 
-Sparse matrices are stored in compressed-row form (`scipy.sparse.csr_matrix`);
-coordinate input is accepted at ingest only and duplicate entries are summed.
-Dense matrices are plain row-major ``numpy`` arrays.  Everything here is
-immutable after construction by convention, so matrices and factorizations can
-be shared freely across threads.
+Matrices are plain ``numpy`` arrays or ``scipy.sparse`` matrices; products
+use ``@`` directly.
 """
 
 from __future__ import annotations
@@ -12,66 +9,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["as_csr", "as_dense", "matvec", "frobenius_norm"]
-
-
-def as_csr(mat, shape=None):
-    """Validate and convert matrix-like input to CSR.
-
-    Accepts dense arrays, scipy sparse matrices, or a coordinate triple
-    ``(rows, cols, values)`` (requires ``shape``).  Duplicate coordinate
-    entries are summed.  Raises ``ValueError`` for out-of-bounds indices or
-    non-finite values.
-    """
-    if isinstance(mat, tuple) and len(mat) == 3:
-        rows, cols, vals = (np.asarray(a) for a in mat)
-        if shape is None:
-            raise ValueError("coordinate input requires an explicit shape")
-        nr, nc = shape
-        if rows.size and (rows.min() < 0 or rows.max() >= nr):
-            raise ValueError("row index out of bounds")
-        if cols.size and (cols.min() < 0 or cols.max() >= nc):
-            raise ValueError("column index out of bounds")
-        out = sp.coo_matrix((vals.astype(float), (rows, cols)), shape=shape).tocsr()
-    elif sp.issparse(mat):
-        out = mat.tocsr().astype(float)
-    else:
-        arr = np.asarray(mat, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-        out = sp.csr_matrix(arr)
-    out.sum_duplicates()
-    out.sort_indices()
-    if not np.all(np.isfinite(out.data)):
-        raise ValueError("matrix contains non-finite entries")
-    return out
-
-
-def as_dense(mat):
-    """Return a dense float ndarray copy of ``mat`` (sparse or dense)."""
-    if sp.issparse(mat):
-        return mat.toarray().astype(float)
-    arr = np.array(mat, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    return arr
-
-
-def matvec(mat, v, transpose=False):
-    """Matrix-vector product ``mat @ v`` or ``mat.T @ v``.
-
-    Works for CSR and dense storage; cost is O(nnz).  Raises ``ValueError``
-    on dimension mismatch.
-    """
-    v = np.asarray(v, dtype=float)
-    nr, nc = mat.shape
-    want = nr if transpose else nc
-    if v.shape != (want,):
-        raise ValueError(f"matvec dimension mismatch: matrix {mat.shape}, "
-                         f"vector {v.shape}, transpose={transpose}")
-    if transpose:
-        return mat.T @ v
-    return mat @ v
+__all__ = ["frobenius_norm"]
 
 
 def frobenius_norm(mat):

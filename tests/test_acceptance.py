@@ -43,6 +43,8 @@ def _fact_of(system, tol=QRCP_TOL):
 
 def _solve(system, **kw):
     kw.setdefault("solve_tol", SOLVE_TOL)
+    # observe every inner iterate, so null_space_purity_max covers them all
+    kw.setdefault("inner_callback", lambda it, w, rr: None)
     return opins_solve(system, OpinsOptions(**kw))
 
 

@@ -30,6 +30,13 @@ def random_singular(seed, n=40, m=8, a_rank=20):
     return SaddleSystem(a=a, b=b, f=f, g=b @ rng.standard_normal(n), a_symmetric=True)
 
 
+def random_nonsymmetric(seed, n=30, m=6):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n)
+    b = rng.standard_normal((m, n)) / np.sqrt(n)
+    return SaddleSystem(a=a, b=b, f=rng.standard_normal(n), g=rng.standard_normal(m))
+
+
 def kkt_lu(system):
     z = np.linalg.solve(system.kkt_matrix(), system.rhs_full())
     return z[:system.n], z[system.n:]
@@ -146,6 +153,54 @@ class TestIngest:
             SaddleSystem(**blocks)
 
 
+class TestDeclaredSymmetry:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_nonsymmetric_a_declared_symmetric_raises(self, sparse):
+        # MINRES would run to max_iterations on it without a diagnostic
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((30, 30)) + 30 * np.eye(30)
+        b = rng.standard_normal((5, 30))
+        system = SaddleSystem(a=sp.csr_matrix(a) if sparse else a, b=b,
+                              f=rng.standard_normal(30), g=rng.standard_normal(5),
+                              a_symmetric=True)
+        with pytest.raises(OpinsError, match="declared symmetric"):
+            opins_solve(system)
+
+    def test_rounding_level_asymmetry_accepted(self):
+        system = random_singular(1)
+        rng = np.random.default_rng(12)
+        noise = 1e-15 * np.abs(system.a).max() * rng.standard_normal(system.a.shape)
+        perturbed = SaddleSystem(a=system.a + noise, b=system.b, f=system.f,
+                                 g=system.g, a_symmetric=True)
+        assert opins_solve(perturbed).converged
+
+
+class TestObservation:
+    @pytest.mark.parametrize("system, opts", [
+        (random_singular(5), {}),
+        (random_nonsymmetric(3), dict(precond="projected", g_kind="jacobi", restart=8)),
+    ], ids=["minres", "gmres-restarted"])
+    def test_callback_changes_only_the_purity_metric(self, system, opts):
+        plain = opins_solve(system, OpinsOptions(**opts))
+        seen = []
+        observed = opins_solve(system, OpinsOptions(
+            inner_callback=lambda it, w, rr: seen.append(it), **opts))
+        assert plain.converged
+        assert np.array_equal(plain.x, observed.x)
+        assert np.array_equal(plain.y, observed.y)
+        assert plain.inner.iterations == observed.inner.iterations == len(seen)
+        for key in ("relres_x", "relres_full", "constraint_residual", "norm_x"):
+            assert plain.metrics[key] == observed.metrics[key]
+        # unobserved: the purity of the final iterate only, which is one of
+        # the iterates the observed maximum runs over
+        w = plain.inner.solution
+        final = np.linalg.norm(system.b @ plain.x_n) / (
+            np.linalg.norm(system.b) * np.linalg.norm(w))
+        assert plain.metrics["null_space_purity_max"] == final
+        assert observed.metrics["null_space_purity_max"] >= final
+        assert final <= 1e-12
+
+
 class TestSingularGuard:
     def test_simple_precond_rejected_when_singular(self):
         system = random_singular(0)
@@ -188,7 +243,9 @@ class TestMinNorm:
             1e-6 * np.linalg.norm(x_oracle)
 
     def test_null_space_purity_metric(self):
-        report = opins_solve(random_singular(5))
+        # a callback makes the metric the maximum over every inner iterate
+        report = opins_solve(random_singular(5),
+                             OpinsOptions(inner_callback=lambda it, w, rr: None))
         assert report.metrics["null_space_purity_max"] <= 1e-12
 
 

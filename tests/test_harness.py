@@ -410,6 +410,22 @@ class TestRunner:
         assert record.status == "converged"
         assert record.relres_x <= 1e-10
 
+    @pytest.mark.parametrize("solver", ["opins", "opins-p", "pcg", "pminres-ir1", "pgmres"])
+    def test_history_file_does_not_change_the_result(self, solver, tmp_path):
+        # the per-iteration rows run only for a history file; they observe
+        # the solve without changing it
+        spec = ProblemSpec(name="random-s", source={"kind": "random-s", "seed": 8},
+                           declared_singular=True, a_symmetric=True)
+        plain = run_case(spec, RunConfig(solver=solver, maxit=300))
+        path = tmp_path / "h.csv"
+        logged = run_case(spec, RunConfig(solver=solver, maxit=300,
+                                          history_path=str(path)))
+        assert plain.status == logged.status == "converged"
+        assert plain.iterations == logged.iterations > 0
+        for key in ("relres_x", "relres_full", "constraint_residual", "norm_x", "norm_y"):
+            assert getattr(plain, key) == getattr(logged, key)
+        assert len(path.read_text().splitlines()) == logged.iterations + 1
+
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="unknown solver"):
             RunConfig(solver="sor")

@@ -85,8 +85,9 @@ class TestMinres:
         a = (raw + raw.T) / 2 + 8 * np.eye(16)
         d = np.abs(np.diag(a))
         prec = LinearOperator(dim=16, apply=lambda v: v / d, symmetric=True)
+        # a callback observes every step, so every record carries both
         out = minres(op_from(a, symmetric=True), rng.standard_normal(16),
-                     1e-11, 300, precond=prec)
+                     1e-11, 300, precond=prec, callback=lambda it, x, rr: None)
         assert out.converged
         assert all("true_relres" in rec.aux_norms for rec in out.history)
 
@@ -201,3 +202,84 @@ class TestCg:
         assert out.converged
         np.testing.assert_allclose(out.solution, np.linalg.solve(a, b),
                                    rtol=1e-9, atol=1e-9)
+
+
+def _noop(it, x, rr):
+    pass
+
+
+def _spd(seed, n=20):
+    raw = np.random.default_rng(seed).standard_normal((n, n))
+    return raw @ raw.T + n * np.eye(n)
+
+
+def _sym_indefinite(seed, n=30):
+    raw = np.random.default_rng(seed).standard_normal((n, n))
+    return (raw + raw.T) / 2
+
+
+# (name, tol, run(callback, tol)); each run solves the same system every call
+_OBSERVATION_RUNS = [
+    ("minres", 1e-10, lambda cb, tol: minres(
+        op_from(_sym_indefinite(2), symmetric=True),
+        np.random.default_rng(2).standard_normal(30), tol, 300, callback=cb)),
+    ("minres-precond", 1e-11, lambda cb, tol: minres(
+        op_from(_spd(5, 16) - 30 * np.eye(16), symmetric=True),
+        np.random.default_rng(5).standard_normal(16), tol, 300,
+        precond=LinearOperator(dim=16, apply=lambda v: v / 16.0, symmetric=True),
+        callback=cb)),
+    ("gmres-restarted", 1e-11, lambda cb, tol: gmres(
+        op_from(np.random.default_rng(20).standard_normal((30, 30)) + 8 * np.eye(30)),
+        np.random.default_rng(21).standard_normal(30), restart=5, tol=tol,
+        maxit=400, callback=cb)),
+    ("gmres-lucky", 1e-12, lambda cb, tol: gmres(
+        op_from(np.diag([1.0, 1.0, 2.0, 2.0])), np.array([1.0, 0.0, 1.0, 0.0]),
+        restart=10, tol=tol, maxit=50, callback=cb)),
+    ("gmres-breakdown", 1e-12, lambda cb, tol: gmres(
+        op_from(np.diag(np.ones(3), 1)), np.array([0.0, 1.0, 1.0, 0.0]),
+        restart=4, tol=tol, maxit=50, callback=cb)),
+    ("cg", 1e-12, lambda cb, tol: cg(
+        op_from(_spd(10), symmetric=True),
+        np.random.default_rng(10).standard_normal(20), tol, 400, callback=cb)),
+]
+_OBSERVATION_IDS = [name for name, _, _ in _OBSERVATION_RUNS]
+
+
+class TestObservation:
+    """A callback observes a run without changing it; without one the true
+    residual is computed only where the recurrence residual meets tol."""
+
+    @pytest.mark.parametrize("name, tol, run", _OBSERVATION_RUNS, ids=_OBSERVATION_IDS)
+    def test_callback_does_not_change_the_run(self, name, tol, run):
+        plain, observed = run(None, tol), run(_noop, tol)
+        assert np.array_equal(plain.solution, observed.solution)
+        assert plain.status == observed.status
+        assert plain.iterations == observed.iterations
+        assert [r.relres for r in plain.history] == [r.relres for r in observed.history]
+        assert all("true_relres" in r.aux_norms for r in observed.history)
+
+    @pytest.mark.parametrize("name, tol, run", _OBSERVATION_RUNS, ids=_OBSERVATION_IDS)
+    def test_true_residual_only_where_recurrence_meets_tol(self, name, tol, run):
+        out = run(None, tol)
+        for rec in out.history:
+            assert ("true_relres" in rec.aux_norms) == (rec.relres <= tol)
+        if out.converged:
+            assert out.history[-1].aux_norms["true_relres"] <= tol
+
+    def test_runs_reach_the_paths_they_name(self):
+        runs = {name: (tol, run) for name, tol, run in _OBSERVATION_RUNS}
+        statuses = {name: run(None, tol).status for name, (tol, run) in runs.items()}
+        assert statuses == {"minres": "converged", "minres-precond": "converged",
+                            "gmres-restarted": "converged", "gmres-lucky": "converged",
+                            "gmres-breakdown": "breakdown", "cg": "converged"}
+        tol, run = runs["gmres-restarted"]
+        assert run(None, tol).iterations > 5
+        tol, run = runs["gmres-lucky"]
+        lucky = run(None, tol)
+        assert lucky.iterations == 2 and lucky.history[-1].relres == 0.0
+        # a Givens rotation of two zeros after a restart: the broken step
+        # leaves no record and the last completed step's iterate is returned
+        tol, run = runs["gmres-breakdown"]
+        broken = run(None, tol)
+        assert broken.iterations > 4
+        assert len(broken.history) == broken.iterations - 1
