@@ -39,6 +39,7 @@ STAGNATION = "stagnation"
 
 # relative improvement over one full restart cycle below which GMRES gives up
 _STAGNATION_FACTOR = 1e-3
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -185,13 +186,19 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
 
 
 def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
-    """Restarted GMRES with modified Gram-Schmidt and selective reorthogonalization.
+    """Restarted GMRES with classical Gram-Schmidt applied twice (CGS2).
 
-    For singular operators the caller asserts range(op) = range(op^T) and
-    compatibility; started from zero and unpreconditioned the converged
-    solution is then minimum-norm.  ``left_precond`` is applied to the
-    residuals.  A restart cycle that improves the (preconditioned) residual
-    by less than a factor of ``1 - 1e-3`` reports ``stagnation``.
+    The basis is kept as rows and each Arnoldi step orthogonalizes with two
+    unconditional BLAS-2 passes ("twice is enough").  A step is lucky when
+    the orthogonalized vector is at rounding level of ``op`` applied to the
+    basis vector, and breaks down (Brown & Walker 1997) when the rotated
+    diagonal is at rounding level of its Hessenberg column; the iterate of
+    the last completed step is then returned.  For singular operators the
+    caller asserts range(op) = range(op^T) and compatibility; started from
+    zero and unpreconditioned the converged solution is then minimum-norm.
+    ``left_precond`` is applied to the residuals.  A restart cycle that
+    improves the (preconditioned) residual by less than a factor of
+    ``1 - 1e-3`` reports ``stagnation``.
     """
     b = np.asarray(b, dtype=float)
     n = op.dim
@@ -209,7 +216,7 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
     def solution_at(j):
         """Iterate of the current cycle after its step ``j``."""
         yk = sla.solve_triangular(H[:j + 1, :j + 1], g[:j + 1], lower=False)
-        return x + V[:, :j + 1] @ yk
+        return x + yk @ V[:j + 1]
 
     it = 0
     status = None
@@ -224,13 +231,11 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
         if it >= maxit:
             status = MAX_ITERATIONS
             break
-        V = np.zeros((n, restart + 1))
-        H = np.zeros((restart + 1, restart))
-        givens_c = np.zeros(restart)
-        givens_s = np.zeros(restart)
-        g = np.zeros(restart + 1)
-        g[0] = beta
-        V[:, 0] = pr / beta
+        V = np.zeros((restart + 1, n))
+        H = np.zeros((restart, restart))
+        rotations = []
+        g = [float(beta)]
+        V[0] = pr / beta
         xk = x
         # steps of this cycle: k is the current one, done the last whose
         # Givens update completed, formed the one whose iterate xk holds
@@ -238,37 +243,32 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
         while k + 1 < restart and it < maxit and status is None:
             k += 1
             it += 1
-            w = op(V[:, k])
+            w = op(V[k])
             if left_precond is not None:
                 w = left_precond(w)
             norm_before = np.linalg.norm(w)
-            for i in range(k + 1):
-                H[i, k] = V[:, i] @ w
-                w -= H[i, k] * V[:, i]
-            if np.linalg.norm(w) < 0.7071 * norm_before:
-                # severe cancellation: one reorthogonalization pass
-                for i in range(k + 1):
-                    corr = V[:, i] @ w
-                    H[i, k] += corr
-                    w -= corr * V[:, i]
-            H[k + 1, k] = np.linalg.norm(w)
-            lucky = H[k + 1, k] == 0.0
-            if not lucky:
-                V[:, k + 1] = w / H[k + 1, k]
-            for i in range(k):
-                t = givens_c[i] * H[i, k] + givens_s[i] * H[i + 1, k]
-                H[i + 1, k] = -givens_s[i] * H[i, k] + givens_c[i] * H[i + 1, k]
-                H[i, k] = t
-            denom = np.hypot(H[k, k], H[k + 1, k])
-            if denom == 0.0:
+            h = V[:k + 1] @ w
+            w -= h @ V[:k + 1]
+            h2 = V[:k + 1] @ w
+            w -= h2 @ V[:k + 1]
+            # Hessenberg column in Python floats; its norm is norm_before
+            col = (h + h2).tolist() + [float(np.linalg.norm(w))]
+            lucky = col[k + 1] <= _EPS * norm_before
+            if lucky:
+                col[k + 1] = 0.0
+            else:
+                V[k + 1] = w / col[k + 1]
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            denom = float(np.hypot(col[k], col[k + 1]))
+            if denom <= _EPS * norm_before:
                 status = BREAKDOWN
                 break
-            givens_c[k] = H[k, k] / denom
-            givens_s[k] = H[k + 1, k] / denom
-            H[k, k] = denom
-            H[k + 1, k] = 0.0
-            g[k + 1] = -givens_s[k] * g[k]
-            g[k] = givens_c[k] * g[k]
+            c, s = col[k] / denom, col[k + 1] / denom
+            rotations.append((c, s))
+            H[:k + 1, k] = col[:k] + [denom]
+            g.append(-s * g[k])
+            g[k] = c * g[k]
             done = k
 
             relres = abs(g[k + 1]) / normpb
@@ -283,7 +283,7 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
         # the triangle and g[:done + 1] are final once step done completes,
         # so forming the iterate here gives the same x as forming it then
         x = xk if formed == done else solution_at(done)
-        cycle_res = abs(g[min(k + 1, restart)]) / normpb
+        cycle_res = abs(g[-1]) / normpb
         full_cycle = k + 1 == restart
         if status is None and full_cycle and prev_cycle is not None \
                 and cycle_res > (1.0 - _STAGNATION_FACTOR) * prev_cycle:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = ["frobenius_norm"]
 
 
 def frobenius_norm(mat):
     if sp.issparse(mat):
-        return float(np.linalg.norm(mat.data)) if mat.nnz else 0.0
+        return float(spla.norm(mat))
     return float(np.linalg.norm(np.asarray(mat)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from opins.krylov import cg, gmres, minres
 from opins.operators import LinearOperator, aslinearoperator
@@ -180,6 +181,22 @@ class TestGmres:
         assert out.converged
         assert np.linalg.norm(b - mat @ out.solution) <= 1e-11 * np.linalg.norm(b)
 
+    def test_orthogonality_kept_on_nonnormal_grcar(self):
+        # Grcar matrix: -1 below the diagonal, 1 on it and on 3 above it; its
+        # nonnormality makes the Arnoldi vectors lose orthogonality first
+        n = 200
+        mat = np.eye(n) - np.eye(n, k=-1) + sum(np.eye(n, k=j) for j in range(1, 4))
+        b = np.random.default_rng(0).standard_normal(n)
+        seen = []
+        out = gmres(op_from(mat), b, restart=40, tol=1e-10, maxit=2000,
+                    callback=lambda it, x, rr: seen.append(rr))
+        assert out.converged
+        # the recurrence residual tracks the true one only while the basis
+        # stays orthogonal
+        rel = np.array([rec.relres for rec in out.history])
+        np.testing.assert_allclose(rel, seen, rtol=1e-5, atol=0.0)
+        assert np.linalg.norm(out.solution - np.linalg.solve(mat, b)) <= 1e-8
+
 
 class TestCg:
     def test_diagonal_spd(self):
@@ -238,6 +255,10 @@ _OBSERVATION_RUNS = [
     ("gmres-breakdown", 1e-12, lambda cb, tol: gmres(
         op_from(np.diag(np.ones(3), 1)), np.array([0.0, 1.0, 1.0, 0.0]),
         restart=4, tol=tol, maxit=50, callback=cb)),
+    ("gmres-breakdown-restarted", 1e-12, lambda cb, tol: gmres(
+        op_from(sla.block_diag(np.diag(np.ones(3), 1), [[2.0]])),
+        np.array([0.0, 1.0, 1.0, 0.0, 1.0]), restart=3, tol=tol, maxit=50,
+        callback=cb)),
     ("cg", 1e-12, lambda cb, tol: cg(
         op_from(_spd(10), symmetric=True),
         np.random.default_rng(10).standard_normal(20), tol, 400, callback=cb)),
@@ -271,15 +292,25 @@ class TestObservation:
         statuses = {name: run(None, tol).status for name, (tol, run) in runs.items()}
         assert statuses == {"minres": "converged", "minres-precond": "converged",
                             "gmres-restarted": "converged", "gmres-lucky": "converged",
-                            "gmres-breakdown": "breakdown", "cg": "converged"}
+                            "gmres-breakdown": "breakdown",
+                            "gmres-breakdown-restarted": "breakdown", "cg": "converged"}
         tol, run = runs["gmres-restarted"]
         assert run(None, tol).iterations > 5
         tol, run = runs["gmres-lucky"]
         lucky = run(None, tol)
         assert lucky.iterations == 2 and lucky.history[-1].relres == 0.0
-        # a Givens rotation of two zeros after a restart: the broken step
-        # leaves no record and the last completed step's iterate is returned
+        # the nilpotent shift maps the third Krylov space into itself with a
+        # singular triangle: the broken step leaves no record and the
+        # least-squares iterate of the step before it is returned
         tol, run = runs["gmres-breakdown"]
+        broken = run(_noop, tol)
+        assert broken.iterations == 3 and len(broken.history) == 2
+        a, b = np.diag(np.ones(3), 1), np.array([0.0, 1.0, 1.0, 0.0])
+        true_relres = np.linalg.norm(b - a @ broken.solution) / np.linalg.norm(b)
+        assert true_relres == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert not any(r.relres <= tol < r.aux_norms["true_relres"] for r in broken.history)
+        # the same breakdown in the second restart cycle
+        tol, run = runs["gmres-breakdown-restarted"]
         broken = run(None, tol)
-        assert broken.iterations > 4
+        assert broken.iterations == 6 and broken.iterations > 3
         assert len(broken.history) == broken.iterations - 1

@@ -29,3 +29,9 @@ def test_frobenius_norm_matches_numpy():
     dense = rng.standard_normal((6, 4))
     assert frobenius_norm(sp.csr_matrix(dense)) == pytest.approx(np.linalg.norm(dense))
     assert frobenius_norm(dense) == pytest.approx(np.linalg.norm(dense))
+
+
+def test_unsummed_duplicates_are_summed():
+    # both entries sit at (0, 0), so the matrix is [[7, 0], [0, 0]]
+    mat = sp.csr_matrix(([3.0, 4.0], [0, 0], [0, 2, 2]), shape=(2, 2))
+    assert frobenius_norm(mat) == pytest.approx(7.0, rel=1e-15)
