@@ -1,20 +1,46 @@
-"""Matrix Market exchange-format ingestion.
+"""Matrix Market exchange-format ingestion, on top of ``scipy.io``.
 
-Supports real/integer coordinate and array files with general, symmetric, or
-skew-symmetric storage.  Symmetric storage is expanded to the full pattern
-(off-diagonal entries mirrored).  Parse failures report the file and
-offending line number; complex and pattern fields are rejected.
+``scipy.io.mminfo`` reads the header and size line and ``scipy.io.mmread``
+the entries, in compiled code; ``scipy.io.mmwrite`` writes.  Real and
+integer coordinate and array files with general, symmetric or
+skew-symmetric storage are accepted; symmetric storage is expanded to the
+full pattern (off-diagonal entries mirrored) and duplicates are summed.
+
+A file is rejected with a :class:`MatrixMarketError` naming the file and the
+offending line when scipy rejects it (bad banner or size line, an index out
+of bounds, too few or too many entries, a non-number), and also where scipy
+would accept it (it reads only a valid prefix of each entry line and ignores
+the rest), when:
+
+* the header is not five words ``%%MatrixMarket matrix <format> <field>
+  <symmetry>``, or names a ``vector`` object, a ``complex`` or ``pattern``
+  field or ``hermitian`` symmetry, or symmetric storage of a non-square
+  matrix;
+* an entry line holds anything but its indices and one decimal number, say a
+  trailing token (``1 1 1.0 7``), a glued suffix (``1.0abc``), ``nan`` or
+  ``inf``, or a non-integer value in an ``integer`` file;
+* a value overflows to infinity (``1e400``).
+
+Comment lines are allowed only before the size line, as the format says.
 """
 
 from __future__ import annotations
+
+import io
+import re
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["MatrixMarketError", "load_matrix_market", "load_vector", "save_matrix_market"]
 
-_SUPPORTED_FIELDS = ("real", "integer")
-_SUPPORTED_SYMMETRY = ("general", "symmetric", "skew-symmetric")
+# unambiguous, so a long malformed token costs linear time to reject
+_NUMBER = {"real": rb"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?", "integer": rb"-?\d+"}
+# a "+" opening a number: the format allows it, scipy's reader does not
+_PLUS_SIGN = re.compile(rb"\+(?<=[ \t\n]\+)(?=[\d.])")
+# header line, then blank and comment lines, then the size line (group 1)
+_PREAMBLE = re.compile(rb"[^\n]*\n(?:[ \t]*(?:%[^\n]*)?\n)*([^\n]*)")
+_SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.S)
 
 
 class MatrixMarketError(ValueError):
@@ -24,113 +50,79 @@ class MatrixMarketError(ValueError):
         self.lineno = lineno
 
 
-def _parse_header(path, line):
-    parts = line.strip().lower().split()
-    if len(parts) != 5 or parts[0] != "%%matrixmarket" or parts[1] != "matrix":
-        raise MatrixMarketError(path, 1, "not a Matrix Market matrix header")
-    fmt, fieldtype, symmetry = parts[2], parts[3], parts[4]
-    if fmt not in ("coordinate", "array"):
-        raise MatrixMarketError(path, 1, f"unsupported format {fmt!r}")
-    if fieldtype not in _SUPPORTED_FIELDS:
-        raise MatrixMarketError(path, 1, f"unsupported field type {fieldtype!r}")
-    if symmetry not in _SUPPORTED_SYMMETRY:
-        raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
-    return fmt, fieldtype, symmetry
+def _lineno(data, pos):
+    return data.count(b"\n", 0, pos) + 1
+
+
+def _scipy(path, read, data, lineno):
+    """Run a scipy.io reader on ``data``; its errors become MatrixMarketErrors."""
+    try:
+        return read(io.BytesIO(data))
+    except (ValueError, OverflowError) as exc:
+        numbered = _SCIPY_LINE.match(str(exc))
+        if numbered:
+            raise MatrixMarketError(path, int(numbered[1]), numbered[2]) from None
+        raise MatrixMarketError(path, lineno, str(exc)) from None
 
 
 def load_matrix_market(path):
     """Read a Matrix Market file into a validated CSR matrix."""
+    # imported here, not at module level: solves that read no file skip its memory
+    import scipy.io
+
+    # text mode reads \r\n and \r line ends as \n; the closing \n spares scipy's
+    # reader (1.17) a crash on a last line that ends in a blank
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError(path, 1, "empty file")
-    fmt, _, symmetry = _parse_header(path, lines[0])
+        data = _PLUS_SIGN.sub(b"", fh.read().encode() + b"\n")
+    header = data.partition(b"\n")[0].lower().split()
+    if len(header) != 5 or header[:2] != [b"%%matrixmarket", b"matrix"]:
+        raise MatrixMarketError(path, 1, "not a Matrix Market matrix header")
+    preamble = _PREAMBLE.match(data)
+    size_lineno = _lineno(data, preamble.start(1))
+    nrows, ncols, nnz, fmt, field, symmetry = _scipy(path, scipy.io.mminfo, data, size_lineno)
+    if field not in ("real", "integer"):
+        raise MatrixMarketError(path, 1, f"unsupported field type {field!r}")
+    if symmetry not in ("general", "symmetric", "skew-symmetric"):
+        raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
+    if symmetry != "general" and nrows != ncols:
+        raise MatrixMarketError(path, size_lineno, f"{symmetry} matrix must be square")
 
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
-        raise MatrixMarketError(path, len(lines), "missing size line")
-    size_lineno, size_line = body[0]
-    entries = body[1:]
-
-    tokens = size_line.split()
+    # every line after the size line is blank or one entry and nothing else:
+    # scipy ignores what follows an entry's valid prefix, and crashes on a NUL
+    entry = _NUMBER[field] if fmt == "array" else rb"\d+[ \t]+\d+[ \t]+" + _NUMBER[field]
+    body = preamble.end(1)
+    bad = re.compile(rb"\n(?![ \t]*(?:" + entry + rb"[ \t]*)?(?:\n|\Z))").search(data, body)
+    if bad:
+        line = data[bad.start() + 1:].partition(b"\n")[0].decode()
+        raise MatrixMarketError(path, _lineno(data, bad.start() + 1), f"bad entry {line!r}")
     if fmt == "coordinate":
-        if len(tokens) != 3:
-            raise MatrixMarketError(path, size_lineno, "coordinate size line needs 'rows cols nnz'")
-        try:
-            nrows, ncols, nnz = (int(t) for t in tokens)
-        except ValueError:
-            raise MatrixMarketError(path, size_lineno, f"bad size line {size_line!r}") from None
-        if len(entries) != nnz:
-            raise MatrixMarketError(path, size_lineno,
-                                    f"header promises {nnz} entries, file has {len(entries)}")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=float)
-        for k, (lineno, ln) in enumerate(entries):
-            parts = ln.split()
-            if len(parts) != 3:
-                raise MatrixMarketError(path, lineno, f"expected 'row col value', got {ln!r}")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise MatrixMarketError(path, lineno, f"bad entry {ln!r}") from None
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(path, lineno, f"index ({i},{j}) out of bounds")
-            if not np.isfinite(v):
-                raise MatrixMarketError(path, lineno, "non-finite value")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-        if symmetry in ("symmetric", "skew-symmetric"):
-            off = rows != cols
-            sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-            rows, cols, vals = (np.concatenate([rows, cols[off]]),
-                                np.concatenate([cols, rows[off]]),
-                                np.concatenate([vals, sign * vals[off]]))
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return mat
-
-    # array format: dense column-major values
-    if len(tokens) != 2:
-        raise MatrixMarketError(path, size_lineno, "array size line needs 'rows cols'")
-    try:
-        nrows, ncols = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise MatrixMarketError(path, size_lineno, f"bad size line {size_line!r}") from None
-    if symmetry == "general":
-        expected = nrows * ncols
-    else:
-        if nrows != ncols:
-            raise MatrixMarketError(path, size_lineno, "symmetric array file must be square")
-        # skew-symmetric array storage omits the (zero) diagonal
-        expected = nrows * (nrows + 1) // 2 if symmetry == "symmetric" \
-            else nrows * (nrows - 1) // 2
-    if len(entries) != expected:
+        expected = nnz
+    else:  # array storage of a symmetric matrix holds its lower triangle
+        expected = {"general": nrows * ncols, "symmetric": nrows * (nrows + 1) // 2,
+                    "skew-symmetric": nrows * (nrows - 1) // 2}[symmetry]
+    found = len(data[body:].split()) // (3 if fmt == "coordinate" else 1)
+    if found != expected:
         raise MatrixMarketError(path, size_lineno,
-                                f"expected {expected} values, file has {len(entries)}")
-    vals = np.empty(expected)
-    for k, (lineno, ln) in enumerate(entries):
-        try:
-            vals[k] = float(ln.split()[0])
-        except (ValueError, IndexError):
-            raise MatrixMarketError(path, lineno, f"bad value {ln!r}") from None
-        if not np.isfinite(vals[k]):
-            raise MatrixMarketError(path, lineno, "non-finite value")
-    dense = np.zeros((nrows, ncols))
-    if symmetry == "general":
-        dense[:] = vals.reshape((ncols, nrows)).T
+                                f"header promises {expected} entries, file has {found}")
+
+    mat = _scipy(path, scipy.io.mmread, data, size_lineno)
+    # the values in file order: a coordinate file's come first, an array file's
+    # are column-major (for symmetric storage, the lower triangle)
+    if fmt == "coordinate":
+        values = mat.data[:nnz]
+    elif symmetry == "general":
+        values = mat.T.ravel()
     else:
-        k = 0
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        start_offset = 0 if symmetry == "symmetric" else 1
-        for j in range(ncols):
-            for i in range(j + start_offset, nrows):
-                dense[i, j] = vals[k]
-                if i != j:
-                    dense[j, i] = sign * vals[k]
-                k += 1
-    return sp.csr_matrix(dense)
+        values = mat.T[np.triu_indices(nrows, int(symmetry == "skew-symmetric"))]
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values)))
+        # skip the blank lines and the k entry lines before the k-th entry
+        before = re.compile(rb"\n(?:[ \t]*\n)*(?:[^\n]*\n(?:[ \t]*\n)*){%d}" % k).match(data, body)
+        raise MatrixMarketError(path, _lineno(data, before.end()), "non-finite value")
+    mat = sp.csr_matrix(mat, dtype=float)
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
 
 
 def load_vector(path):
@@ -144,23 +136,14 @@ def load_vector(path):
 
 def save_matrix_market(path, mat, comment=None):
     """Write a matrix or vector in coordinate (sparse) or array (dense) format."""
-    with open(path, "w") as fh:
-        if sp.issparse(mat):
-            coo = mat.tocoo()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            arr = np.atleast_2d(np.asarray(mat, dtype=float))
-            if arr.shape[0] == 1 and arr.shape[1] > 1:
-                arr = arr.T
-            fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-            for j in range(arr.shape[1]):
-                for i in range(arr.shape[0]):
-                    fh.write(f"{arr[i, j]:.17g}\n")
+    # imported here, not at module level: solves that write no file skip its memory
+    import scipy.io
+
+    if not sp.issparse(mat):
+        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+        if mat.shape[0] == 1 and mat.shape[1] > 1:
+            mat = mat.T
+    # an open file, because mmwrite appends ".mtx" to a path without it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, mat, comment=comment, field="real", precision=17,
+                         symmetry="general")

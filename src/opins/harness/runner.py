@@ -120,6 +120,14 @@ class _Case:
         self.writer.add(it, self.relres_x_of(x_n_k),
                         relres_full(self.system, self.x_p + x_n_k, y_k), bxn)
 
+    def projected_row(self, it, w_k, relres):
+        """History row for a projected-space iterate: x_n = P w_k and the
+        multipliers recovered from it."""
+        x_n_k = self.projector.complement(w_k)
+        y_k = recover_multipliers(self.projector,
+                                  self.system.f - self.system.a @ (self.x_p + x_n_k))
+        self.row(it, x_n_k, y_k, float(np.linalg.norm(self.system.b @ x_n_k)))
+
     def observer(self, callback):
         """``callback`` when a history file will be written, else None: each
         history row costs multipliers, a full residual and a projection."""
@@ -142,14 +150,7 @@ def _maxit(config, dim):
 def _opins_case(case, spec, config):
     system = case.system
     precond, default_g = _OPINS_VARIANTS[config.solver]
-
-    def on_inner(it, w_k, true_relres):
-        x_n_k = case.projector.complement(w_k)
-        y_k = recover_multipliers(case.projector,
-                                  system.f - system.a @ (case.x_p + x_n_k))
-        case.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
-
-    callback = case.observer(on_inner)
+    callback = case.observer(case.projected_row)
     opts = OpinsOptions(rank_tol=config.qrcp_tol, solve_tol=config.tol,
                         maxit=config.maxit, restart=config.restart,
                         precond=precond, g_kind=config.g_kind or default_g,
@@ -199,15 +200,8 @@ def _pcg_case(case, spec, config):
         dim=system.n,
         apply=lambda v: case.projector.complement(system.a @ case.projector.complement(v)),
         symmetric=True)
-
-    def on_iter(it, w_k, relres):
-        x_n_k = case.projector.complement(w_k)
-        y_k = recover_multipliers(case.projector,
-                                  system.f - system.a @ (case.x_p + x_n_k))
-        case.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
-
     outcome = krylov.cg(op, case.lead, config.tol, _maxit(config, system.n),
-                        callback=case.observer(on_iter))
+                        callback=case.observer(case.projected_row))
     x_n = case.projector.complement(outcome.solution)
     x = case.x_p + x_n
     y = recover_multipliers(case.projector, system.f - system.a @ x)

@@ -120,7 +120,9 @@ def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
     preconditioned by [[G, B^T], [B, 0]], factored once, with ``ir_steps``
     rounds of iterative refinement per application (residuals in working
     precision).  Rank-deficient B is reduced to its independent rows first.
-    Per-iteration history records ||B x_n|| under ``aux_norms['norm_Bxn']``.
+    ``callback(it, z_k, relres)`` goes to MINRES unchanged; z_k stacks
+    (x_n, y_reduced), so a caller that tracks the drift ||B x_n|| computes
+    it from ``z_k[:n]``.
 
     Returns (outcome, x_p); ``outcome.solution`` stacks (x_n, y_reduced).
     """
@@ -152,17 +154,8 @@ def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
 
     op = LinearOperator(dim=n + m_red, apply=lambda v: kmat @ v, symmetric=True)
     rhs = np.concatenate([sys.f - a @ x_p, np.zeros(m_red)])
-    drifts = []
-
-    def cb(it, z_k, relres):
-        drifts.append(float(np.linalg.norm(b @ z_k[:n])))
-        if callback is not None:
-            callback(it, z_k, relres)
-
     outcome = krylov.minres(op, rhs, tol, maxit,
                             precond=LinearOperator(dim=n + m_red, apply=psolve,
                                                    symmetric=True),
-                            callback=cb)
-    for rec, drift in zip(outcome.history, drifts):
-        rec.aux_norms["norm_Bxn"] = drift
+                            callback=callback)
     return outcome, x_p

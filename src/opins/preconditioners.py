@@ -1,8 +1,8 @@
 """Preconditioner building blocks: G operators and the projected operator.
 
-``build_g`` returns an invertible operator exposing both the forward product
-``G v`` and the solve ``G^{-1} v``.  ``ProjectedPreconditioner`` turns such a
-G into the null-space-restricted operator
+``build_g`` returns an invertible operator exposing the solve ``G^{-1} v``
+(nothing needs the forward product ``G v``).  ``ProjectedPreconditioner``
+turns such a G into the null-space-restricted operator
 
     P_G b = Z (Z^T G Z)^{-1} Z^T b,
 
@@ -31,10 +31,9 @@ __all__ = ["InvertibleOperator", "build_g", "ilu0_factor", "ProjectedPreconditio
 
 @dataclass(frozen=True)
 class InvertibleOperator:
-    """Operator with both ``apply`` (G v) and ``solve`` (G^{-1} v)."""
+    """An approximation G of A, given by its ``solve`` (G^{-1} v)."""
 
     dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
     solve: Callable[[np.ndarray], np.ndarray]
     symmetric: bool = False
     kind: str = "user-operator"
@@ -155,13 +154,11 @@ def build_g(a, kind):
     n = a.shape[0]
     if kind == "identity":
         ident = lambda v: np.asarray(v, dtype=float)
-        return InvertibleOperator(dim=n, apply=ident, solve=ident,
-                                  symmetric=True, kind="identity")
+        return InvertibleOperator(dim=n, solve=ident, symmetric=True, kind="identity")
     if kind == "jacobi":
         diag = np.abs(np.asarray(a.diagonal(), dtype=float)).copy()
         diag[diag == 0.0] = 1.0
-        return InvertibleOperator(dim=n, apply=lambda v: diag * v,
-                                  solve=lambda v: v / diag,
+        return InvertibleOperator(dim=n, solve=lambda v: v / diag,
                                   symmetric=True, kind="jacobi")
     if kind == "ilu0":
         mat = a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
@@ -178,8 +175,7 @@ def build_g(a, kind):
         def solve(v):
             return upper_lu.solve(lower_lu.solve(v))
 
-        return InvertibleOperator(dim=n, apply=lambda v: lower @ (upper @ v),
-                                  solve=solve, symmetric=False, kind="ilu0")
+        return InvertibleOperator(dim=n, solve=solve, symmetric=False, kind="ilu0")
     raise ValueError(f"build_g: unknown kind {kind!r}")
 
 

@@ -42,6 +42,32 @@ ARRAY_MM = """%%MatrixMarket matrix array real general
 """
 
 
+COORD_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+# (id, file text, line the error names); every one of these is malformed
+MALFORMED_MM = [
+    ("trailing-token", COORD_HEADER + "2 2 1\n1 1 1.0 7\n", 3),
+    ("glued-suffix", COORD_HEADER + "2 2 1\n1 1 1.0abc\n", 3),
+    ("long-glued-suffix", COORD_HEADER + "2 2 1\n1 1 " + "1" * 20000 + "x\n", 3),
+    ("nan", COORD_HEADER + "2 2 2\n1 1 1.0\n2 2 nan\n", 4),
+    ("inf", COORD_HEADER + "2 2 1\n1 1 -inf\n", 3),
+    ("overflow", COORD_HEADER + "2 2 2\n1 1 1.0\n\n2 2 1e400\n", 5),
+    ("overflow-array", "%%MatrixMarket matrix array real symmetric\n"
+     "2 2\n1.0\n1e400\n2.0\n", 4),
+    ("pattern", "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n", 1),
+    ("hermitian", "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n2 1 1.0\n", 1),
+    ("vector", "%%MatrixMarket vector coordinate real general\n2 1\n1 1.0\n", 1),
+    ("one-percent-banner", "%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n", 1),
+    ("six-word-header", COORD_HEADER[:-1] + " extra\n1 1 1\n1 1 1.0\n", 1),
+    ("non-integer-index", COORD_HEADER + "2 2 1\n1.5 1 1.0\n", 3),
+    ("zero-index", COORD_HEADER + "2 2 1\n0 1 1.0\n", 3),
+    ("truncated-array", "%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n", 2),
+    ("extra-entry", COORD_HEADER + "2 2 1\n1 1 1.0\n2 2 2.0\n", 2),
+    ("symmetric-not-square", "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n", 2),
+    ("empty", "", 1),
+]
+
+
 class TestMatrixMarket:
     def test_identity_coordinate(self, tmp_path):
         path = tmp_path / "eye.mtx"
@@ -151,6 +177,62 @@ class TestMatrixMarket:
                         "2 2 2\n1 1 3\n2 2 -4\n")
         mat = load_matrix_market(path)
         np.testing.assert_allclose(mat.toarray(), [[3.0, 0.0], [0.0, -4.0]])
+
+    @pytest.mark.parametrize("name, text, lineno", MALFORMED_MM,
+                             ids=[row[0] for row in MALFORMED_MM])
+    def test_malformed_rejected_naming_file_and_line(self, name, text, lineno, tmp_path):
+        path = tmp_path / f"{name}.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError) as err:
+            load_matrix_market(path)
+        assert f"{name}.mtx:{lineno}:" in str(err.value)
+        assert err.value.lineno == lineno
+
+    @pytest.mark.parametrize("text", [
+        # the format allows comments only before the size line
+        COORD_HEADER + "2 2 1\n% late comment\n1 1 1.0\n",
+        # an integer field holds integers
+        "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1.5\n",
+    ], ids=["comment-after-size-line", "fraction-in-integer-field"])
+    def test_tightened_inputs_rejected(self, text, tmp_path):
+        path = tmp_path / "tight.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError, match=r"tight\.mtx:3:"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("last", ["1 1 1.0", "1 1 1.0 \t", "1 1 1.0\n\n  \n"])
+    def test_last_line_endings(self, last, tmp_path):
+        path = tmp_path / "end.mtx"
+        path.write_text(COORD_HEADER + "% c\n\n2 2 1\n" + last)
+        np.testing.assert_array_equal(load_matrix_market(path).toarray(), [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_plus_signs_accepted(self, tmp_path):
+        path = tmp_path / "plus.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                        "+2 2 2\n+1 1 +3\n2 +2 -4\n")
+        np.testing.assert_array_equal(load_matrix_market(path).toarray(), [[3.0, 0.0], [0.0, -4.0]])
+        path.write_text(COORD_HEADER + "1 1 1\n1 1 +.5e+1\n")
+        assert load_matrix_market(path)[0, 0] == 5.0
+
+    def test_roundtrip_keeps_explicit_and_signed_zeros(self, tmp_path):
+        rng = np.random.default_rng(7)
+        dense = rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-300, 300, (40, 30))
+        mat = sp.csr_matrix(dense * (rng.random((40, 30)) < 0.2))
+        mat.data[::4] = 0.0
+        mat.data[1::4] = -0.0
+        path = tmp_path / "zeros.mtx"
+        save_matrix_market(path, mat)
+        back = load_matrix_market(path)
+        np.testing.assert_array_equal(back.indptr, mat.indptr)
+        np.testing.assert_array_equal(back.indices, mat.indices)
+        np.testing.assert_array_equal(back.data, mat.data)
+        np.testing.assert_array_equal(np.signbit(back.data), np.signbit(mat.data))
+
+    def test_save_writes_the_given_path(self, tmp_path):
+        path = tmp_path / "a.txt"
+        save_matrix_market(path, sp.identity(2, format="csr"))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        np.testing.assert_array_equal(load_matrix_market(path).toarray(), np.eye(2))
 
 
 class TestGenerators:
