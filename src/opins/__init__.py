@@ -9,10 +9,13 @@ is solved for x first by splitting it into a particular part in range(B^T)
 and a null-space part, with the null-space part obtained from a projected,
 singular-but-compatible inner equation solved by a Krylov method.  The
 orthonormal basis U of range(B^T) comes from a rank-revealing pivoted QR of
-B^T (LAPACK ``geqp3``) and is formed once as an n-by-q matrix, so the method
-pays O(m^2 n) setup when the number of constraints m is small against n, and
-each projection costs two products with U.  Nonsingular systems recover the
-unique x; compatible singular systems recover the x of minimum norm.
+B^T, dense or sparse (LAPACK ``geqp3`` on one dense working copy), and is
+formed once as an n-by-q matrix; the factorization keeps only U, the q-by-q
+triangle R_11 and the pivot order, from which x_p, the projector and y are
+built.  The method pays O(m^2 n) setup when the number of constraints m is
+small against n, and each projection costs two products with U.  Nonsingular
+systems recover the unique x; compatible singular systems recover the x of
+minimum norm.
 """
 
 from .driver import OpinsError, OpinsOptions, OpinsReport, SaddleSystem, opins_solve
@@ -21,7 +24,7 @@ from .operators import LinearOperator, aslinearoperator
 from .preconditioners import (InvertibleOperator, ProjectedPreconditioner,
                               build_g, ilu0_factor)
 from .projection import Projector, particular_solution, recover_multipliers
-from .qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor, solve_r
+from .qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor
 
 __all__ = [
     "OpinsError", "OpinsOptions", "OpinsReport", "SaddleSystem", "opins_solve",
@@ -29,7 +32,7 @@ __all__ = [
     "LinearOperator", "aslinearoperator",
     "InvertibleOperator", "ProjectedPreconditioner", "build_g", "ilu0_factor",
     "Projector", "particular_solution", "recover_multipliers",
-    "RangeBasisFactorization", "apply_q_block", "qrcp_factor", "solve_r",
+    "RangeBasisFactorization", "apply_q_block", "qrcp_factor",
 ]
 
 __version__ = "0.1.0"

@@ -22,13 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import krylov
-from .linalg import frobenius_norm
 from .operators import LinearOperator
 from .preconditioners import InvertibleOperator, ProjectedPreconditioner, build_g
 from .projection import Projector, particular_solution, recover_multipliers
-from .qrcp import RangeBasisFactorization, qrcp_factor
+from .qrcp import qrcp_factor
 
 __all__ = ["SaddleSystem", "OpinsOptions", "OpinsReport", "OpinsError", "opins_solve"]
 
@@ -40,6 +40,12 @@ class OpinsError(ValueError):
 # relative asymmetry |u^T A v - v^T A u| / ||A||_F above which a declared
 # symmetric A is rejected; rounding in the two products stays far below it
 _SYMMETRY_TOL = np.sqrt(np.finfo(float).eps)
+
+
+def _frobenius_norm(mat):
+    if sp.issparse(mat):
+        return float(spla.norm(mat))
+    return float(np.linalg.norm(np.asarray(mat)))
 
 
 def _check_matrix(name, mat):
@@ -192,7 +198,7 @@ def _check_declared_symmetry(a):
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
     gap = abs(float(u @ (a @ v)) - float(v @ (a @ u)))
-    if gap > _SYMMETRY_TOL * frobenius_norm(a):
+    if gap > _SYMMETRY_TOL * _frobenius_norm(a):
         raise OpinsError(
             f"A was declared symmetric but |u^T A v - v^T A u| = {gap:.3e} "
             f"exceeds {_SYMMETRY_TOL:.1e} * ||A||_F; pass a_symmetric=False")
@@ -255,15 +261,9 @@ def opins_solve(sys, opts=None):
     if sys.a_symmetric:
         _check_declared_symmetry(sys.a)
 
-    if sys.m == 0:
-        # no constraints: the projector is the identity and the inner solve
-        # degenerates to A x = f
-        fact = RangeBasisFactorization(nrows=n, ncols=0, work=np.zeros((n, 0)),
-                                       taus=np.zeros(0), permutation=np.arange(0),
-                                       rank=0, tol_used=opts.rank_tol)
-    else:
-        fact = qrcp_factor(sys.b.toarray().T if sp.issparse(sys.b) else np.asarray(sys.b, float).T,
-                           opts.rank_tol)
+    # with no constraints (m = 0) the rank is 0, the projector is the
+    # identity and the inner solve degenerates to A x = f
+    fact = qrcp_factor(sys.b.T, opts.rank_tol)
     projector = Projector(fact)
     x_p = particular_solution(projector, sys.g)
 
@@ -278,7 +278,7 @@ def opins_solve(sys, opts=None):
         apply=lambda v: projector.complement(sys.a @ projector.complement(v)),
         symmetric=sys.a_symmetric)
 
-    b_norm_frob = frobenius_norm(sys.b)
+    b_norm_frob = _frobenius_norm(sys.b)
 
     def purity_of(x_n_k, w_k):
         denom = b_norm_frob * np.linalg.norm(w_k)

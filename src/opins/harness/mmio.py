@@ -70,10 +70,15 @@ def load_matrix_market(path):
     # imported here, not at module level: solves that read no file skip its memory
     import scipy.io
 
-    # text mode reads \r\n and \r line ends as \n; the closing \n spares scipy's
-    # reader (1.17) a crash on a last line that ends in a blank
-    with open(path) as fh:
-        data = _PLUS_SIGN.sub(b"", fh.read().encode() + b"\n")
+    # bytes, so a comment in any encoding reads; \r\n and \r line ends become
+    # \n (a replace copies the file even when nothing matches, hence the
+    # test), and the closing \n spares scipy's reader (1.17) a crash on a last
+    # line that ends in a blank
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = _PLUS_SIGN.sub(b"", data + b"\n")
     header = data.partition(b"\n")[0].lower().split()
     if len(header) != 5 or header[:2] != [b"%%matrixmarket", b"matrix"]:
         raise MatrixMarketError(path, 1, "not a Matrix Market matrix header")
@@ -93,7 +98,7 @@ def load_matrix_market(path):
     body = preamble.end(1)
     bad = re.compile(rb"\n(?![ \t]*(?:" + entry + rb"[ \t]*)?(?:\n|\Z))").search(data, body)
     if bad:
-        line = data[bad.start() + 1:].partition(b"\n")[0].decode()
+        line = data[bad.start() + 1:].partition(b"\n")[0].decode(errors="backslashreplace")
         raise MatrixMarketError(path, _lineno(data, bad.start() + 1), f"bad entry {line!r}")
     if fmt == "coordinate":
         expected = nnz

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .. import krylov, oracles
 from ..driver import OpinsOptions, opins_solve
@@ -93,11 +92,6 @@ class _HistoryWriter:
                 fh.write(row + "\n")
 
 
-def _bt_dense(system):
-    b = system.b
-    return b.toarray().T if sp.issparse(b) else np.asarray(b, dtype=float).T
-
-
 @dataclass
 class _Case:
     """Shared per-run state: system, factorization, projected right-hand side."""
@@ -135,7 +129,7 @@ class _Case:
 
 
 def _make_case(system, config, writer):
-    fact = qrcp_factor(_bt_dense(system), config.qrcp_tol)
+    fact = qrcp_factor(system.b.T, config.qrcp_tol)
     projector = Projector(fact)
     x_p = particular_solution(projector, system.g)
     lead = projector.complement(system.f - system.a @ x_p)

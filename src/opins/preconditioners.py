@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .operators import LinearOperator
-from .qrcp import RangeBasisFactorization, apply_q_block
+from .qrcp import apply_q_block
 
 __all__ = ["InvertibleOperator", "build_g", "ilu0_factor", "ProjectedPreconditioner"]
 

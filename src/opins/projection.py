@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .qrcp import RangeBasisFactorization, apply_q_block, solve_r
+from .qrcp import RangeBasisFactorization, apply_q_block
 
 __all__ = ["Projector", "particular_solution", "recover_multipliers"]
 
@@ -27,10 +28,6 @@ class Projector:
 
     basis: RangeBasisFactorization
 
-    @property
-    def dim(self):
-        return self.basis.nrows
-
     def complement(self, v):
         """Project ``v`` onto null(B): returns ``v - U (U^T v)``."""
         v = np.asarray(v, dtype=float)
@@ -39,13 +36,6 @@ class Projector:
         if self.basis.rank == 0:
             return v.copy()
         return v - apply_q_block(self.basis, apply_q_block(self.basis, v, transpose=True))
-
-    def range_component(self, v):
-        """Project ``v`` onto range(B^T): returns ``U (U^T v)``."""
-        v = np.asarray(v, dtype=float)
-        if self.basis.rank == 0:
-            return np.zeros_like(v, dtype=float)
-        return apply_q_block(self.basis, apply_q_block(self.basis, v, transpose=True))
 
 
 def particular_solution(p, g):
@@ -61,8 +51,7 @@ def particular_solution(p, g):
         raise ValueError(f"particular_solution: expected length {fact.ncols}, got {g.shape}")
     if fact.rank == 0:
         return np.zeros(fact.nrows)
-    permuted = g[fact.permutation][:fact.rank]
-    t = solve_r(fact, permuted, mode="forward-transpose")
+    t = sla.solve_triangular(fact.r_block, g[fact.permutation[:fact.rank]], trans="T")
     return apply_q_block(fact, t)
 
 
@@ -82,6 +71,5 @@ def recover_multipliers(p, residual):
     if fact.rank == 0:
         return y
     t = apply_q_block(fact, residual, transpose=True)
-    t = solve_r(fact, t, mode="back")
-    y[fact.permutation[:fact.rank]] = t
+    y[fact.permutation[:fact.rank]] = sla.solve_triangular(fact.r_block, t)
     return y

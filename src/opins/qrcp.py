@@ -1,16 +1,18 @@
 """Householder QR with column pivoting for the transposed constraint matrix.
 
-The factorization ``B^T P = Q R`` is computed by LAPACK ``geqp3`` on a dense
-n-by-m working copy of ``B^T`` (cheap when m is small compared to n).
-``geqp3`` pivots greedily on the largest remaining column norm, downdating the
-norms with the Drmac-Bujanovic safeguard (LAPACK Working Note 176); ties go
-to the lowest column index.  The numerical rank ``q`` is the largest ``k``
-with ``|R_kk| > rank_tol * |R_11|``.
+``qrcp_factor`` is the one place where B^T, dense or ``scipy.sparse``, is
+turned into a dense n-by-m working copy.  LAPACK ``geqp3`` computes
+``B^T P = Q R`` on it, pivoting greedily on the largest remaining column
+norm and downdating the norms with the Drmac-Bujanovic safeguard (LAPACK
+Working Note 176); ties go to the lowest column index.  The numerical rank
+``q`` is the largest ``k`` with ``|R_kk| > rank_tol * |R_11|``.
 
-The leading ``q`` columns of Q -- U, an orthonormal basis of range(B^T) -- are
-formed once per factorization by LAPACK ``orgqr``, so applying U or U^T is a
-single n-by-q matrix-vector product.  Only this n-by-q range basis is formed,
-never the n-by-(n-q) null-space basis.
+The factorization keeps only what the solve reads: the pivot order, the
+q-by-q triangle R_11, and U, the leading q columns of Q (an orthonormal basis
+of range(B^T)), formed once by LAPACK ``orgqr``, so applying U or U^T is a
+single n-by-q matrix-vector product.  The working copy and its reflectors
+are dropped when the factorization returns, and the n-by-(n-q) null-space
+basis is never formed.
 """
 
 from __future__ import annotations
@@ -19,60 +21,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.linalg.lapack import dorgqr
 
-__all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block", "solve_r"]
+__all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 
 
 @dataclass(frozen=True)
 class RangeBasisFactorization:
-    """QRCP of an n-by-m matrix with the range basis U formed once.
+    """Range basis of an n-by-m matrix from its pivoted QR.
 
-    ``work`` holds R in its upper triangle and the reflector vectors (scaled
-    to unit leading entry) below the diagonal; ``taus`` are the reflector
-    coefficients.  ``permutation[k]`` is the original column placed at
-    position k.  ``u`` is the n-by-rank matrix of the leading columns of Q,
-    built from ``work`` and ``taus`` at construction.  Immutable after
-    construction.
+    ``permutation[k]`` is the original column placed at position k; ``u`` is
+    the n-by-rank orthonormal range basis and ``r_block`` the rank-by-rank
+    upper triangle R_11, so the leading ``rank`` pivoted columns equal
+    ``u @ r_block``.  Immutable after construction.
     """
 
     nrows: int
     ncols: int
-    work: np.ndarray = field(repr=False)
-    taus: np.ndarray = field(repr=False)
     permutation: np.ndarray
     rank: int
-    tol_used: float
-    u: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _leading_q(self.work, self.taus, self.rank))
-
-    @property
-    def r_block(self):
-        """Leading rank-by-rank upper-triangular block of R."""
-        q = self.rank
-        return np.triu(self.work[:q, :q])
-
-    def r_full(self):
-        """Full min(n,m)-by-m upper-trapezoidal R (for reconstruction checks)."""
-        k = min(self.nrows, self.ncols)
-        return np.triu(self.work[:k, :])
-
-    def dense_q(self, ncols=None):
-        """Explicitly reconstruct the leading columns of Q (test/oracle use)."""
-        return _leading_q(self.work, self.taus, self.rank if ncols is None else ncols)
-
-
-def _leading_q(work, taus, k):
-    """The first k columns of Q from the reflectors, by LAPACK ``orgqr``."""
-    if k == 0:
-        return np.zeros((work.shape[0], 0), order="F")
-    lwork = dorgqr(work[:, :k], taus[:k], lwork=-1)[1][0]
-    q, _, info = dorgqr(work[:, :k], taus[:k], lwork=int(lwork))
-    if info != 0:
-        raise ValueError(f"orgqr failed with info={info}")
-    return q
+    u: np.ndarray = field(repr=False)
+    r_block: np.ndarray = field(repr=False)
 
 
 def qrcp_factor(bt, rank_tol):
@@ -80,8 +50,9 @@ def qrcp_factor(bt, rank_tol):
 
     Parameters
     ----------
-    bt : array_like, shape (n, m)
-        Dense working copy is taken; the input is not modified.
+    bt : array_like or scipy.sparse matrix, shape (n, m)
+        A dense working copy is taken; the input is not modified.  With no
+        rows or no columns the rank is 0.
     rank_tol : float
         Relative diagonal threshold for the numerical rank (q = 0 for a zero
         matrix).
@@ -90,7 +61,10 @@ def qrcp_factor(bt, rank_tol):
     -------
     RangeBasisFactorization
     """
-    a = np.array(bt, dtype=float)
+    if sp.issparse(bt):
+        a = bt.toarray(order="F").astype(float, copy=False)
+    else:
+        a = np.array(bt, dtype=float, order="F")
     if a.ndim != 2:
         raise ValueError("qrcp_factor expects a 2-d matrix")
     if not np.all(np.isfinite(a)):
@@ -98,18 +72,20 @@ def qrcp_factor(bt, rank_tol):
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     n, m = a.shape
-    if n < 1 or m < 1:
-        raise ValueError("qrcp_factor expects at least one row and column")
+    if min(n, m) == 0:
+        return RangeBasisFactorization(nrows=n, ncols=m, permutation=np.arange(m), rank=0,
+                                       u=np.zeros((n, 0)), r_block=np.zeros((0, 0)))
     (work, taus), _, perm = sla.qr(a, mode="raw", pivoting=True,
                                    overwrite_a=True, check_finite=False)
+    # the leading run of diagonal entries above the threshold (none for a zero matrix)
     diag = np.abs(np.diagonal(work))
-    if diag[0] <= 0.0:
-        rank = 0
-    else:
-        above = diag > rank_tol * diag[0]
-        rank = diag.size if above.all() else int(np.argmin(above))
-    return RangeBasisFactorization(nrows=n, ncols=m, work=work, taus=taus,
-                                   permutation=perm, rank=rank, tol_used=rank_tol)
+    rank = int(np.cumprod(diag > rank_tol * diag[0]).sum())
+    lwork = dorgqr(work[:, :rank], taus[:rank], lwork=-1)[1][0]
+    u, _, info = dorgqr(work[:, :rank], taus[:rank], lwork=int(lwork))
+    if info != 0:
+        raise ValueError(f"orgqr failed with info={info}")
+    return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
+                                   u=u, r_block=np.triu(work[:rank, :rank]))
 
 
 def apply_q_block(fact, v, transpose=False):
@@ -127,23 +103,3 @@ def apply_q_block(fact, v, transpose=False):
     if v.shape != (fact.rank,):
         raise ValueError(f"apply_q_block: expected length {fact.rank}, got {v.shape}")
     return fact.u @ v
-
-
-def solve_r(fact, rhs, mode):
-    """Triangular solve with the leading q-by-q block of R.
-
-    ``mode='forward-transpose'`` solves R^T t = rhs by forward substitution;
-    ``mode='back'`` solves R t = rhs by back substitution.  A rank-zero
-    factorization yields an empty solution.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    q = fact.rank
-    if rhs.shape != (q,):
-        raise ValueError(f"solve_r: expected length {q}, got {rhs.shape}")
-    if q == 0:
-        return np.zeros(0)
-    if mode == "forward-transpose":
-        return sla.solve_triangular(fact.r_block, rhs, trans="T", lower=False)
-    if mode == "back":
-        return sla.solve_triangular(fact.r_block, rhs, lower=False)
-    raise ValueError(f"solve_r: unknown mode {mode!r}")

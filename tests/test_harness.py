@@ -16,6 +16,7 @@ from opins.harness.problems import ProblemSpec, build_system, generate_problem
 from opins.harness.runner import RunConfig, run_case
 from opins.projection import Projector, particular_solution
 from opins.qrcp import qrcp_factor
+from test_qrcp import reference_range_basis
 
 IDENTITY_MM = """%%MatrixMarket matrix coordinate real general
 % 3x3 identity
@@ -206,6 +207,29 @@ class TestMatrixMarket:
         path.write_text(COORD_HEADER + "% c\n\n2 2 1\n" + last)
         np.testing.assert_array_equal(load_matrix_market(path).toarray(), [[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends(self, end, tmp_path):
+        path = tmp_path / "ends.mtx"
+        text = COORD_HEADER + "% c\n2 2 2\n1 1 1.5\n2 1 -2\n"
+        path.write_bytes(text.replace("\n", end).encode())
+        np.testing.assert_array_equal(load_matrix_market(path).toarray(),
+                                      [[1.5, 0.0], [-2.0, 0.0]])
+        path.write_bytes((COORD_HEADER + "2 2 2\n1 1 1.5\n2 1 -2 7\n").replace("\n", end).encode())
+        with pytest.raises(MatrixMarketError, match=r"ends\.mtx:4:"):
+            load_matrix_market(path)
+
+    def test_latin1_comment_accepted(self, tmp_path):
+        path = tmp_path / "latin.mtx"
+        path.write_bytes((COORD_HEADER + "% café\n2 2 1\n1 1 3.0\n").encode("latin-1"))
+        np.testing.assert_array_equal(load_matrix_market(path).toarray(),
+                                      [[3.0, 0.0], [0.0, 0.0]])
+
+    def test_latin1_byte_in_entry_rejected(self, tmp_path):
+        path = tmp_path / "latin.mtx"
+        path.write_bytes((COORD_HEADER + "2 2 1\n1 1 3.0é\n").encode("latin-1"))
+        with pytest.raises(MatrixMarketError, match=r"latin\.mtx:3:"):
+            load_matrix_market(path)
+
     def test_plus_signs_accepted(self, tmp_path):
         path = tmp_path / "plus.mtx"
         path.write_text("%%MatrixMarket matrix coordinate integer general\n"
@@ -337,7 +361,7 @@ class TestMetrics:
         x_p = particular_solution(projector, system.g)
         rng = np.random.default_rng(3)
         x_n = projector.complement(rng.standard_normal(system.n))
-        u = fact.dense_q()
+        u = reference_range_basis(system.b.T, fact.rank)
         proj = np.eye(system.n) - u @ u.T
         a = np.asarray(system.a)
         lead = proj @ (system.f - a @ x_p)
@@ -395,6 +419,19 @@ class TestRunner:
         assert report["schema_version"] == 1
         assert report["metrics"]["status"] == "converged"
         assert report["rank_b"] == 20
+
+    def test_no_constraints(self, tmp_path):
+        # m = 0: rank 0, and the run degenerates to a plain solve of A x = f
+        spec = ProblemSpec(name="random", source={"kind": "random", "seed": 0,
+                                                  "params": {"n": 30, "m": 0}},
+                           a_symmetric=True)
+        cfg = RunConfig(solver="opins", history_path=str(tmp_path / "h.csv"),
+                        report_path=str(tmp_path / "r.json"))
+        record = run_case(spec, cfg)
+        assert record.status == "converged"
+        assert json.loads((tmp_path / "r.json").read_text())["rank_b"] == 0
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        assert len(lines) == record.iterations + 1
 
     def test_csv_bit_identical_across_runs(self, tmp_path):
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 7},
@@ -538,6 +575,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "status=converged" in out
         assert (tmp_path / "r.json").exists() and (tmp_path / "h.csv").exists()
+
+    def test_no_constraints_exit_zero(self, capsys):
+        rc = cli_main(["--problem", "random", "--m", "0", "--solver", "opins"])
+        assert rc == 0
+        assert "status=converged" in capsys.readouterr().out
 
     def test_breakdown_exit_nonzero(self, tmp_path, capsys):
         rc = cli_main(["--problem", "random", "--seed", "3", "--solver", "pcg"])

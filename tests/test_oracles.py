@@ -33,7 +33,7 @@ class TestNullBasis:
         rng = np.random.default_rng(3)
         b = rng.standard_normal((5, 24))
         fact = qrcp_factor(b.T, 1e-12)
-        u = fact.dense_q()
+        u = fact.u
         z = null_basis(b, rank=fact.rank)
         full = np.hstack([u, z])
         assert np.abs(full.T @ full - np.eye(24)).max() <= 1e-12

@@ -261,7 +261,8 @@ class TestProjectedPreconditioner:
         rng = np.random.default_rng(3)
         b = rng.standard_normal((3, 14))
         fact = qrcp_factor(b.T, RANK_TOL)
-        in_range = Projector(fact).range_component(rng.standard_normal(14))
+        w = rng.standard_normal(14)
+        in_range = w - Projector(fact).complement(w)
         pg = ProjectedPreconditioner(build_g(np.eye(14), "identity"), fact)
         assert np.linalg.norm(pg.apply(in_range)) <= 1e-13 * np.linalg.norm(in_range)
 

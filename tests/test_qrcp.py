@@ -1,12 +1,14 @@
 """Pivoted-QR factorization: examples and invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from opins.projection import Projector
-from opins.qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor, solve_r
+from opins.projection import Projector, particular_solution, recover_multipliers
+from opins.qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor
 
 RANK_TOL = 1e-12
 
@@ -19,10 +21,16 @@ def svd_rank(mat, tol=RANK_TOL):
 
 
 def reconstruct(fact):
-    """Explicit Q (all min(n,m) columns) times R, for comparison with B^T P."""
-    k = min(fact.nrows, fact.ncols)
-    q = fact.dense_q(ncols=k)
-    return q @ fact.r_full()
+    """U R_11, for comparison with the leading rank pivoted columns of B^T."""
+    return fact.u @ fact.r_block
+
+
+def reference_range_basis(bt, rank):
+    """The leading ``rank`` columns of Q from scipy's own pivoted QR of
+    ``bt``: a reference for U computed without the package."""
+    bt = bt.toarray() if sp.issparse(bt) else np.asarray(bt, dtype=float)
+    q, _, _ = sla.qr(bt, mode="economic", pivoting=True)
+    return q[:, :rank]
 
 
 class TestFactorExamples:
@@ -33,7 +41,7 @@ class TestFactorExamples:
         assert fact.rank == 1
         assert svd_rank(bt) == 1
         assert fact.permutation[0] == 1
-        assert abs(fact.work[0, 0]) == pytest.approx(2.0 * np.sqrt(5.0), rel=1e-14)
+        assert abs(fact.r_block[0, 0]) == pytest.approx(2.0 * np.sqrt(5.0), rel=1e-14)
 
     def test_identity_columns(self):
         bt = np.eye(3)[:, :2]
@@ -53,6 +61,14 @@ class TestFactorExamples:
         fact = qrcp_factor(np.zeros((6, 3)), RANK_TOL)
         assert fact.rank == 0
 
+    def test_no_columns_rank_zero(self):
+        # B with no rows (m = 0): nothing to factor, an empty range basis
+        fact = qrcp_factor(np.zeros((5, 0)), RANK_TOL)
+        assert fact.rank == 0
+        assert fact.u.shape == (5, 0)
+        assert fact.r_block.shape == (0, 0)
+        assert fact.permutation.shape == (0,)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             qrcp_factor(np.array([[np.nan, 1.0]]).T, RANK_TOL)
@@ -70,18 +86,20 @@ class TestFactorInvariants:
         m = int(rng.integers(1, min(20, n)))
         b = rng.standard_normal((m, n))
         fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.rank == m
         recon = reconstruct(fact)
-        target = b.T[:, fact.permutation]
+        target = b.T[:, fact.permutation[:fact.rank]]
         assert np.linalg.norm(target - recon) <= 1e-12 * np.linalg.norm(b)
-        q = fact.dense_q(ncols=min(n, m))
-        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+        u = fact.u
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-13
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pivot_monotonicity(self, seed):
         rng = np.random.default_rng(100 + seed)
         bt = rng.standard_normal((40, 12)) * np.exp(rng.standard_normal(12) * 2)
         fact = qrcp_factor(bt, RANK_TOL)
-        diag = np.abs(np.diagonal(fact.work))[:12]
+        assert fact.rank == 12
+        diag = np.abs(np.diagonal(fact.r_block))[:12]
         assert np.all(diag[:-1] >= diag[1:] - 1e-14 * diag[0])
 
     @pytest.mark.parametrize("k", [1, 3, 7])
@@ -119,8 +137,9 @@ class TestApplyQBlock:
 
     def test_matches_dense_reconstruction(self):
         rng = np.random.default_rng(5)
-        fact = qrcp_factor(rng.standard_normal((8, 2)), RANK_TOL)
-        u = fact.dense_q()
+        bt = rng.standard_normal((8, 2))
+        fact = qrcp_factor(bt, RANK_TOL)
+        u = reference_range_basis(bt, fact.rank)
         v = rng.standard_normal(8)
         implicit = apply_q_block(fact, apply_q_block(fact, v, transpose=True))
         np.testing.assert_allclose(implicit, u @ (u.T @ v), atol=1e-13)
@@ -155,6 +174,24 @@ class TestLapackPathOnSparseDuplicatedRows:
         b = averaging_b(request.param)
         return b, qrcp_factor(b.toarray().T, RANK_TOL), np.random.default_rng(request.param)
 
+    def test_sparse_input_factors_bit_identically(self, case):
+        b, fact, _ = case
+        from_sparse = qrcp_factor(b.T, RANK_TOL)
+        assert from_sparse.rank == fact.rank
+        for name in ("u", "r_block", "permutation"):
+            np.testing.assert_array_equal(getattr(from_sparse, name), getattr(fact, name))
+
+    def test_keeps_only_what_the_solve_reads(self, case):
+        _, fact, _ = case
+        assert [f.name for f in dataclasses.fields(fact)] == \
+            ["nrows", "ncols", "permutation", "rank", "u", "r_block"]
+        q = fact.rank
+        assert fact.u.shape == (fact.nrows, q)
+        assert fact.r_block.shape == (q, q)
+        assert fact.permutation.shape == (fact.ncols,)
+        for arr in (fact.u, fact.r_block, fact.permutation):
+            assert arr.base is None  # not a view into the n-by-m working copy
+
     def test_rank_drops_by_duplicates(self, case):
         b, fact, _ = case
         assert fact.rank == b.shape[0] - 6 == svd_rank(b.toarray())
@@ -182,8 +219,8 @@ class TestLapackPathOnSparseDuplicatedRows:
         assert np.abs(built - reference).max() <= 1e-13
 
     def test_apply_q_block_matches_dense_q(self, case):
-        _, fact, rng = case
-        u = fact.dense_q()
+        b, fact, rng = case
+        u = reference_range_basis(b.T, fact.rank)
         v = rng.standard_normal(fact.nrows)
         c = rng.standard_normal(fact.rank)
         np.testing.assert_allclose(apply_q_block(fact, v, transpose=True), u.T @ v,
@@ -192,37 +229,40 @@ class TestLapackPathOnSparseDuplicatedRows:
                                    rtol=0, atol=1e-14 * np.linalg.norm(c))
 
 
-def synthetic_fact(r):
+def identity_basis_projector(r):
+    """A projector over a factorization whose range basis is the identity, so
+    the multipliers are R_11^{-1} v and the particular solution R_11^{-T} g."""
     r = np.asarray(r, dtype=float)
     q = r.shape[0]
-    return RangeBasisFactorization(nrows=q, ncols=q, work=r, taus=np.zeros(q),
-                                   permutation=np.arange(q), rank=q, tol_used=RANK_TOL)
+    return Projector(RangeBasisFactorization(nrows=q, ncols=q, permutation=np.arange(q),
+                                             rank=q, u=np.eye(q), r_block=r))
 
 
 class TestSolveR:
+    """Solves with R_11 inside ``recover_multipliers`` (back substitution)
+    and ``particular_solution`` (forward substitution with R_11^T)."""
+
     def test_scalar_back(self):
-        fact = synthetic_fact([[2.0]])
-        np.testing.assert_allclose(solve_r(fact, np.array([4.0]), "back"), [2.0])
+        p = identity_basis_projector([[2.0]])
+        np.testing.assert_allclose(recover_multipliers(p, np.array([4.0])), [2.0])
 
     def test_hand_substitution(self):
-        fact = synthetic_fact([[2.0, 1.0], [0.0, 3.0]])
-        np.testing.assert_allclose(solve_r(fact, np.array([2.0, 3.0]), "back"),
+        p = identity_basis_projector([[2.0, 1.0], [0.0, 3.0]])
+        np.testing.assert_allclose(recover_multipliers(p, np.array([2.0, 3.0])),
                                    [0.5, 1.0])
 
     @pytest.mark.parametrize("mode", ["back", "forward-transpose"])
     def test_residual_random_triangular(self, mode):
         rng = np.random.default_rng(11)
         r = np.triu(rng.standard_normal((4, 4))) + 4 * np.eye(4)
-        fact = synthetic_fact(r)
+        p = identity_basis_projector(r)
         rhs = rng.standard_normal(4)
-        t = solve_r(fact, rhs, mode)
+        solve = particular_solution if mode == "forward-transpose" else recover_multipliers
+        t = solve(p, rhs)
         mat = r.T if mode == "forward-transpose" else r
         assert np.linalg.norm(mat @ t - rhs) <= 1e-13
 
     def test_rank_zero_empty(self):
-        fact = qrcp_factor(np.zeros((5, 2)), RANK_TOL)
-        assert solve_r(fact, np.zeros(0), "back").shape == (0,)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            solve_r(synthetic_fact([[1.0]]), np.array([1.0]), "sideways")
+        p = Projector(qrcp_factor(np.zeros((5, 2)), RANK_TOL))
+        np.testing.assert_array_equal(recover_multipliers(p, np.ones(5)), np.zeros(2))
+        np.testing.assert_array_equal(particular_solution(p, np.ones(2)), np.zeros(5))
