@@ -18,7 +18,7 @@ systems recover the unique x; compatible singular systems recover the x of
 minimum norm.
 """
 
-from .driver import OpinsError, OpinsOptions, OpinsReport, SaddleSystem, opins_solve
+from .driver import OpinsError, OpinsOptions, OpinsReport, OpinsSetup, SaddleSystem, opins_solve
 from .krylov import IterationRecord, SolveOutcome, cg, gmres, minres
 from .operators import LinearOperator, aslinearoperator
 from .preconditioners import (InvertibleOperator, ProjectedPreconditioner,
@@ -27,7 +27,7 @@ from .projection import Projector, particular_solution, recover_multipliers
 from .qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor
 
 __all__ = [
-    "OpinsError", "OpinsOptions", "OpinsReport", "SaddleSystem", "opins_solve",
+    "OpinsError", "OpinsOptions", "OpinsReport", "OpinsSetup", "SaddleSystem", "opins_solve",
     "IterationRecord", "SolveOutcome", "cg", "gmres", "minres",
     "LinearOperator", "aslinearoperator",
     "InvertibleOperator", "ProjectedPreconditioner", "build_g", "ilu0_factor",

@@ -30,7 +30,8 @@ from .preconditioners import InvertibleOperator, ProjectedPreconditioner, build_
 from .projection import Projector, particular_solution, recover_multipliers
 from .qrcp import qrcp_factor
 
-__all__ = ["SaddleSystem", "OpinsOptions", "OpinsReport", "OpinsError", "opins_solve"]
+__all__ = ["SaddleSystem", "OpinsOptions", "OpinsSetup", "OpinsReport", "OpinsError",
+           "opins_solve"]
 
 
 class OpinsError(ValueError):
@@ -122,6 +123,18 @@ class SaddleSystem:
         return np.concatenate([self.f, self.g])
 
 
+def relres_full(sys, x, y):
+    """Relative residual of the whole system for the pair (x, y); a zero
+    right-hand side falls back to the absolute residual norm."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = sys.rhs_full() - np.concatenate([sys.a @ x + sys.b.T @ y, sys.b @ x])
+    denom = np.linalg.norm(sys.rhs_full())
+    if denom == 0.0:
+        return float(np.linalg.norm(r))
+    return float(np.linalg.norm(r) / denom)
+
+
 @dataclass
 class OpinsOptions:
     """Solver configuration.
@@ -132,7 +145,9 @@ class OpinsOptions:
     recurrence for symmetric nonsingular problems and to left application
     otherwise.  ``declared_singular`` is caller-supplied problem metadata;
     singularity of the null-space equation is never detected automatically.
-    ``maxit=0`` means 10 * n.
+    ``maxit=0`` means 10 * n.  ``rank_tol`` is the numerical-rank threshold of
+    the QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
+    factorization comes from it, and its ``rank_tol`` must equal this one.
 
     ``inner_callback(it, w_k, true_relres)``, when set, sees every inner
     iterate.  It is also what turns on per-iteration observation: the inner
@@ -151,7 +166,6 @@ class OpinsOptions:
     g_op: Optional[InvertibleOperator] = None
     precond_side: str = "auto"
     declared_singular: bool = False
-    compute_y: bool = True
     inner_callback: Optional[Callable] = None
 
     def __post_init__(self):
@@ -165,6 +179,49 @@ class OpinsOptions:
             raise OpinsError(f"unknown precond_side {self.precond_side!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class OpinsSetup:
+    """The state before the first inner iteration, shared by the solve, its
+    metrics and the multiplier recovery: the projector over the QRCP of B^T
+    computed with ``rank_tol`` (None when unknown, which no solve accepts),
+    x_p, and, derived on construction, the projected right-hand side
+    ``rhs`` = P(f - A x_p) and the projected ``operator`` v -> P(A(Pv)).
+    """
+
+    system: SaddleSystem
+    rank_tol: Optional[float]
+    projector: Projector
+    x_p: np.ndarray
+    rhs: np.ndarray = field(init=False, repr=False)
+    operator: LinearOperator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a, p = self.system.a, self.projector
+        object.__setattr__(self, "rhs", p.complement(self.system.f - a @ self.x_p))
+        object.__setattr__(self, "operator", LinearOperator(
+            dim=self.system.n, apply=lambda v: p.complement(a @ p.complement(v))))
+
+    @classmethod
+    def build(cls, system, rank_tol):
+        """Factor B^T with ``rank_tol`` (rank 0 when m = 0) and derive the rest."""
+        projector = Projector(qrcp_factor(system.b.T, rank_tol))
+        return cls(system, rank_tol, projector, particular_solution(projector, system.g))
+
+    @property
+    def fact(self):
+        """The range-basis factorization of B^T."""
+        return self.projector.basis
+
+    def relres_x(self, x_n):
+        """||rhs - P A x_n|| / ||rhs||: 0.0 for 0/0, inf when only ||rhs|| is 0."""
+        ax_n = self.system.a @ np.asarray(x_n, dtype=float)
+        num = np.linalg.norm(self.rhs - self.projector.complement(ax_n))
+        denom = np.linalg.norm(self.rhs)
+        if denom == 0.0:
+            return 0.0 if num == 0.0 else np.inf
+        return float(num / denom)
+
+
 @dataclass
 class OpinsReport:
     """Solution and diagnostics: x = x_p + x_n with x_n the projected inner w.
@@ -176,7 +233,7 @@ class OpinsReport:
     """
 
     x: np.ndarray
-    y: Optional[np.ndarray]
+    y: np.ndarray
     x_p: np.ndarray
     x_n: np.ndarray
     rank_b: int
@@ -239,44 +296,36 @@ def _build_precond(sys, opts, fact):
         g_op = opts.g_op
     else:
         g_op = build_g(sys.a, opts.g_kind)
-    if opts.precond == "simple":
-        return g_op.as_solver_operator()
-    return ProjectedPreconditioner(g_op, fact).as_solver_operator()
+    apply = g_op.solve if opts.precond == "simple" else ProjectedPreconditioner(g_op, fact).apply
+    return LinearOperator(dim=sys.n, apply=apply)
 
 
 def opins_solve(sys, opts=None):
-    """Solve the saddle-point system for x (and optionally y).
+    """Solve the saddle-point system for x and y.
 
-    Returns an OpinsReport.  For a nonsingular null-space equation the x
-    recovered is the unique primal solution; for compatible singular systems
-    solved without a preconditioner (or with the projected preconditioner
-    from the left) the computed x has minimum norm among all solutions that
-    minimize ||g - B x||.  Inner-solver failures surface in the report
-    status, never as exceptions.
+    ``sys`` is a ``SaddleSystem``, whose B^T is factored here, or an
+    ``OpinsSetup``, which is used as it is; a setup whose ``rank_tol`` is
+    not ``opts.rank_tol`` raises ``OpinsError``.  Returns an OpinsReport.
+    For a nonsingular null-space equation the x recovered is the unique
+    primal solution; for compatible singular systems solved without a
+    preconditioner (or with the projected preconditioner from the left) the
+    computed x has minimum norm among all solutions that minimize
+    ||g - B x||.  Inner-solver failures surface in the report status, never
+    as exceptions.
     """
     opts = opts or OpinsOptions()
+    setup = sys if isinstance(sys, OpinsSetup) else None
+    if setup is not None and setup.rank_tol != opts.rank_tol:
+        raise OpinsError(f"setup has rank_tol={setup.rank_tol!r}, options have {opts.rank_tol!r}")
+    sys = setup.system if setup is not None else sys
     n = sys.n
     maxit = opts.maxit if opts.maxit > 0 else 10 * max(n, 1)
     side = _resolve_side(sys, opts)
     if sys.a_symmetric:
         _check_declared_symmetry(sys.a)
-
-    # with no constraints (m = 0) the rank is 0, the projector is the
-    # identity and the inner solve degenerates to A x = f
-    fact = qrcp_factor(sys.b.T, opts.rank_tol)
-    projector = Projector(fact)
-    x_p = particular_solution(projector, sys.g)
-
-    if fact.rank == n:
-        # null(B) = {0}: x = x_p exactly, and the projected right-hand side
-        # would hold only rounding noise
-        rhs = np.zeros(n)
-    else:
-        rhs = projector.complement(sys.f - sys.a @ x_p)
-    pns_op = LinearOperator(
-        dim=n,
-        apply=lambda v: projector.complement(sys.a @ projector.complement(v)),
-        symmetric=sys.a_symmetric)
+    if setup is None:
+        setup = OpinsSetup.build(sys, opts.rank_tol)
+    projector, rhs = setup.projector, setup.rhs
 
     b_norm_frob = _frobenius_norm(sys.b)
 
@@ -292,37 +341,29 @@ def opins_solve(sys, opts=None):
             purity.append(purity_of(projector.complement(w_k), w_k))
             opts.inner_callback(it, w_k, relres)
 
-    precond = _build_precond(sys, opts, fact)
+    precond = _build_precond(sys, opts, setup.fact)
     if np.linalg.norm(rhs) == 0.0:
         inner = krylov.SolveOutcome(np.zeros(n), krylov.CONVERGED, 0, [])
     elif sys.a_symmetric and not (side == "left" and precond is not None):
-        inner = krylov.minres(pns_op, rhs, opts.solve_tol, maxit,
+        inner = krylov.minres(setup.operator, rhs, opts.solve_tol, maxit,
                               precond=precond, callback=inner_cb)
     else:
-        inner = krylov.gmres(pns_op, rhs, opts.restart, opts.solve_tol, maxit,
+        inner = krylov.gmres(setup.operator, rhs, opts.restart, opts.solve_tol, maxit,
                              left_precond=precond, callback=inner_cb)
 
     x_n = projector.complement(inner.solution)
     if inner_cb is None:
         purity.append(purity_of(x_n, inner.solution))
-    x = x_p + x_n
-    y = None
-    if opts.compute_y:
-        y = recover_multipliers(projector, sys.f - sys.a @ x)
+    x = setup.x_p + x_n
+    y = recover_multipliers(projector, sys.f - sys.a @ x)
 
-    rhs_norm = np.linalg.norm(rhs)
-    res_inner = rhs - pns_op(x_n)
     metrics = {
-        "relres_x": float(np.linalg.norm(res_inner) / rhs_norm) if rhs_norm > 0 else 0.0,
+        "relres_x": setup.relres_x(x_n),
         "constraint_residual": float(np.linalg.norm(sys.g - sys.b @ x)),
         "norm_x": float(np.linalg.norm(x)),
         "null_space_purity_max": float(max(purity)) if purity else 0.0,
+        "relres_full": relres_full(sys, x, y),
+        "norm_y": float(np.linalg.norm(y)),
     }
-    if y is not None:
-        r_full = sys.rhs_full() - np.concatenate([sys.a @ x + sys.b.T @ y, sys.b @ x])
-        denom = np.linalg.norm(sys.rhs_full())
-        metrics["relres_full"] = float(np.linalg.norm(r_full) / denom) if denom > 0 \
-            else float(np.linalg.norm(r_full))
-        metrics["norm_y"] = float(np.linalg.norm(y))
-    return OpinsReport(x=x, y=y, x_p=x_p, x_n=x_n, rank_b=fact.rank,
+    return OpinsReport(x=x, y=y, x_p=setup.x_p, x_n=x_n, rank_b=setup.fact.rank,
                        inner=inner, metrics=metrics)

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..driver import OpinsSetup, relres_full
 from ..projection import Projector
 
 __all__ = ["MetricsRecord", "relres_x", "relres_full"]
@@ -33,31 +34,10 @@ class MetricsRecord:
 
 
 def relres_x(sys, fact, x_p, x_n):
-    """Relative residual of x within null(B).
-
-    r = P(f - A x_p) - P A x_n over ||P(f - A x_p)||, with P the orthogonal
-    projector from the shared factorization.  Returns 0.0 for the 0/0 case
-    and inf when only the denominator vanishes.
+    """Relative residual of x within null(B), as ``OpinsSetup.relres_x``
+    computes it over the projector from the shared factorization: 0.0 for
+    the 0/0 case and inf when only the denominator vanishes.
     """
-    projector = Projector(fact)
-    lead = projector.complement(sys.f - sys.a @ x_p)
-    r = lead - projector.complement(sys.a @ np.asarray(x_n, dtype=float))
-    denom = np.linalg.norm(lead)
-    num = np.linalg.norm(r)
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return float(num / denom)
-
-
-def relres_full(sys, x, y):
-    """Relative residual of the whole system for the pair (x, y).
-
-    A zero right-hand side falls back to the absolute residual norm.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = sys.rhs_full() - np.concatenate([sys.a @ x + sys.b.T @ y, sys.b @ x])
-    denom = np.linalg.norm(sys.rhs_full())
-    if denom == 0.0:
-        return float(np.linalg.norm(r))
-    return float(np.linalg.norm(r) / denom)
+    # the tolerance behind ``fact`` is not known here; no solve reads it
+    setup = OpinsSetup(sys, None, Projector(fact), np.asarray(x_p, dtype=float))
+    return setup.relres_x(x_n)

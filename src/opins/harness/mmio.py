@@ -12,10 +12,10 @@ of bounds, too few or too many entries, a non-number), and also where scipy
 would accept it (it reads only a valid prefix of each entry line and ignores
 the rest), when:
 
-* the header is not five words ``%%MatrixMarket matrix <format> <field>
-  <symmetry>``, or names a ``vector`` object, a ``complex`` or ``pattern``
-  field or ``hermitian`` symmetry, or symmetric storage of a non-square
-  matrix;
+* the header is not five ASCII words ``%%MatrixMarket matrix <format>
+  <field> <symmetry>``, or names a ``vector`` object, a ``complex`` or
+  ``pattern`` field or ``hermitian`` symmetry, or symmetric storage of a
+  non-square matrix;
 * an entry line holds anything but its indices and one decimal number, say a
   trailing token (``1 1 1.0 7``), a glued suffix (``1.0abc``), ``nan`` or
   ``inf``, or a non-integer value in an ``integer`` file;
@@ -79,9 +79,13 @@ def load_matrix_market(path):
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     data = _PLUS_SIGN.sub(b"", data + b"\n")
-    header = data.partition(b"\n")[0].lower().split()
+    header_line = data.partition(b"\n")[0]
+    header = header_line.lower().split()
     if len(header) != 5 or header[:2] != [b"%%matrixmarket", b"matrix"]:
         raise MatrixMarketError(path, 1, "not a Matrix Market matrix header")
+    # mminfo's decode error would carry no line number
+    if not header_line.isascii():
+        raise MatrixMarketError(path, 1, "non-ASCII byte in the header")
     preamble = _PREAMBLE.match(data)
     size_lineno = _lineno(data, preamble.start(1))
     nrows, ncols, nnz, fmt, field, symmetry = _scipy(path, scipy.io.mminfo, data, size_lineno)

@@ -26,11 +26,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from .. import krylov, oracles
-from ..driver import OpinsOptions, opins_solve
+from ..driver import OpinsOptions, OpinsSetup, opins_solve
 from ..operators import LinearOperator
 from ..projection import Projector, particular_solution, recover_multipliers
 from ..qrcp import qrcp_factor
-from .metrics import MetricsRecord, relres_full, relres_x
+from .metrics import MetricsRecord, relres_full
 from .problems import build_system
 
 __all__ = ["RunConfig", "run_case", "SOLVER_NAMES"]
@@ -94,33 +94,23 @@ class _HistoryWriter:
 
 @dataclass
 class _Case:
-    """Shared per-run state: system, factorization, projected right-hand side."""
+    """Shared per-run state: the OPINS setup and the history writer."""
 
-    system: object
-    fact: object
-    projector: Projector
-    x_p: np.ndarray
-    lead: np.ndarray
-    lead_norm: float
+    setup: OpinsSetup
     writer: _HistoryWriter
 
-    def relres_x_of(self, x_n_k):
-        if self.lead_norm == 0.0:
-            return 0.0
-        r = self.lead - self.projector.complement(self.system.a @ x_n_k)
-        return float(np.linalg.norm(r) / self.lead_norm)
-
     def row(self, it, x_n_k, y_k, bxn):
-        self.writer.add(it, self.relres_x_of(x_n_k),
-                        relres_full(self.system, self.x_p + x_n_k, y_k), bxn)
+        setup = self.setup
+        self.writer.add(it, setup.relres_x(x_n_k),
+                        relres_full(setup.system, setup.x_p + x_n_k, y_k), bxn)
 
     def projected_row(self, it, w_k, relres):
         """History row for a projected-space iterate: x_n = P w_k and the
         multipliers recovered from it."""
-        x_n_k = self.projector.complement(w_k)
-        y_k = recover_multipliers(self.projector,
-                                  self.system.f - self.system.a @ (self.x_p + x_n_k))
-        self.row(it, x_n_k, y_k, float(np.linalg.norm(self.system.b @ x_n_k)))
+        setup, system = self.setup, self.setup.system
+        x_n_k = setup.projector.complement(w_k)
+        y_k = recover_multipliers(setup.projector, system.f - system.a @ (setup.x_p + x_n_k))
+        self.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
 
     def observer(self, callback):
         """``callback`` when a history file will be written, else None: each
@@ -129,12 +119,11 @@ class _Case:
 
 
 def _make_case(system, config, writer):
-    fact = qrcp_factor(system.b.T, config.qrcp_tol)
-    projector = Projector(fact)
-    x_p = particular_solution(projector, system.g)
-    lead = projector.complement(system.f - system.a @ x_p)
-    return _Case(system=system, fact=fact, projector=projector, x_p=x_p,
-                 lead=lead, lead_norm=float(np.linalg.norm(lead)), writer=writer)
+    # OpinsSetup.build's steps, through the names bench/tracing.py wraps here
+    projector = Projector(qrcp_factor(system.b.T, config.qrcp_tol))
+    setup = OpinsSetup(system, config.qrcp_tol, projector,
+                       particular_solution(projector, system.g))
+    return _Case(setup=setup, writer=writer)
 
 
 def _maxit(config, dim):
@@ -142,7 +131,7 @@ def _maxit(config, dim):
 
 
 def _opins_case(case, spec, config):
-    system = case.system
+    system = case.setup.system
     precond, default_g = _OPINS_VARIANTS[config.solver]
     callback = case.observer(case.projected_row)
     opts = OpinsOptions(rank_tol=config.qrcp_tol, solve_tol=config.tol,
@@ -150,8 +139,8 @@ def _opins_case(case, spec, config):
                         precond=precond, g_kind=config.g_kind or default_g,
                         precond_side=config.precond_side,
                         declared_singular=spec.declared_singular,
-                        compute_y=True, inner_callback=callback)
-    report = opins_solve(system, opts)
+                        inner_callback=callback)
+    report = opins_solve(case.setup, opts)
     if callback is not None and not report.inner.history and report.converged:
         # projected right-hand side was zero: single summary row
         case.row(0, report.x_n, report.y,
@@ -160,7 +149,7 @@ def _opins_case(case, spec, config):
 
 
 def _pminres_case(case, spec, config):
-    system = case.system
+    system = case.setup.system
     ir_steps = int(config.solver[-1])
     g_kind = config.g_kind or "identity"
     n = system.n
@@ -170,7 +159,7 @@ def _pminres_case(case, spec, config):
         g_matrix = np.diag(np.abs(np.asarray(system.a.diagonal(), dtype=float)))
     else:
         raise ValueError("pminres baseline supports g_kind identity or jacobi")
-    rows = np.sort(case.fact.permutation[:case.fact.rank])
+    rows = np.sort(case.setup.fact.permutation[:case.setup.fact.rank])
 
     def on_iter(it, z_k, relres):
         x_n_k = z_k[:n]
@@ -189,21 +178,16 @@ def _pminres_case(case, spec, config):
 
 
 def _pcg_case(case, spec, config):
-    system = case.system
-    op = LinearOperator(
-        dim=system.n,
-        apply=lambda v: case.projector.complement(system.a @ case.projector.complement(v)),
-        symmetric=True)
-    outcome = krylov.cg(op, case.lead, config.tol, _maxit(config, system.n),
+    setup, system = case.setup, case.setup.system
+    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, _maxit(config, system.n),
                         callback=case.observer(case.projected_row))
-    x_n = case.projector.complement(outcome.solution)
-    x = case.x_p + x_n
-    y = recover_multipliers(case.projector, system.f - system.a @ x)
+    x = setup.x_p + setup.projector.complement(outcome.solution)
+    y = recover_multipliers(setup.projector, system.f - system.a @ x)
     return x, y, outcome.status, outcome.iterations
 
 
 def _pgmres_case(case, spec, config):
-    system = case.system
+    setup, system = case.setup, case.setup.system
     n, m = system.n, system.m
     kmat = system.kkt_matrix()
     mprec = kmat.copy()
@@ -214,8 +198,8 @@ def _pgmres_case(case, spec, config):
 
     def on_iter(it, z_k, relres):
         x_k, y_k = z_k[:n], z_k[n:]
-        x_n_k = case.projector.complement(x_k - case.x_p)
-        case.writer.add(it, case.relres_x_of(x_n_k), relres_full(system, x_k, y_k),
+        x_n_k = setup.projector.complement(x_k - setup.x_p)
+        case.writer.add(it, setup.relres_x(x_n_k), relres_full(system, x_k, y_k),
                         float(np.linalg.norm(system.g - system.b @ x_k)))
 
     outcome = krylov.gmres(op, system.rhs_full(), config.restart, config.tol,
@@ -226,14 +210,14 @@ def _pgmres_case(case, spec, config):
 
 
 def _direct_case(case, spec, config):
-    system = case.system
+    setup, system = case.setup, case.setup.system
     if config.solver == "tsvd":
         z = oracles.tsvd_solve(system.kkt_matrix(), system.rhs_full(), config.qrcp_tol)
         x, y = z[:system.n], z[system.n:]
     else:
         x, y = oracles.explicit_nullspace_solve(system, rank_tol=config.qrcp_tol)
-    x_n = case.projector.complement(x - case.x_p)
-    case.writer.add(0, case.relres_x_of(x_n), relres_full(system, x, y),
+    x_n = setup.projector.complement(x - setup.x_p)
+    case.writer.add(0, setup.relres_x(x_n), relres_full(system, x, y),
                     float(np.linalg.norm(system.g - system.b @ x)))
     return x, y, "converged", 0
 
@@ -265,8 +249,7 @@ def run_case(spec, config):
     writer.flush()
 
     record = MetricsRecord(
-        relres_x=relres_x(system, case.fact, case.x_p,
-                          case.projector.complement(x - case.x_p)),
+        relres_x=case.setup.relres_x(case.setup.projector.complement(x - case.setup.x_p)),
         relres_full=relres_full(system, x, y) if y is not None else None,
         constraint_residual=float(np.linalg.norm(system.g - system.b @ x)),
         norm_x=float(np.linalg.norm(x)),
@@ -281,7 +264,7 @@ def run_case(spec, config):
             "problem": spec.name,
             "solver": config.solver,
             "declared_singular": spec.declared_singular,
-            "rank_b": int(case.fact.rank),
+            "rank_b": int(case.setup.fact.rank),
             "metrics": record.as_dict(),
         }
         with open(config.report_path, "w") as fh:

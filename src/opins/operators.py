@@ -15,24 +15,23 @@ __all__ = ["LinearOperator", "aslinearoperator"]
 class LinearOperator:
     """A square 'apply to vector' map of dimension ``dim``.
 
-    ``symmetric`` is caller-declared and trusted by the solvers; linearity is
-    a contract of ``apply``, spot-checkable on random probes.
+    Linearity is a contract of ``apply``, spot-checkable on random probes.
+    Symmetry is not recorded; the caller picks a solver that suits the map.
     """
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = False
 
     def __call__(self, v):
         return self.apply(v)
 
 
-def aslinearoperator(mat, symmetric=False):
+def aslinearoperator(mat):
     """Wrap a dense or sparse square matrix as a LinearOperator."""
     n, m = mat.shape
     if n != m:
         raise ValueError(f"operator must be square, got {mat.shape}")
     if sp.issparse(mat):
-        return LinearOperator(dim=n, apply=lambda v: mat @ v, symmetric=symmetric)
+        return LinearOperator(dim=n, apply=lambda v: mat @ v)
     arr = np.asarray(mat, dtype=float)
-    return LinearOperator(dim=n, apply=lambda v: arr @ v, symmetric=symmetric)
+    return LinearOperator(dim=n, apply=lambda v: arr @ v)

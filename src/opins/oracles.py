@@ -152,10 +152,9 @@ def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
             s = s + sla.lu_solve(lu, r - mprec @ s)
         return s
 
-    op = LinearOperator(dim=n + m_red, apply=lambda v: kmat @ v, symmetric=True)
+    op = LinearOperator(dim=n + m_red, apply=lambda v: kmat @ v)
     rhs = np.concatenate([sys.f - a @ x_p, np.zeros(m_red)])
     outcome = krylov.minres(op, rhs, tol, maxit,
-                            precond=LinearOperator(dim=n + m_red, apply=psolve,
-                                                   symmetric=True),
+                            precond=LinearOperator(dim=n + m_red, apply=psolve),
                             callback=callback)
     return outcome, x_p

@@ -23,7 +23,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .operators import LinearOperator
 from .qrcp import apply_q_block
 
 __all__ = ["InvertibleOperator", "build_g", "ilu0_factor", "ProjectedPreconditioner"]
@@ -35,12 +34,6 @@ class InvertibleOperator:
 
     dim: int
     solve: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = False
-    kind: str = "user-operator"
-
-    def as_solver_operator(self):
-        """The inverse as a LinearOperator (what the solvers consume)."""
-        return LinearOperator(dim=self.dim, apply=self.solve, symmetric=self.symmetric)
 
 
 def ilu0_factor(a):
@@ -154,12 +147,11 @@ def build_g(a, kind):
     n = a.shape[0]
     if kind == "identity":
         ident = lambda v: np.asarray(v, dtype=float)
-        return InvertibleOperator(dim=n, solve=ident, symmetric=True, kind="identity")
+        return InvertibleOperator(dim=n, solve=ident)
     if kind == "jacobi":
         diag = np.abs(np.asarray(a.diagonal(), dtype=float)).copy()
         diag[diag == 0.0] = 1.0
-        return InvertibleOperator(dim=n, solve=lambda v: v / diag,
-                                  symmetric=True, kind="jacobi")
+        return InvertibleOperator(dim=n, solve=lambda v: v / diag)
     if kind == "ilu0":
         mat = a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
         lower, upper = ilu0_factor(mat)
@@ -175,7 +167,7 @@ def build_g(a, kind):
         def solve(v):
             return upper_lu.solve(lower_lu.solve(v))
 
-        return InvertibleOperator(dim=n, solve=solve, symmetric=False, kind="ilu0")
+        return InvertibleOperator(dim=n, solve=solve)
     raise ValueError(f"build_g: unknown kind {kind!r}")
 
 
@@ -211,7 +203,3 @@ class ProjectedPreconditioner:
         r = self.g_op.solve(b)
         t = sla.lu_solve(self._schur_lu, apply_q_block(self.fact, r, transpose=True))
         return self.g_op.solve(b - apply_q_block(self.fact, t))
-
-    def as_solver_operator(self):
-        return LinearOperator(dim=self.fact.nrows, apply=self.apply,
-                              symmetric=self.g_op.symmetric)

@@ -29,12 +29,15 @@ class Projector:
     basis: RangeBasisFactorization
 
     def complement(self, v):
-        """Project ``v`` onto null(B): returns ``v - U (U^T v)``."""
+        """Project ``v`` onto null(B): returns ``v - U (U^T v)``, or exact
+        zeros when rank B = n (null(B) = {0}), where that is rounding noise."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.basis.nrows,):
             raise ValueError(f"projector: expected length {self.basis.nrows}, got {v.shape}")
         if self.basis.rank == 0:
             return v.copy()
+        if self.basis.rank == self.basis.nrows:
+            return np.zeros(self.basis.nrows)
         return v - apply_q_block(self.basis, apply_q_block(self.basis, v, transpose=True))
 
 

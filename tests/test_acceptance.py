@@ -115,8 +115,7 @@ def indefinite_showcase():
     lead = projector.complement(system.f - system.a @ x_p)
     op = LinearOperator(
         dim=system.n,
-        apply=lambda v: projector.complement(system.a @ projector.complement(v)),
-        symmetric=True)
+        apply=lambda v: projector.complement(system.a @ projector.complement(v)))
     cg_out = krylov.cg(op, lead, SOLVE_TOL, 200)
     return system, rep_j, rep_p, cg_out
 
@@ -208,11 +207,10 @@ def test_criterion_03_spectrum_equivalence():
         lead = projector.complement(f - a @ x_p)
         out_pns = krylov.minres(
             LinearOperator(dim=n, apply=lambda v: projector.complement(
-                a @ projector.complement(v)), symmetric=True),
+                a @ projector.complement(v))),
             lead, SOLVE_TOL, 5000)
         out_red = krylov.minres(
-            LinearOperator(dim=n - fact.rank, apply=lambda v: reduced @ v,
-                           symmetric=True),
+            LinearOperator(dim=n - fact.rank, apply=lambda v: reduced @ v),
             z.T @ (f - a @ x_p), SOLVE_TOL, 5000)
         diff = abs(out_pns.iterations - out_red.iterations)
         worst_iters = max(worst_iters, diff)
@@ -242,8 +240,7 @@ def test_criterion_04_null_space_purity():
         lead = projector.complement(system.f - system.a @ x_p)
         op = LinearOperator(
             dim=system.n,
-            apply=lambda v: projector.complement(system.a @ projector.complement(v)),
-            symmetric=True)
+            apply=lambda v: projector.complement(system.a @ projector.complement(v)))
         opins_drift = []
         krylov.minres(op, lead, SOLVE_TOL, 2000,
                       callback=lambda it, w, rr: opins_drift.append(

@@ -58,5 +58,21 @@ def test_tracer_hooks_are_called_and_restored(monkeypatch, tmp_path):
         tracing.MULTIPLIERS, tracing.BUILD_G, tracing.SCHUR, tracing.G_SOLVE,
         tracing.PRECOND_APPLY, tracing.KRYLOV, tracing.OP_APPLY, tracing.A_PRODUCT,
         tracing.OPINS_SOLVE, tracing.LOAD, tracing.RELRES_FULL, tracing.RUN_CASE}
-    # the runner and the driver each factor B and form x_p once
-    assert names.count(tracing.FACTOR) == names.count(tracing.PARTICULAR) == 2
+    # the runner factors B and forms x_p once; the driver reuses its setup
+    assert names.count(tracing.FACTOR) == names.count(tracing.PARTICULAR) == 1
+
+
+def test_runner_solve_is_captured_by_the_bench_workload(monkeypatch):
+    # bench/workloads.py checks each run_case's answer by wrapping the
+    # runner's opins_solve with a (system, opts=None) signature
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    spec = ProblemSpec(name="random", source={"kind": "random", "seed": 0}, a_symmetric=True)
+    reports = []
+    with workloads.captured_reports(reports):
+        record = opins.harness.run_case(spec, RunConfig(solver="opins-p"))
+    assert record.status == "converged"
+    assert len(reports) == 1
+    assert float(np.linalg.norm(reports[0].x)) == record.norm_x
+    assert reports[0].inner.iterations == record.iterations

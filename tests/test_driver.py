@@ -6,7 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from opins import krylov
-from opins.driver import OpinsError, OpinsOptions, SaddleSystem, opins_solve
+import opins.driver
+from opins.driver import OpinsError, OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
 from opins.driver import _frobenius_norm as frobenius_norm
 from opins.operators import LinearOperator
 from opins.preconditioners import InvertibleOperator
@@ -108,11 +109,6 @@ class TestBasics:
         np.testing.assert_allclose(report.x, np.linalg.solve(a, f), rtol=1e-8, atol=1e-10)
         assert report.y.shape == (0,)
 
-    def test_compute_y_false(self):
-        report = opins_solve(random_nonsingular(2), OpinsOptions(compute_y=False))
-        assert report.y is None
-        assert "relres_full" not in report.metrics
-
     def test_dimension_validation(self):
         with pytest.raises(OpinsError):
             SaddleSystem(a=np.eye(3), b=np.ones((1, 2)), f=np.zeros(3), g=np.zeros(1))
@@ -138,6 +134,33 @@ class TestBasics:
         assert report.metrics["relres_x"] == 0.0
         np.testing.assert_array_equal(report.x, report.x_p)
         assert np.linalg.norm(report.x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
+class TestSetup:
+    @pytest.mark.parametrize("system, opts", [
+        (random_singular(2), dict(declared_singular=True)),
+        (random_nonsymmetric(4), dict(precond="projected", g_kind="jacobi")),
+    ], ids=["minres", "gmres-projected"])
+    def test_given_setup_solves_bit_identically_without_refactoring(
+            self, system, opts, monkeypatch):
+        options = OpinsOptions(**opts)
+        fresh = opins_solve(system, options)
+        setup = OpinsSetup.build(system, options.rank_tol)
+
+        def refactor(*args, **kwargs):
+            raise AssertionError("a given setup must not be factored again")
+
+        monkeypatch.setattr(opins.driver, "qrcp_factor", refactor)
+        reused = opins_solve(setup, options)
+        assert reused.converged
+        assert np.array_equal(reused.x, fresh.x)
+        assert np.array_equal(reused.y, fresh.y)
+        assert reused.inner.iterations == fresh.inner.iterations
+
+    def test_setup_with_another_rank_tol_rejected(self):
+        setup = OpinsSetup.build(random_nonsingular(3), 1e-10)
+        with pytest.raises(OpinsError, match="rank_tol"):
+            opins_solve(setup, OpinsOptions(rank_tol=1e-12))
 
 
 class TestIngest:
@@ -293,10 +316,10 @@ class TestPreconditionedEquivalence:
         rhs = z.T @ (system.f - a @ x_p)
         dense_iterates = []
         krylov.minres(LinearOperator(dim=n - report.rank_b,
-                                     apply=lambda v: reduced @ v, symmetric=True),
+                                     apply=lambda v: reduced @ v),
                       rhs, 1e-10, 500,
                       precond=LinearOperator(dim=n - report.rank_b,
-                                             apply=lambda v: w_inv @ v, symmetric=True),
+                                             apply=lambda v: w_inv @ v),
                       callback=lambda it, v, rr: dense_iterates.append(v.copy()))
 
         # the two recurrences are the same iteration: early iterates agree to
@@ -320,7 +343,7 @@ class TestPreconditionedEquivalence:
     def test_user_operator_g(self):
         system = random_nonsingular(30)
         d = np.abs(np.diag(np.asarray(system.a))) + 1.0
-        g_op = InvertibleOperator(dim=system.n, solve=lambda v: v / d, symmetric=True)
+        g_op = InvertibleOperator(dim=system.n, solve=lambda v: v / d)
         report = opins_solve(system, OpinsOptions(precond="projected",
                                                   g_kind="user-operator", g_op=g_op))
         assert report.converged

@@ -66,6 +66,7 @@ MALFORMED_MM = [
     ("extra-entry", COORD_HEADER + "2 2 1\n1 1 1.0\n2 2 2.0\n", 2),
     ("symmetric-not-square", "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n", 2),
     ("empty", "", 1),
+    ("latin1-header", COORD_HEADER.replace("general", "g\xe9neral") + "2 2 1\n1 1 1.0\n", 1),
 ]
 
 
@@ -183,7 +184,7 @@ class TestMatrixMarket:
                              ids=[row[0] for row in MALFORMED_MM])
     def test_malformed_rejected_naming_file_and_line(self, name, text, lineno, tmp_path):
         path = tmp_path / f"{name}.mtx"
-        path.write_text(text)
+        path.write_text(text, encoding="latin-1")
         with pytest.raises(MatrixMarketError) as err:
             load_matrix_market(path)
         assert f"{name}.mtx:{lineno}:" in str(err.value)
@@ -432,6 +433,16 @@ class TestRunner:
         assert json.loads((tmp_path / "r.json").read_text())["rank_b"] == 0
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert len(lines) == record.iterations + 1
+
+    @pytest.mark.parametrize("solver", ["opins", "tsvd"])
+    def test_full_column_rank_b_relres_x_zero(self, solver, tmp_path):
+        # rank B = n = 5: null(B) = {0}, so relres_x is 0/0, which reads 0
+        spec = ProblemSpec(name="random", source={"kind": "random", "seed": 0,
+                                                  "params": {"n": 5, "m": 8}})
+        record = run_case(spec, RunConfig(solver=solver, history_path=str(tmp_path / "h.csv")))
+        assert record.relres_x == 0.0
+        rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
+        assert rows and all(float(row.split(",")[1]) == 0.0 for row in rows)
 
     def test_csv_bit_identical_across_runs(self, tmp_path):
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 7},

@@ -8,8 +8,8 @@ from opins.krylov import cg, gmres, minres
 from opins.operators import LinearOperator, aslinearoperator
 
 
-def op_from(mat, symmetric=False):
-    return aslinearoperator(np.asarray(mat, dtype=float), symmetric=symmetric)
+def op_from(mat):
+    return aslinearoperator(np.asarray(mat, dtype=float))
 
 
 class TestOperatorContract:
@@ -30,13 +30,13 @@ class TestOperatorContract:
 
 class TestMinres:
     def test_decoupled_diagonal_min_norm(self):
-        out = minres(op_from(np.diag([2.0, 0.0]), symmetric=True),
+        out = minres(op_from(np.diag([2.0, 0.0])),
                      np.array([4.0, 0.0]), tol=1e-12, maxit=10)
         assert out.converged
         np.testing.assert_allclose(out.solution, [2.0, 0.0], atol=1e-12)
 
     def test_zero_rhs(self):
-        out = minres(op_from(np.eye(3), symmetric=True), np.zeros(3), 1e-10, 10)
+        out = minres(op_from(np.eye(3)), np.zeros(3), 1e-10, 10)
         assert out.converged and out.iterations == 0
         np.testing.assert_array_equal(out.solution, np.zeros(3))
 
@@ -46,7 +46,7 @@ class TestMinres:
         a = c @ c.T  # rank 7 PSD
         w_true = rng.standard_normal(12)
         b = a @ w_true  # compatible
-        out = minres(op_from(a, symmetric=True), b, tol=1e-12, maxit=200)
+        out = minres(op_from(a), b, tol=1e-12, maxit=200)
         assert out.converged
         oracle = np.linalg.pinv(a) @ b
         assert np.linalg.norm(out.solution - oracle) <= 1e-8 * np.linalg.norm(oracle)
@@ -55,7 +55,7 @@ class TestMinres:
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((30, 30))
         a = (raw + raw.T) / 2
-        out = minres(op_from(a, symmetric=True), rng.standard_normal(30), 1e-10, 300)
+        out = minres(op_from(a), rng.standard_normal(30), 1e-10, 300)
         rel = [rec.relres for rec in out.history]
         assert all(r2 <= r1 * (1 + 1e-12) for r1, r2 in zip(rel, rel[1:]))
 
@@ -64,7 +64,7 @@ class TestMinres:
         c = rng.standard_normal((15, 9))
         a = c @ c.T
         b = a @ rng.standard_normal(15)
-        out = minres(op_from(a, symmetric=True), b, tol=1e-12, maxit=300)
+        out = minres(op_from(a), b, tol=1e-12, maxit=300)
         # dense null-space projector of the operator
         vals, vecs = np.linalg.eigh(a)
         null = vecs[:, np.abs(vals) <= 1e-10 * np.abs(vals).max()]
@@ -76,7 +76,7 @@ class TestMinres:
         raw = rng.standard_normal((20, 20))
         a = (raw + raw.T) / 2
         b = rng.standard_normal(20)
-        out = minres(op_from(a, symmetric=True), b, tol=1e-10, maxit=400)
+        out = minres(op_from(a), b, tol=1e-10, maxit=400)
         assert out.converged
         assert np.linalg.norm(b - a @ out.solution) <= 1e-10 * np.linalg.norm(b)
 
@@ -85,9 +85,9 @@ class TestMinres:
         raw = rng.standard_normal((16, 16))
         a = (raw + raw.T) / 2 + 8 * np.eye(16)
         d = np.abs(np.diag(a))
-        prec = LinearOperator(dim=16, apply=lambda v: v / d, symmetric=True)
+        prec = LinearOperator(dim=16, apply=lambda v: v / d)
         # a callback observes every step, so every record carries both
-        out = minres(op_from(a, symmetric=True), rng.standard_normal(16),
+        out = minres(op_from(a), rng.standard_normal(16),
                      1e-11, 300, precond=prec, callback=lambda it, x, rr: None)
         assert out.converged
         assert all("true_relres" in rec.aux_norms for rec in out.history)
@@ -97,7 +97,7 @@ class TestMinres:
         # at the least-squares point without meeting the tolerance
         a = np.diag([1.0, 0.0])
         b = np.array([1.0, 1.0])
-        out = minres(op_from(a, symmetric=True), b, tol=1e-12, maxit=50)
+        out = minres(op_from(a), b, tol=1e-12, maxit=50)
         assert out.status == "breakdown"
         assert np.all(np.isfinite(out.solution))
         # stops near the least-squares optimum instead of diverging
@@ -107,7 +107,7 @@ class TestMinres:
 
     def test_indefinite_preconditioner_breaks_down(self):
         prec = LinearOperator(dim=2, apply=lambda v: np.array([-v[0], v[1]]))
-        out = minres(op_from(np.eye(2), symmetric=True), np.array([1.0, 0.1]),
+        out = minres(op_from(np.eye(2)), np.array([1.0, 0.1]),
                      1e-10, 50, precond=prec)
         assert out.status == "breakdown"
 
@@ -117,7 +117,7 @@ class TestMinres:
         a = (raw + raw.T) / 2 + 5 * np.eye(10)
         b = rng.standard_normal(10)
         seen = []
-        minres(op_from(a, symmetric=True), b, 1e-10, 100,
+        minres(op_from(a), b, 1e-10, 100,
                callback=lambda it, x, rr: seen.append((it, np.linalg.norm(b - a @ x), rr)))
         assert [it for it, _, _ in seen] == list(range(1, len(seen) + 1))
         for _, true_norm, rr in seen:
@@ -200,13 +200,13 @@ class TestGmres:
 
 class TestCg:
     def test_diagonal_spd(self):
-        out = cg(op_from(np.diag([1.0, 2.0, 3.0]), symmetric=True),
+        out = cg(op_from(np.diag([1.0, 2.0, 3.0])),
                  np.array([1.0, 2.0, 3.0]), 1e-12, 50)
         assert out.converged
         np.testing.assert_allclose(out.solution, np.ones(3), atol=1e-10)
 
     def test_indefinite_breakdown(self):
-        out = cg(op_from(np.diag([1.0, -1.0]), symmetric=True),
+        out = cg(op_from(np.diag([1.0, -1.0])),
                  np.array([1.0, 1.0]), 1e-10, 50)
         assert out.status == "breakdown"
 
@@ -215,7 +215,7 @@ class TestCg:
         raw = rng.standard_normal((20, 20))
         a = raw @ raw.T + 20 * np.eye(20)
         b = rng.standard_normal(20)
-        out = cg(op_from(a, symmetric=True), b, 1e-12, 400)
+        out = cg(op_from(a), b, 1e-12, 400)
         assert out.converged
         np.testing.assert_allclose(out.solution, np.linalg.solve(a, b),
                                    rtol=1e-9, atol=1e-9)
@@ -238,12 +238,12 @@ def _sym_indefinite(seed, n=30):
 # (name, tol, run(callback, tol)); each run solves the same system every call
 _OBSERVATION_RUNS = [
     ("minres", 1e-10, lambda cb, tol: minres(
-        op_from(_sym_indefinite(2), symmetric=True),
+        op_from(_sym_indefinite(2)),
         np.random.default_rng(2).standard_normal(30), tol, 300, callback=cb)),
     ("minres-precond", 1e-11, lambda cb, tol: minres(
-        op_from(_spd(5, 16) - 30 * np.eye(16), symmetric=True),
+        op_from(_spd(5, 16) - 30 * np.eye(16)),
         np.random.default_rng(5).standard_normal(16), tol, 300,
-        precond=LinearOperator(dim=16, apply=lambda v: v / 16.0, symmetric=True),
+        precond=LinearOperator(dim=16, apply=lambda v: v / 16.0),
         callback=cb)),
     ("gmres-restarted", 1e-11, lambda cb, tol: gmres(
         op_from(np.random.default_rng(20).standard_normal((30, 30)) + 8 * np.eye(30)),
@@ -260,7 +260,7 @@ _OBSERVATION_RUNS = [
         np.array([0.0, 1.0, 1.0, 0.0, 1.0]), restart=3, tol=tol, maxit=50,
         callback=cb)),
     ("cg", 1e-12, lambda cb, tol: cg(
-        op_from(_spd(10), symmetric=True),
+        op_from(_spd(10)),
         np.random.default_rng(10).standard_normal(20), tol, 400, callback=cb)),
 ]
 _OBSERVATION_IDS = [name for name, _, _ in _OBSERVATION_RUNS]

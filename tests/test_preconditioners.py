@@ -275,8 +275,7 @@ class TestProjectedPreconditioner:
         fact = qrcp_factor(b.T, RANK_TOL)
         z = dense_null_basis(b, fact.rank)
         oracle_mat = z @ np.linalg.solve(z.T @ np.diag(d) @ z, z.T)
-        g_op = InvertibleOperator(dim=n, solve=lambda v: v / d,
-                                  symmetric=True, kind="user-operator")
+        g_op = InvertibleOperator(dim=n, solve=lambda v: v / d)
         v = rng.standard_normal(n)
         np.testing.assert_allclose(ProjectedPreconditioner(g_op, fact).apply(v),
                                    oracle_mat @ v, atol=1e-10)
