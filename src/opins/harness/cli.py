@@ -106,10 +106,9 @@ def main(argv=None):
     except (ValueError, ZeroDivisionError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rfull = "n/a" if record.relres_full is None else f"{record.relres_full:.3e}"
     print(f"problem={spec.name} solver={config.solver} status={record.status} "
           f"iterations={record.iterations}")
-    print(f"relres_x={record.relres_x:.3e} relres_full={rfull} "
+    print(f"relres_x={record.relres_x:.3e} relres_full={record.relres_full:.3e} "
           f"constraint_residual={record.constraint_residual:.3e}")
     print(f"norm_x={record.norm_x:.6g} norm_y={record.norm_y:.6g} "
           f"wall_time={record.wall_time:.3f}s")

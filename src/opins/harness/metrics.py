@@ -8,7 +8,6 @@ relative to its right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -21,10 +20,10 @@ __all__ = ["MetricsRecord", "relres_x", "relres_full"]
 @dataclass
 class MetricsRecord:
     relres_x: float
-    relres_full: Optional[float]
+    relres_full: float
     constraint_residual: float
     norm_x: float
-    norm_y: Optional[float]
+    norm_y: float
     iterations: int
     wall_time: float
     status: str

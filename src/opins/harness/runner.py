@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .. import krylov, oracles
 from ..driver import OpinsOptions, OpinsSetup, opins_solve
@@ -159,18 +160,26 @@ def _pminres_case(case, spec, config):
         g_matrix = np.diag(np.abs(np.asarray(system.a.diagonal(), dtype=float)))
     else:
         raise ValueError("pminres baseline supports g_kind identity or jacobi")
-    rows = np.sort(case.setup.fact.permutation[:case.setup.fact.rank])
+    setup = case.setup
+    rows = np.sort(setup.fact.permutation[:setup.fact.rank])
+    # the baseline's own x_p solves B x = g by least squares; the setup's
+    # agrees to rounding on compatible or full-rank constraints, but whether
+    # the indefinite preconditioned recurrence converges hinges on that rounding
+    b = system.b.toarray() if sp.issparse(system.b) else np.asarray(system.b, dtype=float)
+    x_p = np.linalg.lstsq(b, system.g, rcond=None)[0]
 
     def on_iter(it, z_k, relres):
-        x_n_k = z_k[:n]
+        x_k = x_p + z_k[:n]
         y_k = np.zeros(system.m)
         y_k[rows] = z_k[n:]
-        case.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
+        case.writer.add(it, setup.relres_x(setup.projector.complement(x_k - setup.x_p)),
+                        relres_full(system, x_k, y_k),
+                        float(np.linalg.norm(system.b @ z_k[:n])))
 
-    outcome, x_p = oracles.pminres_constraint(system, g_matrix, ir_steps,
-                                              config.tol, _maxit(config, n),
-                                              callback=case.observer(on_iter),
-                                              rank_tol=config.qrcp_tol)
+    outcome, _ = oracles.pminres_constraint(system, g_matrix, ir_steps,
+                                            config.tol, _maxit(config, n),
+                                            callback=case.observer(on_iter),
+                                            rows=rows, x_p=x_p)
     x = x_p + outcome.solution[:n]
     y = np.zeros(system.m)
     y[rows] = outcome.solution[n:]
@@ -250,10 +259,10 @@ def run_case(spec, config):
 
     record = MetricsRecord(
         relres_x=case.setup.relres_x(case.setup.projector.complement(x - case.setup.x_p)),
-        relres_full=relres_full(system, x, y) if y is not None else None,
+        relres_full=relres_full(system, x, y),
         constraint_residual=float(np.linalg.norm(system.g - system.b @ x)),
         norm_x=float(np.linalg.norm(x)),
-        norm_y=float(np.linalg.norm(y)) if y is not None else None,
+        norm_y=float(np.linalg.norm(y)),
         iterations=iterations,
         wall_time=elapsed,
         status=status,

@@ -108,7 +108,7 @@ def nonzero_spectrum(op_dense, zero_tol):
 
 
 def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
-                       rank_tol=1e-12):
+                       rank_tol=1e-12, rows=None, x_p=None):
     """MINRES on the modified saddle-point system with the constraint
     preconditioner applied by a cached dense factorization.
 
@@ -124,16 +124,22 @@ def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
     (x_n, y_reduced), so a caller that tracks the drift ||B x_n|| computes
     it from ``z_k[:n]``.
 
+    ``rows`` (the sorted independent rows of B) and ``x_p`` come from a
+    caller that has factored B already; when omitted they are taken from a
+    QRCP of B^T with ``rank_tol`` and from a least-squares solve of B x = g.
+
     Returns (outcome, x_p); ``outcome.solution`` stacks (x_n, y_reduced).
     """
     a = _dense(sys.a)
     b = _dense(sys.b)
     n = sys.n
-    fact = qrcp_factor(b.T, rank_tol)
-    rows = np.sort(fact.permutation[:fact.rank])
+    if rows is None:
+        fact = qrcp_factor(b.T, rank_tol)
+        rows = np.sort(fact.permutation[:fact.rank])
+    if x_p is None:
+        x_p, *_ = np.linalg.lstsq(b, sys.g, rcond=None)
     b_red = b[rows]
     m_red = len(rows)
-    x_p, *_ = np.linalg.lstsq(b, sys.g, rcond=None)
 
     kmat = np.zeros((n + m_red, n + m_red))
     kmat[:n, :n] = a

@@ -1,9 +1,12 @@
 """Orthogonal projection onto null(B) and the outer solve steps built on it.
 
 The projector is ``v - U (U^T v)`` where U is the n-by-q orthonormal basis of
-range(B^T) that the pivoted QR forms once; each application is two
-matrix-vector products with U.  The n-by-n projector itself and the
-null-space basis are never materialized.
+range(B^T) from the pivoted QR.  Every product with U or U^T goes through
+``qrcp.apply_q_block``: with a formed U it is one n-by-q matrix-vector
+product; with sparse B that passes the factorization's gate it is a product
+with the pivoted rows B_q and a triangular solve with R_11, and U is never
+formed.  The n-by-n projector itself and the null-space basis are never
+materialized.
 """
 
 from __future__ import annotations

@@ -76,3 +76,44 @@ def test_runner_solve_is_captured_by_the_bench_workload(monkeypatch):
     assert len(reports) == 1
     assert float(np.linalg.norm(reports[0].x)) == record.norm_x
     assert reports[0].inner.iterations == record.iterations
+
+
+def test_tracer_sees_every_projection_on_the_sparse_path(monkeypatch):
+    # a well-conditioned sparse B keeps B_q and R_11 in place of a formed U;
+    # the projections still go through the apply_q_block names the tracer
+    # wraps, in the projection module and in the projected preconditioner
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    from test_qrcp import averaging_b
+
+    b = averaging_b(0)
+    n = b.shape[1]
+    a = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    rng = np.random.default_rng(0)
+    system = opins.driver.SaddleSystem(a, b, rng.standard_normal(n),
+                                       b @ rng.standard_normal(n), a_symmetric=True)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        setup = opins.driver.OpinsSetup.build(system, 1e-12)
+        report = opins.driver.opins_solve(setup, opins.driver.OpinsOptions(
+            precond="projected", g_kind="jacobi"))
+    assert setup.fact.u is None
+    assert report.converged
+
+    names = [span[0] for span in tracer.spans]
+    sweeps_under = {}
+    for span in tracer.spans:
+        if span[0] == tracing.SWEEP:
+            parent = names[span[3]]
+            sweeps_under[parent] = sweeps_under.get(parent, 0) + 1
+    # two per projection and per preconditioner application, two per column
+    # of the q-by-q Schur block, one per particular solution and multiplier
+    # recovery; no sweep happens outside these layers
+    assert sweeps_under == {
+        tracing.COMPLEMENT: 2 * names.count(tracing.COMPLEMENT),
+        tracing.PRECOND_APPLY: 2 * names.count(tracing.PRECOND_APPLY),
+        tracing.SCHUR: 2 * setup.fact.rank,
+        tracing.PARTICULAR: 1,
+        tracing.MULTIPLIERS: 1,
+    }
+    assert names.count(tracing.PRECOND_APPLY) > 0

@@ -509,6 +509,27 @@ class TestRunner:
         record = run_case(spec, RunConfig(solver="pminres-ir1", maxit=400))
         assert record.iterations > 0
 
+    @pytest.mark.parametrize("solver", ["pminres-ir0", "pminres-ir1"])
+    def test_pminres_factors_b_once(self, solver, monkeypatch, tmp_path):
+        import opins.harness.runner
+        import opins.oracles
+
+        calls = []
+        for owner in (opins.harness.runner, opins.oracles):
+            factor = owner.qrcp_factor
+            monkeypatch.setattr(owner, "qrcp_factor",
+                                lambda bt, tol, factor=factor: calls.append(1) or factor(bt, tol))
+        spec = ProblemSpec(name="random-s", source={"kind": "random-s", "seed": 8},
+                           declared_singular=True, a_symmetric=True)
+        path = tmp_path / "h.csv"
+        record = run_case(spec, RunConfig(solver=solver, maxit=300, history_path=str(path)))
+        assert len(calls) == 1
+        # the history rows observe the x the run returns: the last row's
+        # relres_x is the record's
+        last = path.read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == record.iterations
+        assert float(last[1]) == record.relres_x
+
     def test_pgmres_runs(self):
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 6},
                            a_symmetric=True)

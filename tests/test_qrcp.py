@@ -175,22 +175,38 @@ class TestLapackPathOnSparseDuplicatedRows:
         return b, qrcp_factor(b.toarray().T, RANK_TOL), np.random.default_rng(request.param)
 
     def test_sparse_input_factors_bit_identically(self, case):
-        b, fact, _ = case
+        # same pivots, rank and R_11 bits; sparse input keeps B_q in place of
+        # U, and both directions of apply_q_block agree with the dense U
+        b, fact, rng = case
         from_sparse = qrcp_factor(b.T, RANK_TOL)
         assert from_sparse.rank == fact.rank
-        for name in ("u", "r_block", "permutation"):
+        for name in ("r_block", "permutation"):
             np.testing.assert_array_equal(getattr(from_sparse, name), getattr(fact, name))
+        assert from_sparse.u is None and from_sparse.b_q is not None
+        v = rng.standard_normal(fact.nrows)
+        c = rng.standard_normal(fact.rank)
+        coords, back = fact.u.T @ v, fact.u @ c
+        assert np.linalg.norm(apply_q_block(from_sparse, v, transpose=True) - coords) \
+            <= 1e-14 * np.linalg.norm(coords)
+        assert np.linalg.norm(apply_q_block(from_sparse, c) - back) <= 1e-14 * np.linalg.norm(back)
 
     def test_keeps_only_what_the_solve_reads(self, case):
-        _, fact, _ = case
+        b, fact, _ = case
+        from_sparse = qrcp_factor(b.T, RANK_TOL)
         assert [f.name for f in dataclasses.fields(fact)] == \
-            ["nrows", "ncols", "permutation", "rank", "u", "r_block"]
+            ["nrows", "ncols", "permutation", "rank", "u", "r_block", "b_q", "b_q_t"]
         q = fact.rank
-        assert fact.u.shape == (fact.nrows, q)
-        assert fact.r_block.shape == (q, q)
-        assert fact.permutation.shape == (fact.ncols,)
-        for arr in (fact.u, fact.r_block, fact.permutation):
+        assert fact.u.shape == (fact.nrows, q) and fact.b_q is None
+        assert from_sparse.u is None and from_sparse.b_q.shape == (q, fact.nrows)
+        for f in (fact, from_sparse):
+            assert f.r_block.shape == (q, q)
+            assert f.permutation.shape == (f.ncols,)
+        for arr in (fact.u, fact.r_block, fact.permutation,
+                    from_sparse.r_block, from_sparse.permutation):
             assert arr.base is None  # not a view into the n-by-m working copy
+        for name in ("data", "indices", "indptr"):
+            # B_q is a copy of the pivoted rows, not a view of the caller's B
+            assert not np.shares_memory(getattr(from_sparse.b_q, name), getattr(b, name))
 
     def test_rank_drops_by_duplicates(self, case):
         b, fact, _ = case
@@ -227,6 +243,91 @@ class TestLapackPathOnSparseDuplicatedRows:
                                    rtol=0, atol=1e-14 * np.linalg.norm(v))
         np.testing.assert_allclose(apply_q_block(fact, c), u @ c,
                                    rtol=0, atol=1e-14 * np.linalg.norm(c))
+
+
+def near_dependent_b(seed, delta):
+    """Sparse averaging B (31 rows) whose last row is row 0 plus ``delta``
+    times an averaging row outside the others' span, so kappa(R_11) grows
+    like 1/delta."""
+    base = averaging_b(seed, distinct=31, duplicates=0)
+    return sp.vstack([base[:30], base[0] + delta * base[30]]).tocsr()
+
+
+def purity(b, projector, v):
+    """||B P v|| / (||B||_F ||v||)."""
+    return np.linalg.norm(b @ projector.complement(v)) / (
+        sla.norm(b.toarray(), "fro") * np.linalg.norm(v))
+
+
+class TestSeminormalGate:
+    """Sparse B^T keeps B_q and R_11 in place of a formed U only when that is
+    cheaper and the trcon estimate of kappa(R_11) is at most
+    SEMINORMAL_MAX_COND (1e4)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("delta, implicit", [(1e-3, True), (1e-4, False), (1e-9, False)])
+    def test_gate_follows_the_condition_estimate(self, seed, delta, implicit):
+        # trcon estimates ~5e3, ~5e4 and ~5e9 for the three deltas
+        fact = qrcp_factor(near_dependent_b(seed, delta).T, RANK_TOL)
+        assert fact.rank == 31
+        assert (fact.u is None) == (fact.b_q is not None) == implicit
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ill_conditioned_r11_keeps_u_at_rounding_level(self, seed):
+        b = near_dependent_b(seed, 1e-9)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert 1e9 <= np.linalg.cond(fact.r_block) <= 1e10
+        assert fact.b_q is None
+        rng = np.random.default_rng(seed)
+        for v in rng.standard_normal((5, fact.nrows)):
+            assert purity(b, Projector(fact), v) <= 1e-14
+        # projecting through B_q and this R_11 instead would miss the bound
+        seminormal = Projector(RangeBasisFactorization(
+            nrows=fact.nrows, ncols=fact.ncols, permutation=fact.permutation, rank=fact.rank,
+            u=None, r_block=fact.r_block, b_q=b[fact.permutation[:fact.rank]]))
+        assert purity(b, seminormal, v) > 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_well_conditioned_sparse_b_matches_dense_input(self, seed):
+        b = averaging_b(seed)
+        sparse = Projector(qrcp_factor(b.T, RANK_TOL))
+        dense = Projector(qrcp_factor(b.toarray().T, RANK_TOL))
+        assert sparse.basis.u is None and dense.basis.u is not None
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(b.shape[1])
+        g = b @ rng.standard_normal(b.shape[1])
+        for got, want in ((sparse.complement(v), dense.complement(v)),
+                          (particular_solution(sparse, g), particular_solution(dense, g)),
+                          (recover_multipliers(sparse, v), recover_multipliers(dense, v))):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_well_conditioned_sparse_b_solves_in_the_same_iterations(self, seed):
+        from opins.driver import OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
+
+        b = averaging_b(seed)
+        n = b.shape[1]
+        a = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csr")
+        rng = np.random.default_rng(seed)
+        f, g = rng.standard_normal(n), b @ rng.standard_normal(n)
+        sparse = OpinsSetup.build(SaddleSystem(a, b, f, g, a_symmetric=True), RANK_TOL)
+        assert sparse.fact.u is None
+        dense = opins_solve(SaddleSystem(a, b.toarray(), f, g, a_symmetric=True),
+                            OpinsOptions(rank_tol=RANK_TOL))
+        report = opins_solve(sparse, OpinsOptions(rank_tol=RANK_TOL))
+        assert report.converged and dense.converged
+        assert report.inner.iterations == dense.inner.iterations
+        assert np.linalg.norm(report.x - dense.x) <= 1e-12 * np.linalg.norm(dense.x)
+
+    def test_dense_b_stored_sparse_keeps_u(self):
+        # every row full: nnz(B_q) + q^2 >= n q, so the formed U is cheaper
+        b = np.random.default_rng(3).standard_normal((20, 300))
+        fact = qrcp_factor(sp.csr_matrix(b).T, RANK_TOL)
+        assert fact.b_q is None
+        dense = qrcp_factor(b.T, RANK_TOL)
+        for name in ("u", "r_block", "permutation"):
+            np.testing.assert_array_equal(getattr(fact, name), getattr(dense, name))
 
 
 def identity_basis_projector(r):
