@@ -9,8 +9,9 @@ is solved for x first by splitting it into a particular part in range(B^T)
 and a null-space part, with the null-space part obtained from a projected,
 singular-but-compatible inner equation solved by a Krylov method.  The
 orthonormal basis U of range(B^T) comes from a rank-revealing pivoted QR of
-B^T, dense or sparse (LAPACK ``geqp3`` on one dense working copy).  The
-factorization keeps the q-by-q triangle R_11, the pivot order and one of two
+B^T (LAPACK ``geqp3``): for sparse B on the m-by-m R that LAPACK ``tpqrt``
+folds B^T's nonzero rows into, block by block, otherwise on one dense n-by-m
+working copy.  The factorization keeps the q-by-q triangle R_11, the pivot order and one of two
 representations of U, from which x_p, the projector and y are built: U
 formed once as an n-by-q matrix, or, for sparse B with nnz(B_q) + q^2 < n q
 and a well-conditioned R_11 (``qrcp.SEMINORMAL_MAX_COND``), the q pivoted

@@ -107,11 +107,14 @@ class _Case:
 
     def projected_row(self, it, w_k, relres):
         """History row for a projected-space iterate: x_n = P w_k and the
-        multipliers recovered from it."""
+        multipliers recovered from it.  ``relres`` is the solver's true
+        residual ||rhs - P A P w_k|| / ||rhs||, which is relres_x(P w_k)."""
         setup, system = self.setup, self.setup.system
         x_n_k = setup.projector.complement(w_k)
-        y_k = recover_multipliers(setup.projector, system.f - system.a @ (setup.x_p + x_n_k))
-        self.row(it, x_n_k, y_k, float(np.linalg.norm(system.b @ x_n_k)))
+        x_k = setup.x_p + x_n_k
+        y_k = recover_multipliers(setup.projector, system.f - system.a @ x_k)
+        self.writer.add(it, relres, relres_full(system, x_k, y_k),
+                        float(np.linalg.norm(system.b @ x_n_k)))
 
     def observer(self, callback):
         """``callback`` when a history file will be written, else None: each

@@ -1,11 +1,10 @@
 """Householder QR with column pivoting for the transposed constraint matrix.
 
-``qrcp_factor`` is the one place where B^T, dense or ``scipy.sparse``, is
-turned into a dense n-by-m working copy.  LAPACK ``geqp3`` computes
-``B^T P = Q R`` on it, pivoting greedily on the largest remaining column
-norm and downdating the norms with the Drmac-Bujanovic safeguard (LAPACK
-Working Note 176); ties go to the lowest column index.  The numerical rank
-``q`` is the largest ``k`` with ``|R_kk| > rank_tol * |R_11|``.
+``qrcp_factor`` computes ``B^T P = Q R`` by LAPACK ``geqp3``, which pivots
+greedily on the largest remaining column norm and downdates the norms with
+the Drmac-Bujanovic safeguard (LAPACK Working Note 176); ties go to the
+lowest column index.  The numerical rank ``q`` is the largest ``k`` with
+``|R_kk| > rank_tol * |R_11|``.
 
 The factorization keeps only what the solve reads: the pivot order, the
 q-by-q triangle R_11, and one of two representations of U, the leading q
@@ -19,11 +18,21 @@ columns of Q (an orthonormal basis of range(B^T)):
   per product instead of O(n q), and U is never formed.  This is the
   projector of the seminormal equations (Bjorck, LAA 88/89, 1987).
 
-The gate takes B_q when both hold: it is cheaper, ``nnz(B_q) + q^2 < n q``
-(a dense B stored sparse fails it), and the LAPACK ``trcon`` estimate of
+Sparse B^T whose row lengths leave room for ``nnz(B_q) + q^2 < n q`` at some
+q is factored without an n-by-m array.  Its nonzero rows are densified
+``STREAM_ROWS`` at a time and folded into a running m-by-m triangle R by
+LAPACK ``tpqrt`` (TSQR: Demmel, Grigori, Hoemmen & Langou, SISC 34, 2012),
+and ``geqp3`` runs on that R alone.  ``B^T = Q_1 R`` and ``R P = Q_2 R'``
+give ``B^T P = (Q_1 Q_2) R'``, so the pivots, rank and R_11 are those of a
+pivoted QR of B^T; only ties among equal column norms may break otherwise,
+on rounding.  B_q is kept when both hold: it is cheaper,
+``nnz(B_q) + q^2 < n q``, and the LAPACK ``trcon`` estimate of
 ``kappa_1(R_11)`` is at most ``SEMINORMAL_MAX_COND``.
-The working copy and its reflectors are dropped when the factorization
-returns, and the n-by-(n-q) null-space basis is never formed.
+
+Otherwise (dense input, a dense B stored sparse, or a streamed R_11 that
+fails the gate) ``geqp3`` runs on a dense n-by-m working copy of B^T and
+``orgqr`` forms U from its reflectors; the copy is dropped when the
+factorization returns.  The n-by-(n-q) null-space basis is never formed.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dorgqr, dtrcon
+from scipy.linalg.lapack import dorgqr, dtpqrt, dtrcon
 
 __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 
@@ -52,6 +61,13 @@ __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 # needs, so the gate keeps the error ~100 times under the 1e-12 purity
 # bound of the acceptance suite; the benchmark's averaging B has kappa ~ 20.
 SEMINORMAL_MAX_COND = 1e4
+
+# Nonzero rows of sparse B^T densified per ``tpqrt`` step: a 1024-by-m block
+# (1.6 MB at m = 200).  On the benchmark's averaging B (m = 200, n = 8000 and
+# 91 125) 512 to 2048 rows took within 20% of each other.
+STREAM_ROWS = 1024
+# block size of the compact-WY T factor inside ``tpqrt``
+_TPQRT_NB = 32
 
 
 @dataclass(frozen=True)
@@ -88,9 +104,10 @@ def qrcp_factor(bt, rank_tol):
     Parameters
     ----------
     bt : array_like or scipy.sparse matrix, shape (n, m)
-        A dense working copy is taken; the input is not modified.  With no
-        rows or no columns the rank is 0.  Sparse input that passes the gate
-        in the module docstring keeps B_q instead of forming U.
+        Not modified.  Both arguments are checked before anything is
+        copied.  With no rows or no columns the rank is 0.  Sparse input
+        that passes the gate in the module docstring is factored in
+        row blocks and keeps B_q instead of forming U.
     rank_tol : float
         Relative diagonal threshold for the numerical rank (q = 0 for a zero
         matrix).
@@ -99,42 +116,85 @@ def qrcp_factor(bt, rank_tol):
     -------
     RangeBasisFactorization
     """
+    if not rank_tol > 0:
+        raise ValueError("rank_tol must be positive")
     if sp.issparse(bt):
+        if bt.ndim != 2:
+            raise ValueError("qrcp_factor expects a 2-d matrix")
+        b = bt.T.tocsr()  # no copy for the CSC transpose of a CSR B
+        values = b.data
+    else:
+        values = bt = np.asarray(bt, dtype=float)
+        if bt.ndim != 2:
+            raise ValueError("qrcp_factor expects a 2-d matrix")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("qrcp_factor: non-finite input entries")
+    n, m = bt.shape
+    if min(n, m) == 0:
+        return _empty(n, m, np.arange(m))
+    if sp.issparse(bt):
+        row_nnz = np.diff(b.indptr)
+        # the q shortest rows of B bound nnz(B_q) from below
+        q = np.arange(1, m + 1)
+        if np.any(np.cumsum(np.sort(row_nnz)) + q * q < n * q):
+            fact = _streamed_factor(b, row_nnz, rank_tol)
+            if fact is not None:
+                return fact
         a = bt.toarray(order="F").astype(float, copy=False)
     else:
-        a = np.array(bt, dtype=float, order="F")
-    if a.ndim != 2:
-        raise ValueError("qrcp_factor expects a 2-d matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("qrcp_factor: non-finite input entries")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    n, m = a.shape
-    if min(n, m) == 0:
-        return RangeBasisFactorization(nrows=n, ncols=m, permutation=np.arange(m), rank=0,
-                                       u=np.zeros((n, 0)), r_block=np.zeros((0, 0)))
-    (work, taus), _, perm = sla.qr(a, mode="raw", pivoting=True,
-                                   overwrite_a=True, check_finite=False)
-    # the leading run of diagonal entries above the threshold (none for a zero matrix)
-    diag = np.abs(np.diagonal(work))
-    rank = int(np.cumprod(diag > rank_tol * diag[0]).sum())
-    r_block = np.triu(work[:rank, :rank])
-    if sp.issparse(bt):
-        b = bt.T.tocsr()  # no copy for the CSC transpose of a CSR B
-        # stored entries of the pivoted rows, counted before any slicing
-        cheaper = np.diff(b.indptr)[perm[:rank]].sum() + rank * rank < n * rank
-        # 1 / kappa_1(R_11), estimated as 1 / kappa_inf of R_11^T, which is
-        # Fortran-ordered as it stands and so reaches LAPACK without a copy
-        if cheaper and dtrcon(r_block.T, norm="I", uplo="L")[0] >= 1.0 / SEMINORMAL_MAX_COND:
-            return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
-                                           u=None, r_block=r_block,
-                                           b_q=b[perm[:rank]].astype(float, copy=False))
+        a = np.array(bt, order="F")
+    work, taus, perm, rank = _pivoted_qr(a, rank_tol)
     lwork = dorgqr(work[:, :rank], taus[:rank], lwork=-1)[1][0]
     u, _, info = dorgqr(work[:, :rank], taus[:rank], lwork=int(lwork))
     if info != 0:
         raise ValueError(f"orgqr failed with info={info}")
     return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
-                                   u=u, r_block=r_block)
+                                   u=u, r_block=np.triu(work[:rank, :rank]))
+
+
+def _empty(n, m, perm):
+    """Rank 0: an n-by-0 U and a 0-by-0 R_11."""
+    return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=0,
+                                   u=np.zeros((n, 0)), r_block=np.zeros((0, 0)))
+
+
+def _pivoted_qr(a, rank_tol):
+    """``geqp3`` on ``a`` in place: its reflectors, their scalars, the pivot
+    order and the leading run of diagonal entries above the threshold (none
+    for a zero matrix)."""
+    (work, taus), _, perm = sla.qr(a, mode="raw", pivoting=True,
+                                   overwrite_a=True, check_finite=False)
+    diag = np.abs(np.diagonal(work))
+    return work, taus, perm, int(np.cumprod(diag > rank_tol * diag[0]).sum())
+
+
+def _streamed_factor(b, row_nnz, rank_tol):
+    """Pivoted QR of B^T through its m-by-m R, with ``b`` = B as CSR: the
+    B_q factorization, rank 0, or None when the gate sends the caller to
+    the dense path."""
+    m, n = b.shape
+    rows = b.T.tocsr()
+    rows = rows[np.flatnonzero(np.diff(rows.indptr))]  # unknowns B touches
+    r = np.zeros((m, m), order="F")
+    for start in range(0, rows.shape[0], STREAM_ROWS):
+        block = rows[start:start + STREAM_ROWS].toarray(order="F").astype(float, copy=False)
+        r, _, _, info = dtpqrt(0, min(_TPQRT_NB, m), r, block, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"tpqrt failed with info={info}")
+    work, _, perm, rank = _pivoted_qr(r, rank_tol)
+    if rank == 0:
+        return _empty(n, m, perm)
+    r_block = np.triu(work[:rank, :rank])
+    # stored entries of the pivoted rows, counted before any slicing
+    if row_nnz[perm[:rank]].sum() + rank * rank >= n * rank:
+        return None
+    # 1 / kappa_1(R_11), estimated as 1 / kappa_inf of R_11^T, which is
+    # Fortran-ordered as it stands and so reaches LAPACK without a copy
+    if dtrcon(r_block.T, norm="I", uplo="L")[0] < 1.0 / SEMINORMAL_MAX_COND:
+        return None
+    return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
+                                   u=None, r_block=r_block,
+                                   b_q=b[perm[:rank]].astype(float, copy=False))
 
 
 def apply_q_block(fact, v, transpose=False):

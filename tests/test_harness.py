@@ -477,6 +477,52 @@ class TestRunner:
         for row, expect in zip(rows, recomputed):
             assert float(row[1]) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("solver, kind, side, krylov_name", [
+        ("opins", "random", "auto", "minres"),
+        ("opins-j", "random", "left", "gmres"),
+        ("pcg", "random-s", "auto", "cg"),
+    ])
+    def test_projected_rows_take_the_solvers_relres(self, solver, kind, side, krylov_name,
+                                                    monkeypatch, tmp_path):
+        # the relres_x column is the solver's true residual, equal as a float
+        # to setup.relres_x(P w_k) recomputed from the iterate, and the rows
+        # do not recompute it: besides the check's own calls, relres_x runs
+        # only for the final metrics
+        import opins.driver
+        import opins.harness.runner
+        import opins.krylov
+
+        ran, seen, calls = [], [], []
+        solve = getattr(opins.krylov, krylov_name)
+        relres_x = opins.driver.OpinsSetup.relres_x
+
+        def counted(setup, x_n):
+            calls.append(1)
+            return relres_x(setup, x_n)
+
+        monkeypatch.setattr(opins.driver.OpinsSetup, "relres_x", counted)
+
+        def spy(*args, **kwargs):
+            ran.append(krylov_name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(opins.krylov, krylov_name, spy)
+        row = opins.harness.runner._Case.projected_row
+
+        def recording(case, it, w_k, relres):
+            seen.append(case.setup.relres_x(case.setup.projector.complement(w_k)))
+            row(case, it, w_k, relres)
+
+        monkeypatch.setattr(opins.harness.runner._Case, "projected_row", recording)
+        spec = ProblemSpec(name=kind, source={"kind": kind, "seed": 2}, a_symmetric=True)
+        run_case(spec, RunConfig(solver=solver, precond_side=side, maxit=60,
+                                 history_path=str(tmp_path / "h.csv")))
+        assert ran == [krylov_name]
+        rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(seen) > 5
+        assert [float(r.split(",")[1]) for r in rows] == seen
+        assert len(calls) <= len(seen) + 2
+
     def test_pcg_breaks_on_indefinite(self):
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 3},
                            a_symmetric=True)

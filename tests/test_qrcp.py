@@ -1,12 +1,14 @@
 """Pivoted-QR factorization: examples and invariants."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import opins.qrcp as qrcp_module
 from opins.projection import Projector, particular_solution, recover_multipliers
 from opins.qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor
 
@@ -175,20 +177,19 @@ class TestLapackPathOnSparseDuplicatedRows:
         return b, qrcp_factor(b.toarray().T, RANK_TOL), np.random.default_rng(request.param)
 
     def test_sparse_input_factors_bit_identically(self, case):
-        # same pivots, rank and R_11 bits; sparse input keeps B_q in place of
-        # U, and both directions of apply_q_block agree with the dense U
+        # same rank, and sparse input keeps B_q in place of U.  Its pivots
+        # come from the streamed m-by-m R, so ties among the equal column
+        # norms of this B break on rounding and the pivots, R_11 and the
+        # coordinates U^T v may differ from the dense input's; the
+        # projection U U^T v onto range(B^T) may not
         b, fact, rng = case
         from_sparse = qrcp_factor(b.T, RANK_TOL)
         assert from_sparse.rank == fact.rank
-        for name in ("r_block", "permutation"):
-            np.testing.assert_array_equal(getattr(from_sparse, name), getattr(fact, name))
         assert from_sparse.u is None and from_sparse.b_q is not None
         v = rng.standard_normal(fact.nrows)
-        c = rng.standard_normal(fact.rank)
-        coords, back = fact.u.T @ v, fact.u @ c
-        assert np.linalg.norm(apply_q_block(from_sparse, v, transpose=True) - coords) \
-            <= 1e-14 * np.linalg.norm(coords)
-        assert np.linalg.norm(apply_q_block(from_sparse, c) - back) <= 1e-14 * np.linalg.norm(back)
+        want = fact.u @ (fact.u.T @ v)
+        got = apply_q_block(from_sparse, apply_q_block(from_sparse, v, transpose=True))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_keeps_only_what_the_solve_reads(self, case):
         b, fact, _ = case
@@ -296,10 +297,24 @@ class TestSeminormalGate:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(b.shape[1])
         g = b @ rng.standard_normal(b.shape[1])
+        # y is not unique when rows of B repeat (the pivots may take either
+        # copy), but B^T y, the projection of v onto range(B^T), is
         for got, want in ((sparse.complement(v), dense.complement(v)),
                           (particular_solution(sparse, g), particular_solution(dense, g)),
-                          (recover_multipliers(sparse, v), recover_multipliers(dense, v))):
+                          (b.T @ recover_multipliers(sparse, v),
+                           b.T @ recover_multipliers(dense, v))):
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_free_sparse_b_gives_the_same_multipliers(self, seed):
+        # full row rank: y is unique, so it matches the dense input's itself
+        b = averaging_b(seed, duplicates=0)
+        sparse = Projector(qrcp_factor(b.T, RANK_TOL))
+        dense = Projector(qrcp_factor(b.toarray().T, RANK_TOL))
+        assert sparse.basis.u is None and sparse.basis.rank == b.shape[0]
+        v = np.random.default_rng(seed).standard_normal(b.shape[1])
+        want = recover_multipliers(dense, v)
+        assert np.linalg.norm(recover_multipliers(sparse, v) - want) <= 1e-14 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_well_conditioned_sparse_b_solves_in_the_same_iterations(self, seed):
@@ -367,3 +382,150 @@ class TestSolveR:
         p = Projector(qrcp_factor(np.zeros((5, 2)), RANK_TOL))
         np.testing.assert_array_equal(recover_multipliers(p, np.ones(5)), np.zeros(2))
         np.testing.assert_array_equal(particular_solution(p, np.ones(2)), np.zeros(5))
+
+
+def scattered_b(seed, n, m, per_row, touched=None):
+    """Sparse m-by-n B whose rows each hold ``per_row`` random entries among
+    the first ``touched`` unknowns (all of them by default), scaled so that
+    row i has norm 1 + i: no two column norms of B^T tie."""
+    rng = np.random.default_rng(seed)
+    touched = n if touched is None else touched
+    cols = np.concatenate([rng.choice(touched, per_row, replace=False) for _ in range(m)])
+    vals = rng.standard_normal((m, per_row))
+    vals *= ((1.0 + np.arange(m)) / np.linalg.norm(vals, axis=1))[:, None]
+    return sp.csr_matrix((vals.ravel(), (np.repeat(np.arange(m), per_row), cols)),
+                         shape=(m, n))
+
+
+def sign_fixed(r):
+    """R_11 with a nonnegative diagonal: Householder QR fixes each row of R
+    only up to its sign."""
+    return np.where(np.diagonal(r) < 0, -1.0, 1.0)[:, None] * r
+
+
+def assert_matches_dense_input(b, fact):
+    """Same rank and leading pivots as the dense-input factorization, R_11
+    within 1e-14, and the same projection onto range(B^T).  (Pivots past
+    the rank pick among columns whose remaining norms are rounding noise.)"""
+    dense = qrcp_factor(b.toarray().T, RANK_TOL)
+    q = dense.rank
+    assert fact.rank == q
+    np.testing.assert_array_equal(fact.permutation[:q], dense.permutation[:q])
+    assert np.linalg.norm(sign_fixed(fact.r_block) - sign_fixed(dense.r_block)) \
+        <= 1e-14 * np.linalg.norm(dense.r_block)
+    v = np.random.default_rng(0).standard_normal(fact.nrows)
+    want = dense.u @ (dense.u.T @ v)
+    got = apply_q_block(fact, apply_q_block(fact, v, transpose=True))
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestStreamedFactor:
+    """Sparse B^T is factored by folding row blocks of its nonzero rows into
+    an m-by-m R (LAPACK tpqrt) and pivoting on that R."""
+
+    @pytest.fixture
+    def tpqrt_calls(self, monkeypatch):
+        calls, tpqrt = [], qrcp_module.dtpqrt
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].shape)
+            return tpqrt(*args, **kwargs)
+
+        monkeypatch.setattr(qrcp_module, "dtpqrt", counted)
+        return calls
+
+    def test_dense_b_stored_sparse_is_not_streamed(self, tpqrt_calls):
+        # row lengths n: no q has nnz(B_q) + q^2 < n q, so B^T goes straight
+        # to the dense path
+        b = sp.csr_matrix(np.random.default_rng(7).standard_normal((20, 300)))
+        assert qrcp_factor(b.T, RANK_TOL).u is not None
+        assert tpqrt_calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distinct_row_norms_match_dense_input(self, seed):
+        b = scattered_b(seed, n=400, m=30, per_row=6)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.u is None and fact.rank == 30
+        assert_matches_dense_input(b, fact)
+
+    def test_more_than_three_blocks(self, tpqrt_calls):
+        b = scattered_b(2, n=6000, m=60, per_row=90)
+        touched = np.unique(b.indices).size
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.u is None
+        assert len(tpqrt_calls) == -(-touched // qrcp_module.STREAM_ROWS) > 3
+        assert sum(shape[0] for shape in tpqrt_calls) == touched
+        assert_matches_dense_input(b, fact)
+
+    def test_untouched_unknowns(self, tpqrt_calls):
+        # B reads only the first 150 of 600 unknowns; the rest are never
+        # densified and the projector leaves them alone
+        b = scattered_b(3, n=600, m=20, per_row=10, touched=150)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.u is None
+        assert sum(shape[0] for shape in tpqrt_calls) == np.unique(b.indices).size <= 150
+        assert_matches_dense_input(b, fact)
+        e = np.zeros(600)
+        e[400] = 1.0
+        np.testing.assert_array_equal(Projector(fact).complement(e), e)
+
+    def test_fewer_nonzero_rows_than_columns(self):
+        # m = 40 rows of B over 12 unknowns: 12 nonzero rows of B^T, rank 12
+        b = scattered_b(4, n=500, m=40, per_row=5, touched=12)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.rank == svd_rank(b.toarray()) == 12
+        assert fact.u is None
+        assert_matches_dense_input(b, fact)
+
+    def test_all_zero_sparse_b(self):
+        b = sp.csr_matrix((30, 500))
+        fact = qrcp_factor(b.T, RANK_TOL)
+        dense = qrcp_factor(b.toarray().T, RANK_TOL)
+        assert fact.rank == dense.rank == 0
+        assert fact.u.shape == dense.u.shape == (500, 0)
+        assert fact.r_block.shape == (0, 0) and fact.b_q is None
+        np.testing.assert_array_equal(fact.permutation, dense.permutation)
+        v = np.arange(500.0)
+        np.testing.assert_array_equal(Projector(fact).complement(v), v)
+
+    def test_allocates_no_n_by_m_array(self):
+        n, m = 91_125, 200  # n m 8 bytes = 146 MB
+        b = scattered_b(5, n=n, m=m, per_row=54)
+        tracemalloc.start()
+        try:
+            fact = qrcp_factor(b.T, RANK_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fact.u is None and fact.rank == m
+        assert peak <= 16e6
+
+
+class TestValidatesBeforeCopying:
+    """Bad arguments are rejected before B^T is copied: on a 1e5-by-200
+    sparse B^T the traced peak stays far below the n m 8 bytes of a dense
+    copy (160 MB)."""
+
+    @staticmethod
+    def peak_of_rejected_call(bt, rank_tol):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                qrcp_factor(bt, rank_tol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def bt(self):
+        return scattered_b(6, n=100_000, m=200, per_row=20).T
+
+    @pytest.mark.parametrize("rank_tol", [0.0, -1e-12])
+    def test_nonpositive_rank_tol(self, bt, rank_tol):
+        assert self.peak_of_rejected_call(bt, rank_tol) <= 16e6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sparse_entry(self, bt, bad):
+        bt = bt.copy()
+        bt.data[17] = bad
+        assert self.peak_of_rejected_call(bt, RANK_TOL) <= 16e6
