@@ -183,13 +183,13 @@ class OpinsOptions:
 class OpinsSetup:
     """The state before the first inner iteration, shared by the solve, its
     metrics and the multiplier recovery: the projector over the QRCP of B^T
-    computed with ``rank_tol`` (None when unknown, which no solve accepts),
-    x_p, and, derived on construction, the projected right-hand side
-    ``rhs`` = P(f - A x_p) and the projected ``operator`` v -> P(A(Pv)).
+    computed with ``rank_tol``, x_p, and, derived on construction, the
+    projected right-hand side ``rhs`` = P(f - A x_p) and the projected
+    ``operator`` v -> P(A(Pv)).
     """
 
     system: SaddleSystem
-    rank_tol: Optional[float]
+    rank_tol: float
     projector: Projector
     x_p: np.ndarray
     rhs: np.ndarray = field(init=False, repr=False)
@@ -318,8 +318,7 @@ def opins_solve(sys, opts=None):
     if setup is not None and setup.rank_tol != opts.rank_tol:
         raise OpinsError(f"setup has rank_tol={setup.rank_tol!r}, options have {opts.rank_tol!r}")
     sys = setup.system if setup is not None else sys
-    n = sys.n
-    maxit = opts.maxit if opts.maxit > 0 else 10 * max(n, 1)
+    maxit = opts.maxit if opts.maxit > 0 else 10 * max(sys.n, 1)
     side = _resolve_side(sys, opts)
     if sys.a_symmetric:
         _check_declared_symmetry(sys.a)
@@ -342,9 +341,7 @@ def opins_solve(sys, opts=None):
             opts.inner_callback(it, w_k, relres)
 
     precond = _build_precond(sys, opts, setup.fact)
-    if np.linalg.norm(rhs) == 0.0:
-        inner = krylov.SolveOutcome(np.zeros(n), krylov.CONVERGED, 0, [])
-    elif sys.a_symmetric and not (side == "left" and precond is not None):
+    if sys.a_symmetric and not (side == "left" and precond is not None):
         inner = krylov.minres(setup.operator, rhs, opts.solve_tol, maxit,
                               precond=precond, callback=inner_cb)
     else:

@@ -21,13 +21,17 @@ from .problems import GENERATOR_KINDS, ProblemSpec
 from .runner import SOLVER_NAMES, RunConfig, run_case
 
 
+# "scaled" needs a base problem, which --sigma supplies
+_PROBLEMS = tuple(kind for kind in GENERATOR_KINDS if kind != "scaled")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="opins-run",
         description="Solve a saddle-point test problem and report residual metrics.")
     src = parser.add_argument_group("problem source")
-    src.add_argument("--problem", metavar="NAME",
-                     help=f"generator kind, one of {GENERATOR_KINDS}")
+    src.add_argument("--problem", choices=_PROBLEMS,
+                     help="generator kind (--sigma wraps it as scaled)")
     src.add_argument("--matrix-a", metavar="PATH", help="Matrix Market file for A")
     src.add_argument("--matrix-b", metavar="PATH", help="Matrix Market file for B")
     src.add_argument("--rhs-f", metavar="PATH", help="Matrix Market vector f")
@@ -65,8 +69,6 @@ def build_parser():
 
 
 def spec_from_args(args):
-    if (args.problem is None) == (args.matrix_a is None):
-        raise SystemExit("specify exactly one of --problem or --matrix-a")
     declared_singular = args.singular == "yes"
     if args.matrix_a is not None:
         symmetric = args.symmetric == "yes"
@@ -95,7 +97,10 @@ def spec_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.problem is None) == (args.matrix_a is None):
+        parser.error("specify exactly one of --problem or --matrix-a")
     spec = spec_from_args(args)
     try:
         config = RunConfig(solver=args.solver, tol=args.tol, qrcp_tol=args.qrcp_tol,

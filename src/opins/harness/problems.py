@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..driver import SaddleSystem
 from .mmio import load_matrix_market, load_vector
@@ -115,7 +114,7 @@ def problem_from_files(path_a, path_b=None, path_f=None, path_g=None,
     if path_b is not None:
         b = load_matrix_market(path_b)
     else:
-        b = sp.csr_matrix(rng.standard_normal((m, n)) / np.sqrt(n))
+        b = rng.standard_normal((m, n)) / np.sqrt(n)
     if path_f is not None:
         f = load_vector(path_f)
         g = load_vector(path_g) if path_g is not None else rng.standard_normal(b.shape[0])

@@ -1,14 +1,19 @@
 """Krylov solvers for compatible, possibly singular systems.
 
 All solvers start from the zero vector, which is what makes the minimum-norm
-results for compatible singular systems hold.  Each iteration records the
-recurrence residual (preconditioned when a preconditioner is present).  The
-explicitly recomputed true residual costs one more operator application, so
-it is computed only where it is observed: at every step when a callback is
-given, otherwise only at a step whose recurrence residual meets the
-tolerance.  A run is reported ``converged`` only when both are at or below
-the tolerance, so a converged status always certifies the true relative
-residual, and a run stops at the same step with or without a callback.
+results for compatible singular systems hold; a zero right-hand side is
+``converged`` after 0 steps.  Each completed step records the recurrence
+residual (preconditioned when a preconditioner is present).  The explicitly
+recomputed true residual costs one more operator application, so it is
+computed only where it is observed: at every step when a callback is given,
+otherwise only at a step whose recurrence residual meets the tolerance.  A
+run is reported ``converged`` only when both are at or below the tolerance,
+so a converged status always certifies the true relative residual, and a run
+stops at the same step with or without a callback.
+
+``iterations`` counts completed, recorded steps: it equals ``len(history)``
+for every status, and the returned solution is the iterate of the last
+record.  A step that breaks down before its record is not counted.
 
 Preconditioning contract:
 
@@ -24,11 +29,10 @@ Preconditioning contract:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-
-from .operators import LinearOperator
 
 __all__ = ["IterationRecord", "SolveOutcome", "minres", "gmres", "cg"]
 
@@ -44,11 +48,12 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class IterationRecord:
-    """One solver iteration: recurrence relres plus named auxiliary norms."""
+    """One completed step: its recurrence relres and, where the step was
+    observed, its true relres."""
 
     iter: int
     relres: float
-    aux_norms: dict = field(default_factory=dict)
+    true_relres: Optional[float] = None
 
 
 @dataclass
@@ -63,26 +68,39 @@ class SolveOutcome:
         return self.status == CONVERGED
 
 
-def _observed(callback, relres, tol):
-    """Whether a step needs its true residual: a callback sees every step,
-    otherwise only a recurrence residual at the tolerance can converge."""
-    return callback is not None or relres <= tol
+class _Steps:
+    """The ledger of one run: ||b||, one record per completed step, the
+    true residual where a step is observed, and the returned outcome."""
 
+    def __init__(self, op, b, tol, callback):
+        self.op, self.tol, self.callback = op, tol, callback
+        self.b = np.asarray(b, dtype=float)
+        self.normb = np.linalg.norm(self.b)
+        self.history = []
 
-def _record(history, callback, it, relres, tol, x, true_relres_of):
-    """Append the record of step ``it`` and return whether it converged.
+    def __len__(self):
+        return len(self.history)
 
-    ``aux_norms["true_relres"]`` is set exactly where ``_observed`` holds.
-    """
-    rec = IterationRecord(iter=it, relres=relres)
-    history.append(rec)
-    if not _observed(callback, relres, tol):
-        return False
-    true_relres = true_relres_of(x)
-    rec.aux_norms["true_relres"] = true_relres
-    if callback is not None:
-        callback(it, x, true_relres)
-    return relres <= tol and true_relres <= tol
+    def observed(self, relres):
+        """Whether a step needs its true residual: a callback sees every
+        step, otherwise only a recurrence residual at the tolerance can
+        converge."""
+        return self.callback is not None or relres <= self.tol
+
+    def record(self, relres, x):
+        """Record the next step, whose iterate ``x`` is read only where the
+        step is observed, and return whether it converged."""
+        rec = IterationRecord(iter=len(self.history) + 1, relres=relres)
+        self.history.append(rec)
+        if not self.observed(relres):
+            return False
+        rec.true_relres = np.linalg.norm(self.b - self.op(x)) / self.normb
+        if self.callback is not None:
+            self.callback(rec.iter, x, rec.true_relres)
+        return relres <= self.tol and rec.true_relres <= self.tol
+
+    def outcome(self, status, x):
+        return SolveOutcome(x, status, len(self.history), self.history)
 
 
 def minres(op, b, tol, maxit, precond=None, callback=None):
@@ -112,37 +130,31 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
         without one the true residual is computed only at steps whose
         recurrence residual meets ``tol``.
     """
-    b = np.asarray(b, dtype=float)
-    n = op.dim
-    x = np.zeros(n)
-    history = []
-    normb = np.linalg.norm(b)
-    if normb == 0.0:
-        return SolveOutcome(x, CONVERGED, 0, history)
+    steps = _Steps(op, b, tol, callback)
+    x = np.zeros(op.dim)
+    if steps.normb == 0.0:
+        return steps.outcome(CONVERGED, x)
 
-    true_relres_of = lambda cand: np.linalg.norm(b - op(cand)) / normb
-    r1 = b.copy()
+    r1 = steps.b.copy()
     y = precond(r1) if precond is not None else r1
     beta1 = float(r1 @ y)
-    if beta1 < 0.0:
-        return SolveOutcome(x, BREAKDOWN, 0, history)
-    if beta1 == 0.0:
-        return SolveOutcome(x, CONVERGED, 0, history)
+    if beta1 <= 0.0:
+        # b is nonzero, so rᵀM⁻¹r <= 0 only where the preconditioner is not
+        # positive definite on it, or where rᵀr underflows
+        return steps.outcome(BREAKDOWN, x)
     beta1 = np.sqrt(beta1)
 
     oldb, beta = 0.0, beta1
     dbar, epsln, phibar = 0.0, 0.0, beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
+    w = np.zeros(op.dim)
+    w2 = np.zeros(op.dim)
     r2 = r1
     status = MAX_ITERATIONS
-    it = 0
-    while it < maxit:
-        it += 1
+    while len(steps) < maxit:
         v = y / beta
         y = op(v)
-        if it >= 2:
+        if len(steps) >= 1:
             y = y - (beta / oldb) * r1
         alfa = float(v @ y)
         y = y - (alfa / beta) * r2
@@ -161,7 +173,7 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), np.finfo(float).eps)
+        gamma = max(np.hypot(gbar, beta), _EPS)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
@@ -172,17 +184,16 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
 
-        relres = phibar / beta1
-        if _record(history, callback, it, relres, tol, x, true_relres_of):
+        if steps.record(phibar / beta1, x):
             status = CONVERGED
             break
-        if beta <= np.finfo(float).eps * beta1:
+        if beta <= _EPS * beta1:
             # Lanczos space exhausted without reaching the tolerance: stop at
             # the least-squares point (incompatible right-hand side) instead
             # of dividing by the vanishing beta next iteration
             status = BREAKDOWN
             break
-    return SolveOutcome(x, status, it, history)
+    return steps.outcome(status, x)
 
 
 def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
@@ -200,35 +211,31 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
     improves the (preconditioned) residual by less than a factor of
     ``1 - 1e-3`` reports ``stagnation``.
     """
-    b = np.asarray(b, dtype=float)
-    n = op.dim
+    steps = _Steps(op, b, tol, callback)
+    b, n = steps.b, op.dim
     x = np.zeros(n)
-    history = []
-    normb = np.linalg.norm(b)
-    if normb == 0.0:
-        return SolveOutcome(x, CONVERGED, 0, history)
+    if steps.normb == 0.0:
+        return steps.outcome(CONVERGED, x)
     pb = left_precond(b) if left_precond is not None else b
     normpb = np.linalg.norm(pb)
     if normpb == 0.0:
-        return SolveOutcome(x, BREAKDOWN, 0, history)
-    true_relres_of = lambda cand: np.linalg.norm(b - op(cand)) / normb
+        return steps.outcome(BREAKDOWN, x)
 
     def solution_at(j):
         """Iterate of the current cycle after its step ``j``."""
         yk = sla.solve_triangular(H[:j + 1, :j + 1], g[:j + 1], lower=False)
         return x + yk @ V[:j + 1]
 
-    it = 0
     status = None
     prev_cycle = None
     while status is None:
         r = b - op(x)
         pr = left_precond(r) if left_precond is not None else r
         beta = np.linalg.norm(pr)
-        if beta / normpb <= tol and np.linalg.norm(r) / normb <= tol:
+        if beta / normpb <= tol and np.linalg.norm(r) / steps.normb <= tol:
             status = CONVERGED
             break
-        if it >= maxit:
+        if len(steps) >= maxit:
             status = MAX_ITERATIONS
             break
         V = np.zeros((restart + 1, n))
@@ -240,9 +247,8 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
         # steps of this cycle: k is the current one, done the last whose
         # Givens update completed, formed the one whose iterate xk holds
         k = done = formed = -1
-        while k + 1 < restart and it < maxit and status is None:
+        while k + 1 < restart and len(steps) < maxit and status is None:
             k += 1
-            it += 1
             w = op(V[k])
             if left_precond is not None:
                 w = left_precond(w)
@@ -272,10 +278,10 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
             done = k
 
             relres = abs(g[k + 1]) / normpb
-            if _observed(callback, relres, tol):
+            if steps.observed(relres):
                 xk = solution_at(k)
                 formed = k
-            if _record(history, callback, it, relres, tol, xk, true_relres_of):
+            if steps.record(relres, xk):
                 status = CONVERGED
             elif lucky:
                 # invariant subspace reached without meeting the tolerance
@@ -290,7 +296,7 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
             status = STAGNATION
         if full_cycle:
             prev_cycle = cycle_res
-    return SolveOutcome(x, status, it, history)
+    return steps.outcome(status, x)
 
 
 def cg(op, b, tol, maxit, precond=None, callback=None):
@@ -300,23 +306,18 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
     ``p^T op p`` or ten consecutive iterations without residual decrease is
     reported as ``breakdown``.
     """
-    b = np.asarray(b, dtype=float)
+    steps = _Steps(op, b, tol, callback)
     x = np.zeros(op.dim)
-    history = []
-    normb = np.linalg.norm(b)
-    if normb == 0.0:
-        return SolveOutcome(x, CONVERGED, 0, history)
-    true_relres_of = lambda cand: np.linalg.norm(b - op(cand)) / normb
-    r = b.copy()
+    if steps.normb == 0.0:
+        return steps.outcome(CONVERGED, x)
+    r = steps.b.copy()
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z)
     best = np.inf
     flat = 0
     status = MAX_ITERATIONS
-    it = 0
-    while it < maxit:
-        it += 1
+    while len(steps) < maxit:
         ap = op(p)
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -325,8 +326,8 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        relres = np.linalg.norm(r) / normb
-        if _record(history, callback, it, relres, tol, x, true_relres_of):
+        relres = np.linalg.norm(r) / steps.normb
+        if steps.record(relres, x):
             status = CONVERGED
             break
         if relres >= best:
@@ -342,4 +343,4 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    return SolveOutcome(x, status, it, history)
+    return steps.outcome(status, x)

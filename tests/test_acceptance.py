@@ -20,8 +20,8 @@ import pytest
 import scipy.sparse as sp
 
 from opins import krylov
-from opins.driver import OpinsOptions, SaddleSystem, opins_solve
-from opins.harness.metrics import relres_full, relres_x
+from opins.driver import OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
+from opins.harness.metrics import relres_full
 from opins.harness.problems import generate_problem, problem_from_files
 from opins.operators import LinearOperator
 from opins.oracles import nonzero_spectrum, null_basis, pminres_constraint, tsvd_solve
@@ -338,10 +338,8 @@ def test_criterion_08_convergence_tolerance_honored():
     for system, report in tracked_runs():
         if not report.converged:
             continue
-        fact = _fact_of(system)
-        projector = Projector(fact)
-        x_p = particular_solution(projector, system.g)
-        value = relres_x(system, fact, x_p, projector.complement(report.x - x_p))
+        setup = OpinsSetup.build(system, QRCP_TOL)
+        value = setup.relres_x(setup.projector.complement(report.x - setup.x_p))
         worst = max(worst, value)
         checked += 1
         assert value <= 1e-10, f"recomputed relres_x {value:.2e}"
@@ -480,10 +478,8 @@ def test_criterion_10_matrix_market_scale_run():
     assert best.converged, "projected ILU(0) run did not converge in budget"
     assert best.inner.iterations <= budget
 
-    fact = _fact_of(system)
-    projector = Projector(fact)
-    x_p = particular_solution(projector, system.g)
-    value = relres_x(system, fact, x_p, projector.complement(best.x - x_p))
+    setup = OpinsSetup.build(system, QRCP_TOL)
+    value = setup.relres_x(setup.projector.complement(best.x - setup.x_p))
     assert value <= 1e-10
 
     it_p = reports["opins-p"].inner.iterations

@@ -7,9 +7,9 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from opins.driver import SaddleSystem
+from opins.driver import OpinsSetup, SaddleSystem
 from opins.harness.cli import main as cli_main
-from opins.harness.metrics import relres_full, relres_x
+from opins.harness.metrics import relres_full
 from opins.harness.mmio import (MatrixMarketError, load_matrix_market, load_vector,
                                 save_matrix_market)
 from opins.harness.problems import ProblemSpec, build_system, generate_problem
@@ -17,6 +17,8 @@ from opins.harness.runner import RunConfig, run_case
 from opins.projection import Projector, particular_solution
 from opins.qrcp import qrcp_factor
 from test_qrcp import reference_range_basis
+
+RANK_TOL = 1e-12
 
 IDENTITY_MM = """%%MatrixMarket matrix coordinate real general
 % 3x3 identity
@@ -333,41 +335,32 @@ class TestMetrics:
 
     def test_relres_x_exact_solution(self):
         system = self.make()
-        fact = qrcp_factor(np.asarray(system.b).T, 1e-12)
-        projector = Projector(fact)
-        x_p = particular_solution(projector, system.g)
+        setup = OpinsSetup.build(system, RANK_TOL)
         z = np.linalg.solve(system.kkt_matrix(), system.rhs_full())
-        x_n = projector.complement(z[:system.n] - x_p)
-        assert relres_x(system, fact, x_p, x_n) <= 1e-13
+        x_n = setup.projector.complement(z[:system.n] - setup.x_p)
+        assert setup.relres_x(x_n) <= 1e-13
 
     def test_relres_x_zero_candidate_is_one(self):
-        system = self.make(1)
-        fact = qrcp_factor(np.asarray(system.b).T, 1e-12)
-        projector = Projector(fact)
-        x_p = particular_solution(projector, system.g)
-        assert relres_x(system, fact, x_p, np.zeros(system.n)) == pytest.approx(1.0)
+        setup = OpinsSetup.build(self.make(1), RANK_TOL)
+        assert setup.relres_x(np.zeros(setup.system.n)) == pytest.approx(1.0)
 
     def test_relres_x_zero_over_zero(self):
         system = SaddleSystem(a=np.eye(3), b=np.array([[1.0, 0.0, 0.0]]),
                               f=np.array([5.0, 0.0, 0.0]), g=np.array([2.0]),
                               a_symmetric=True)
-        fact = qrcp_factor(np.asarray(system.b).T, 1e-12)
-        x_p = particular_solution(Projector(fact), system.g)
-        assert relres_x(system, fact, x_p, np.zeros(3)) == 0.0
+        assert OpinsSetup.build(system, RANK_TOL).relres_x(np.zeros(3)) == 0.0
 
     def test_relres_x_matches_dense_oracle_mid_iteration(self):
         system = self.make(2)
-        fact = qrcp_factor(np.asarray(system.b).T, 1e-12)
-        projector = Projector(fact)
-        x_p = particular_solution(projector, system.g)
+        setup = OpinsSetup.build(system, RANK_TOL)
         rng = np.random.default_rng(3)
-        x_n = projector.complement(rng.standard_normal(system.n))
-        u = reference_range_basis(system.b.T, fact.rank)
+        x_n = setup.projector.complement(rng.standard_normal(system.n))
+        u = reference_range_basis(system.b.T, setup.fact.rank)
         proj = np.eye(system.n) - u @ u.T
         a = np.asarray(system.a)
-        lead = proj @ (system.f - a @ x_p)
+        lead = proj @ (system.f - a @ setup.x_p)
         oracle = np.linalg.norm(lead - proj @ (a @ x_n)) / np.linalg.norm(lead)
-        assert relres_x(system, fact, x_p, x_n) == pytest.approx(oracle, rel=1e-12)
+        assert setup.relres_x(x_n) == pytest.approx(oracle, rel=1e-12)
 
     def test_relres_full_exact_and_zero(self):
         system = self.make(4)
@@ -381,10 +374,8 @@ class TestMetrics:
         system = SaddleSystem(a=np.eye(3), b=np.array([[1.0, 0.0, 0.0]]),
                               f=np.array([5.0, 0.0, 0.0]), g=np.array([2.0]),
                               a_symmetric=True)
-        fact = qrcp_factor(np.asarray(system.b).T, 1e-12)
-        x_p = particular_solution(Projector(fact), system.g)
         x_n = np.array([0.0, 1.0, 0.0])
-        assert relres_x(system, fact, x_p, x_n) == np.inf
+        assert OpinsSetup.build(system, RANK_TOL).relres_x(x_n) == np.inf
 
 
 class TestRunner:
@@ -682,8 +673,16 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli_main(["--solver", "opins"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind", ["foo", "scaled"])
+    def test_unknown_problem_kind_exits_with_config_error(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--problem", kind, "--solver", "opins"])
+        assert exc.value.code == 2
+        assert "--problem" in capsys.readouterr().err
 
     def test_scaled_problem_flag(self, capsys):
         rc = cli_main(["--problem", "random-s", "--seed", "0", "--sigma", "1e10",

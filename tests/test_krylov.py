@@ -90,7 +90,7 @@ class TestMinres:
         out = minres(op_from(a), rng.standard_normal(16),
                      1e-11, 300, precond=prec, callback=lambda it, x, rr: None)
         assert out.converged
-        assert all("true_relres" in rec.aux_norms for rec in out.history)
+        assert all(rec.true_relres is not None for rec in out.history)
 
     def test_incompatible_rhs_reports_breakdown(self):
         # b has a component outside range(A): the Krylov space is exhausted
@@ -110,6 +110,13 @@ class TestMinres:
         out = minres(op_from(np.eye(2)), np.array([1.0, 0.1]),
                      1e-10, 50, precond=prec)
         assert out.status == "breakdown"
+
+    def test_preconditioner_null_on_b_breaks_down(self):
+        # bᵀM⁻¹b = 0 for a nonzero b: the zero start does not solve it
+        prec = LinearOperator(dim=2, apply=lambda v: np.array([-v[0], v[1]]))
+        out = minres(op_from(np.eye(2)), np.array([1.0, 1.0]),
+                     1e-10, 50, precond=prec)
+        assert out.status == "breakdown" and out.iterations == 0
 
     def test_callback_sees_candidates(self):
         rng = np.random.default_rng(6)
@@ -161,6 +168,7 @@ class TestGmres:
         b[0] = 1.0
         out = gmres(op_from(shift), b, restart=2, tol=1e-12, maxit=100)
         assert out.status == "stagnation"
+        assert out.iterations == len(out.history)
 
     def test_iteration_indices_increase_across_restarts(self):
         rng = np.random.default_rng(20)
@@ -275,17 +283,17 @@ class TestObservation:
         plain, observed = run(None, tol), run(_noop, tol)
         assert np.array_equal(plain.solution, observed.solution)
         assert plain.status == observed.status
-        assert plain.iterations == observed.iterations
+        assert plain.iterations == observed.iterations == len(plain.history)
         assert [r.relres for r in plain.history] == [r.relres for r in observed.history]
-        assert all("true_relres" in r.aux_norms for r in observed.history)
+        assert all(r.true_relres is not None for r in observed.history)
 
     @pytest.mark.parametrize("name, tol, run", _OBSERVATION_RUNS, ids=_OBSERVATION_IDS)
     def test_true_residual_only_where_recurrence_meets_tol(self, name, tol, run):
         out = run(None, tol)
         for rec in out.history:
-            assert ("true_relres" in rec.aux_norms) == (rec.relres <= tol)
+            assert (rec.true_relres is not None) == (rec.relres <= tol)
         if out.converged:
-            assert out.history[-1].aux_norms["true_relres"] <= tol
+            assert out.history[-1].true_relres <= tol
 
     def test_runs_reach_the_paths_they_name(self):
         runs = {name: (tol, run) for name, tol, run in _OBSERVATION_RUNS}
@@ -300,17 +308,59 @@ class TestObservation:
         lucky = run(None, tol)
         assert lucky.iterations == 2 and lucky.history[-1].relres == 0.0
         # the nilpotent shift maps the third Krylov space into itself with a
-        # singular triangle: the broken step leaves no record and the
-        # least-squares iterate of the step before it is returned
+        # singular triangle: the broken step leaves no record, is not
+        # counted, and the least-squares iterate of the step before it is
+        # returned
         tol, run = runs["gmres-breakdown"]
         broken = run(_noop, tol)
-        assert broken.iterations == 3 and len(broken.history) == 2
+        assert broken.iterations == 2 and len(broken.history) == 2
         a, b = np.diag(np.ones(3), 1), np.array([0.0, 1.0, 1.0, 0.0])
         true_relres = np.linalg.norm(b - a @ broken.solution) / np.linalg.norm(b)
         assert true_relres == pytest.approx(np.sqrt(0.5), abs=1e-12)
-        assert not any(r.relres <= tol < r.aux_norms["true_relres"] for r in broken.history)
+        assert not any(r.relres <= tol < r.true_relres for r in broken.history)
         # the same breakdown in the second restart cycle
         tol, run = runs["gmres-breakdown-restarted"]
         broken = run(None, tol)
-        assert broken.iterations == 6 and broken.iterations > 3
-        assert len(broken.history) == broken.iterations - 1
+        assert broken.iterations == 5 and broken.iterations > 3
+        assert len(broken.history) == broken.iterations
+
+
+_NILPOTENT = np.diag(np.ones(3), 1)
+
+# (name, A, b, solve(op, b, callback)); each run breaks down inside a step,
+# before that step's record
+_BREAKDOWN_RUNS = [
+    # rᵀM⁻¹r turns negative in the second step
+    ("minres-indefinite-precond", np.diag([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 1.0, 0.1]),
+     lambda op, b, cb: minres(op, b, 1e-10, 50, callback=cb, precond=LinearOperator(
+         dim=4, apply=lambda v: v * np.array([1.0, 1.0, 1.0, -1.0])))),
+    # pᵀAp < 0 in the second step
+    ("cg-negative-curvature", np.diag([1.0, -1.0]), np.array([1.0, 0.5]),
+     lambda op, b, cb: cg(op, b, 1e-10, 50, callback=cb)),
+    ("gmres-breakdown", _NILPOTENT, np.array([0.0, 1.0, 1.0, 0.0]),
+     lambda op, b, cb: gmres(op, b, restart=4, tol=1e-12, maxit=50, callback=cb)),
+    ("gmres-breakdown-restarted", sla.block_diag(_NILPOTENT, [[2.0]]),
+     np.array([0.0, 1.0, 1.0, 0.0, 1.0]),
+     lambda op, b, cb: gmres(op, b, restart=3, tol=1e-12, maxit=50, callback=cb)),
+]
+
+
+class TestBreakdownBeforeARecord:
+    """A step that breaks down before its record is not counted, and the run
+    returns the iterate of its last record."""
+
+    @pytest.mark.parametrize("name, a, b, solve", _BREAKDOWN_RUNS,
+                             ids=[name for name, _, _, _ in _BREAKDOWN_RUNS])
+    def test_iterations_count_the_records(self, name, a, b, solve):
+        op = op_from(a)
+        seen = []
+        out = solve(op, b, lambda it, x, rr: seen.append(x.copy()))
+        assert out.status == "breakdown"
+        assert out.iterations == len(out.history) == len(seen) >= 1
+        assert np.array_equal(out.solution, seen[-1])
+        true_relres = np.linalg.norm(b - op(out.solution)) / np.linalg.norm(b)
+        assert true_relres == out.history[-1].true_relres
+        # unobserved, the run stops at the same step with the same x
+        plain = solve(op, b, None)
+        assert plain.iterations == len(plain.history) == out.iterations
+        assert np.array_equal(plain.solution, out.solution)

@@ -190,23 +190,19 @@ class TestPminresConstraint:
     def test_baseline_stalls_where_projected_method_converges(self):
         """On an indefinite seeded instance the IR(0) baseline breaks down
         orders of magnitude short of the tolerance the projected method hits."""
-        from opins.driver import OpinsOptions, opins_solve
-        from opins.harness.metrics import relres_x
+        from opins.driver import OpinsOptions, OpinsSetup, opins_solve
         from opins.harness.problems import generate_problem
 
         system = generate_problem("random", seed=0)
         report = opins_solve(system, OpinsOptions())
-        fact = qrcp_factor(np.asarray(system.b).T, 1e-12)
-        projector = Projector(fact)
-        from opins.projection import particular_solution
-        x_p = particular_solution(projector, system.g)
+        setup = OpinsSetup.build(system, 1e-12)
         assert report.converged
-        assert relres_x(system, fact, x_p, report.x_n) <= 1e-10
+        assert setup.relres_x(report.x_n) <= 1e-10
 
         outcome, x_p_base = pminres_constraint(system, np.eye(system.n),
                                                ir_steps=0, tol=1e-10, maxit=2000)
         x_base = x_p_base + outcome.solution[:system.n]
-        base_rx = relres_x(system, fact, x_p, projector.complement(x_base - x_p))
+        base_rx = setup.relres_x(setup.projector.complement(x_base - setup.x_p))
         assert not outcome.converged
         assert base_rx > 1e-8
 
