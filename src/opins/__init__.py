@@ -24,7 +24,7 @@ recover the x of minimum norm.
 
 from .driver import OpinsError, OpinsOptions, OpinsReport, OpinsSetup, SaddleSystem, opins_solve
 from .krylov import IterationRecord, SolveOutcome, cg, gmres, minres
-from .operators import LinearOperator, aslinearoperator
+from .operators import LinearOperator
 from .preconditioners import (InvertibleOperator, ProjectedPreconditioner,
                               build_g, ilu0_factor)
 from .projection import Projector, particular_solution, recover_multipliers
@@ -33,7 +33,7 @@ from .qrcp import RangeBasisFactorization, apply_q_block, qrcp_factor
 __all__ = [
     "OpinsError", "OpinsOptions", "OpinsReport", "OpinsSetup", "SaddleSystem", "opins_solve",
     "IterationRecord", "SolveOutcome", "cg", "gmres", "minres",
-    "LinearOperator", "aslinearoperator",
+    "LinearOperator",
     "InvertibleOperator", "ProjectedPreconditioner", "build_g", "ilu0_factor",
     "Projector", "particular_solution", "recover_multipliers",
     "RangeBasisFactorization", "apply_q_block", "qrcp_factor",

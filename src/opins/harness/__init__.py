@@ -1,10 +1,10 @@
 """Experiment harness: Matrix Market ingestion, problem generators, metrics,
 and the solver-comparison runner behind the ``opins-run`` CLI."""
 
-from .metrics import MetricsRecord, relres_full
+from ..driver import relres_full
 from .mmio import MatrixMarketError, load_matrix_market, load_vector, save_matrix_market
 from .problems import ProblemSpec, build_system, generate_problem, problem_from_files
-from .runner import RunConfig, run_case
+from .runner import MetricsRecord, RunConfig, run_case
 
 __all__ = [
     "MetricsRecord", "relres_full",

@@ -88,6 +88,8 @@ def generate_problem(kind, seed, params=None):
         g = b @ rng.standard_normal(n)
         return SaddleSystem(a=a, b=b, f=f, g=g, a_symmetric=True)
     if kind == "scaled":
+        if "sigma" not in params:
+            raise ValueError("scaled generator needs params['sigma']")
         sigma = float(params.pop("sigma"))
         base_kind, base_params = params.pop("base", ("random-s", None))
         if params:

@@ -9,7 +9,13 @@ particular and null-space parts (the opins family, pcg, and the
 constraint-preconditioned MINRES baseline) ``norm_Bxn`` is ||B x_n|| at
 that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
 it is the constraint violation ||g - B x||.  Direct solvers emit a single
-summary row.
+summary row.  Every row but the projected-space rows of the opins family
+and pcg goes through ``_Case.row``, whose ``relres_x`` is that of
+P (x - x_p), as in the final record.
+
+The two constraint-preconditioned baselines, pminres-ir* and pgmres, share
+``oracles.constraint_preconditioned`` and work on the rows of B that the
+setup's QRCP keeps; the multipliers of the rows pivoted out are zero.
 
 CSV content depends only on (problem, config), so identical inputs give
 bit-identical files; wall time goes to the JSON report only.
@@ -19,22 +25,19 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .. import krylov, oracles
-from ..driver import OpinsOptions, OpinsSetup, opins_solve
-from ..operators import LinearOperator
+from ..driver import OpinsOptions, OpinsSetup, opins_solve, relres_full
 from ..projection import Projector, particular_solution, recover_multipliers
 from ..qrcp import qrcp_factor
-from .metrics import MetricsRecord, relres_full
 from .problems import build_system
 
-__all__ = ["RunConfig", "run_case", "SOLVER_NAMES"]
+__all__ = ["MetricsRecord", "RunConfig", "run_case", "SOLVER_NAMES"]
 
 SCHEMA_VERSION = 1
 
@@ -47,6 +50,24 @@ _OPINS_VARIANTS = {
     "opins-p": ("projected", "jacobi"),
     "opins-ilu": ("simple", "ilu0"),
 }
+
+
+@dataclass
+class MetricsRecord:
+    """Final metrics of one run; ``relres_x`` and ``relres_full`` as in the
+    history rows."""
+
+    relres_x: float
+    relres_full: float
+    constraint_residual: float
+    norm_x: float
+    norm_y: float
+    iterations: int
+    wall_time: float
+    status: str
+
+    def as_dict(self):
+        return asdict(self)
 
 
 @dataclass
@@ -100,10 +121,15 @@ class _Case:
     setup: OpinsSetup
     writer: _HistoryWriter
 
-    def row(self, it, x_n_k, y_k, bxn):
+    def relres_x(self, x):
+        """relres_x of the null-space part P (x - x_p) of a whole-space x."""
         setup = self.setup
-        self.writer.add(it, setup.relres_x(x_n_k),
-                        relres_full(setup.system, setup.x_p + x_n_k, y_k), bxn)
+        return setup.relres_x(setup.projector.complement(x - setup.x_p))
+
+    def row(self, it, x, y, bxn):
+        """History row for a whole-space iterate (x, y); ``bxn`` is the
+        drift the solver reports."""
+        self.writer.add(it, self.relres_x(x), relres_full(self.setup.system, x, y), bxn)
 
     def projected_row(self, it, w_k, relres):
         """History row for a projected-space iterate: x_n = P w_k and the
@@ -130,6 +156,19 @@ def _make_case(system, config, writer):
     return _Case(setup=setup, writer=writer)
 
 
+def _independent_rows(setup):
+    """B's rows that the QRCP of B^T kept, in their original order."""
+    return np.sort(setup.fact.permutation[:setup.fact.rank])
+
+
+def _pad(system, rows, y_rows):
+    """Multipliers for all of B's rows from those for ``rows``: zero on the
+    rows pivoted out."""
+    y = np.zeros(system.m)
+    y[rows] = y_rows
+    return y
+
+
 def _maxit(config, dim):
     return config.maxit if config.maxit > 0 else 10 * max(dim, 1)
 
@@ -147,8 +186,7 @@ def _opins_case(case, spec, config):
     report = opins_solve(case.setup, opts)
     if callback is not None and not report.inner.history and report.converged:
         # projected right-hand side was zero: single summary row
-        case.row(0, report.x_n, report.y,
-                 float(np.linalg.norm(system.b @ report.x_n)))
+        case.row(0, report.x, report.y, float(np.linalg.norm(system.b @ report.x_n)))
     return report.x, report.y, report.inner.status, report.inner.iterations
 
 
@@ -163,8 +201,7 @@ def _pminres_case(case, spec, config):
         g_matrix = np.diag(np.abs(np.asarray(system.a.diagonal(), dtype=float)))
     else:
         raise ValueError("pminres baseline supports g_kind identity or jacobi")
-    setup = case.setup
-    rows = np.sort(setup.fact.permutation[:setup.fact.rank])
+    rows = _independent_rows(case.setup)
     # the baseline's own x_p solves B x = g by least squares; the setup's
     # agrees to rounding on compatible or full-rank constraints, but whether
     # the indefinite preconditioned recurrence converges hinges on that rounding
@@ -172,21 +209,15 @@ def _pminres_case(case, spec, config):
     x_p = np.linalg.lstsq(b, system.g, rcond=None)[0]
 
     def on_iter(it, z_k, relres):
-        x_k = x_p + z_k[:n]
-        y_k = np.zeros(system.m)
-        y_k[rows] = z_k[n:]
-        case.writer.add(it, setup.relres_x(setup.projector.complement(x_k - setup.x_p)),
-                        relres_full(system, x_k, y_k),
-                        float(np.linalg.norm(system.b @ z_k[:n])))
+        case.row(it, x_p + z_k[:n], _pad(system, rows, z_k[n:]),
+                 float(np.linalg.norm(system.b @ z_k[:n])))
 
     outcome, _ = oracles.pminres_constraint(system, g_matrix, ir_steps,
                                             config.tol, _maxit(config, n),
                                             callback=case.observer(on_iter),
                                             rows=rows, x_p=x_p)
-    x = x_p + outcome.solution[:n]
-    y = np.zeros(system.m)
-    y[rows] = outcome.solution[n:]
-    return x, y, outcome.status, outcome.iterations
+    return (x_p + outcome.solution[:n], _pad(system, rows, outcome.solution[n:]),
+            outcome.status, outcome.iterations)
 
 
 def _pcg_case(case, spec, config):
@@ -199,38 +230,31 @@ def _pcg_case(case, spec, config):
 
 
 def _pgmres_case(case, spec, config):
-    setup, system = case.setup, case.setup.system
-    n, m = system.n, system.m
-    kmat = system.kkt_matrix()
-    mprec = kmat.copy()
-    mprec[:n, :n] = np.eye(n)
-    lu = sla.lu_factor(mprec)
-    prec = LinearOperator(dim=n + m, apply=lambda v: sla.lu_solve(lu, v))
-    op = LinearOperator(dim=n + m, apply=lambda v: kmat @ v)
+    system = case.setup.system
+    n = system.n
+    rows = _independent_rows(case.setup)
+    op, prec = oracles.constraint_preconditioned(system, np.eye(n), rows, 0)
 
     def on_iter(it, z_k, relres):
-        x_k, y_k = z_k[:n], z_k[n:]
-        x_n_k = setup.projector.complement(x_k - setup.x_p)
-        case.writer.add(it, setup.relres_x(x_n_k), relres_full(system, x_k, y_k),
-                        float(np.linalg.norm(system.g - system.b @ x_k)))
+        x_k = z_k[:n]
+        case.row(it, x_k, _pad(system, rows, z_k[n:]),
+                 float(np.linalg.norm(system.g - system.b @ x_k)))
 
-    outcome = krylov.gmres(op, system.rhs_full(), config.restart, config.tol,
-                           _maxit(config, n + m), left_precond=prec,
+    outcome = krylov.gmres(op, np.concatenate([system.f, system.g[rows]]), config.restart,
+                           config.tol, _maxit(config, op.dim), left_precond=prec,
                            callback=case.observer(on_iter))
-    return (outcome.solution[:n], outcome.solution[n:],
+    return (outcome.solution[:n], _pad(system, rows, outcome.solution[n:]),
             outcome.status, outcome.iterations)
 
 
 def _direct_case(case, spec, config):
-    setup, system = case.setup, case.setup.system
+    system = case.setup.system
     if config.solver == "tsvd":
         z = oracles.tsvd_solve(system.kkt_matrix(), system.rhs_full(), config.qrcp_tol)
         x, y = z[:system.n], z[system.n:]
     else:
         x, y = oracles.explicit_nullspace_solve(system, rank_tol=config.qrcp_tol)
-    x_n = setup.projector.complement(x - setup.x_p)
-    case.writer.add(0, setup.relres_x(x_n), relres_full(system, x, y),
-                    float(np.linalg.norm(system.g - system.b @ x)))
+    case.row(0, x, y, float(np.linalg.norm(system.g - system.b @ x)))
     return x, y, "converged", 0
 
 
@@ -261,7 +285,7 @@ def run_case(spec, config):
     writer.flush()
 
     record = MetricsRecord(
-        relres_x=case.setup.relres_x(case.setup.projector.complement(x - case.setup.x_p)),
+        relres_x=case.relres_x(x),
         relres_full=relres_full(system, x, y),
         constraint_residual=float(np.linalg.norm(system.g - system.b @ x)),
         norm_x=float(np.linalg.norm(x)),

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-__all__ = ["LinearOperator", "aslinearoperator"]
+__all__ = ["LinearOperator"]
 
 
 @dataclass(frozen=True)
@@ -25,13 +24,3 @@ class LinearOperator:
     def __call__(self, v):
         return self.apply(v)
 
-
-def aslinearoperator(mat):
-    """Wrap a dense or sparse square matrix as a LinearOperator."""
-    n, m = mat.shape
-    if n != m:
-        raise ValueError(f"operator must be square, got {mat.shape}")
-    if sp.issparse(mat):
-        return LinearOperator(dim=n, apply=lambda v: mat @ v)
-    arr = np.asarray(mat, dtype=float)
-    return LinearOperator(dim=n, apply=lambda v: arr @ v)

@@ -18,7 +18,8 @@ from .operators import LinearOperator
 from .qrcp import qrcp_factor
 
 __all__ = ["null_basis", "explicit_nullspace_solve", "tsvd_solve",
-           "dense_kkt_solve", "nonzero_spectrum", "pminres_constraint"]
+           "dense_kkt_solve", "nonzero_spectrum", "constraint_preconditioned",
+           "pminres_constraint"]
 
 
 def _dense(mat):
@@ -107,42 +108,21 @@ def nonzero_spectrum(op_dense, zero_tol):
     return np.sort(vals[np.abs(vals) > cutoff])
 
 
-def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
-                       rank_tol=1e-12, rows=None, x_p=None):
-    """MINRES on the modified saddle-point system with the constraint
-    preconditioner applied by a cached dense factorization.
+def constraint_preconditioned(sys, g_matrix, rows, ir_steps):
+    """The KKT matrix on the rows ``rows`` of B and its constraint
+    preconditioner, as ``(op, precond)`` LinearOperators.
 
-    This is the projected-Krylov baseline: solve
-
-        [A  B^T] [x_n]   [f - A x_p]
-        [B   0 ] [ y ] = [    0    ]
-
-    preconditioned by [[G, B^T], [B, 0]], factored once, with ``ir_steps``
-    rounds of iterative refinement per application (residuals in working
-    precision).  Rank-deficient B is reduced to its independent rows first.
-    ``callback(it, z_k, relres)`` goes to MINRES unchanged; z_k stacks
-    (x_n, y_reduced), so a caller that tracks the drift ||B x_n|| computes
-    it from ``z_k[:n]``.
-
-    ``rows`` (the sorted independent rows of B) and ``x_p`` come from a
-    caller that has factored B already; when omitted they are taken from a
-    QRCP of B^T with ``rank_tol`` and from a least-squares solve of B x = g.
-
-    Returns (outcome, x_p); ``outcome.solution`` stacks (x_n, y_reduced).
+    With B_r = B[rows], ``op`` applies [[A, B_r^T], [B_r, 0]] and ``precond``
+    solves with [[G, B_r^T], [B_r, 0]], LU-factored once, plus ``ir_steps``
+    rounds of iterative refinement (residuals in working precision).  Raises
+    ``np.linalg.LinAlgError`` when the preconditioner matrix is singular,
+    as it is when B_r has dependent rows.
     """
-    a = _dense(sys.a)
-    b = _dense(sys.b)
+    b_red = _dense(sys.b)[rows]
     n = sys.n
-    if rows is None:
-        fact = qrcp_factor(b.T, rank_tol)
-        rows = np.sort(fact.permutation[:fact.rank])
-    if x_p is None:
-        x_p, *_ = np.linalg.lstsq(b, sys.g, rcond=None)
-    b_red = b[rows]
-    m_red = len(rows)
-
-    kmat = np.zeros((n + m_red, n + m_red))
-    kmat[:n, :n] = a
+    dim = n + len(rows)
+    kmat = np.zeros((dim, dim))
+    kmat[:n, :n] = _dense(sys.a)
     kmat[:n, n:] = b_red.T
     kmat[n:, :n] = b_red
     mprec = kmat.copy()
@@ -158,9 +138,39 @@ def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
             s = s + sla.lu_solve(lu, r - mprec @ s)
         return s
 
-    op = LinearOperator(dim=n + m_red, apply=lambda v: kmat @ v)
-    rhs = np.concatenate([sys.f - a @ x_p, np.zeros(m_red)])
-    outcome = krylov.minres(op, rhs, tol, maxit,
-                            precond=LinearOperator(dim=n + m_red, apply=psolve),
-                            callback=callback)
+    return (LinearOperator(dim=dim, apply=lambda v: kmat @ v),
+            LinearOperator(dim=dim, apply=psolve))
+
+
+def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, callback=None,
+                       rank_tol=1e-12, rows=None, x_p=None):
+    """MINRES on the modified saddle-point system with the constraint
+    preconditioner of ``constraint_preconditioned``.
+
+    This is the projected-Krylov baseline: solve
+
+        [A  B^T] [x_n]   [f - A x_p]
+        [B   0 ] [ y ] = [    0    ]
+
+    preconditioned by [[G, B^T], [B, 0]], factored once, with ``ir_steps``
+    rounds of iterative refinement per application.  Rank-deficient B is
+    reduced to its independent rows first.
+    ``callback(it, z_k, relres)`` goes to MINRES unchanged; z_k stacks
+    (x_n, y_reduced), so a caller that tracks the drift ||B x_n|| computes
+    it from ``z_k[:n]``.
+
+    ``rows`` (the sorted independent rows of B) and ``x_p`` come from a
+    caller that has factored B already; when omitted they are taken from a
+    QRCP of B^T with ``rank_tol`` and from a least-squares solve of B x = g.
+
+    Returns (outcome, x_p); ``outcome.solution`` stacks (x_n, y_reduced).
+    """
+    if rows is None:
+        fact = qrcp_factor(_dense(sys.b).T, rank_tol)
+        rows = np.sort(fact.permutation[:fact.rank])
+    if x_p is None:
+        x_p, *_ = np.linalg.lstsq(_dense(sys.b), sys.g, rcond=None)
+    op, precond = constraint_preconditioned(sys, g_matrix, rows, ir_steps)
+    rhs = np.concatenate([sys.f - _dense(sys.a) @ x_p, np.zeros(len(rows))])
+    outcome = krylov.minres(op, rhs, tol, maxit, precond=precond, callback=callback)
     return outcome, x_p

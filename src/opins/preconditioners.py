@@ -184,22 +184,16 @@ class ProjectedPreconditioner:
             coord[i] = 1.0
             col = g_op.solve(apply_q_block(fact, coord))
             schur[:, i] = apply_q_block(fact, col, transpose=True)
-        if q:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(schur, check_finite=True)
-            udiag = np.abs(np.diagonal(lu))
-            if udiag.min() <= np.finfo(float).eps * max(udiag.max(), 1.0):
-                raise ValueError("projected preconditioner: singular U^T G^{-1} U block")
-            self._schur_lu = (lu, piv)
-        else:
-            self._schur_lu = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self._schur_lu = sla.lu_factor(schur, check_finite=True)
+        udiag = np.abs(np.diagonal(self._schur_lu[0]))
+        if udiag.size and udiag.min() <= np.finfo(float).eps * max(udiag.max(), 1.0):
+            raise ValueError("projected preconditioner: singular U^T G^{-1} U block")
 
     def apply(self, b):
         """Evaluate s = P_G b via the cached range-space solve."""
         b = np.asarray(b, dtype=float)
-        if self.fact.rank == 0:
-            return self.g_op.solve(b)
         r = self.g_op.solve(b)
         t = sla.lu_solve(self._schur_lu, apply_q_block(self.fact, r, transpose=True))
         return self.g_op.solve(b - apply_q_block(self.fact, t))

@@ -37,8 +37,6 @@ class Projector:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.basis.nrows,):
             raise ValueError(f"projector: expected length {self.basis.nrows}, got {v.shape}")
-        if self.basis.rank == 0:
-            return v.copy()
         if self.basis.rank == self.basis.nrows:
             return np.zeros(self.basis.nrows)
         return v - apply_q_block(self.basis, apply_q_block(self.basis, v, transpose=True))
@@ -55,8 +53,6 @@ def particular_solution(p, g):
     g = np.asarray(g, dtype=float)
     if g.shape != (fact.ncols,):
         raise ValueError(f"particular_solution: expected length {fact.ncols}, got {g.shape}")
-    if fact.rank == 0:
-        return np.zeros(fact.nrows)
     t = sla.solve_triangular(fact.r_block, g[fact.permutation[:fact.rank]], trans="T")
     return apply_q_block(fact, t)
 
@@ -74,8 +70,6 @@ def recover_multipliers(p, residual):
     if residual.shape != (fact.nrows,):
         raise ValueError(f"recover_multipliers: expected length {fact.nrows}, got {residual.shape}")
     y = np.zeros(fact.ncols)
-    if fact.rank == 0:
-        return y
     t = apply_q_block(fact, residual, transpose=True)
     y[fact.permutation[:fact.rank]] = sla.solve_triangular(fact.r_block, t)
     return y

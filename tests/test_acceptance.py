@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from opins import krylov
 from opins.driver import OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
-from opins.harness.metrics import relres_full
+from opins.harness import relres_full
 from opins.harness.problems import generate_problem, problem_from_files
 from opins.operators import LinearOperator
 from opins.oracles import nonzero_spectrum, null_basis, pminres_constraint, tsvd_solve

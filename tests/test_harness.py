@@ -8,8 +8,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from opins.driver import OpinsSetup, SaddleSystem
+from opins.harness import relres_full, runner
 from opins.harness.cli import main as cli_main
-from opins.harness.metrics import relres_full
 from opins.harness.mmio import (MatrixMarketError, load_matrix_market, load_vector,
                                 save_matrix_market)
 from opins.harness.problems import ProblemSpec, build_system, generate_problem
@@ -322,6 +322,8 @@ class TestGenerators:
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unexpected"):
             generate_problem("random", seed=0, params={"rank": 3})
+        with pytest.raises(ValueError, match="sigma"):
+            generate_problem("scaled", seed=0, params={})
 
 
 class TestMetrics:
@@ -572,6 +574,30 @@ class TestRunner:
                            a_symmetric=True)
         record = run_case(spec, RunConfig(solver="pgmres", maxit=150))
         assert record.relres_full is not None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_baselines_on_rank_deficient_b(self, seed):
+        # 10 rows of B with rank 6: pgmres builds the constraint
+        # preconditioner on the rows the QRCP keeps and zero-pads y
+        spec = ProblemSpec(name="random-s",
+                           source={"kind": "random-s", "seed": seed,
+                                   "params": {"n": 60, "m": 10, "b_rank": 6}},
+                           declared_singular=True, a_symmetric=True)
+        config = RunConfig(solver="pgmres")
+        record = run_case(spec, config)
+        assert record.status == "converged"
+        assert record.relres_full <= 1e-8
+        # the record has no y; the runner's own case gives it
+        case = runner._make_case(build_system(spec), config, runner._HistoryWriter(None))
+        _, y, _, _ = runner._pgmres_case(case, spec, config)
+        fact = case.setup.fact
+        assert fact.rank == 6
+        assert np.all(y[fact.permutation[fact.rank:]] == 0.0)
+        # the pminres baselines may break down or stall here, the instability
+        # the paper reports, but they end in a status, not an exception
+        for solver in ("pminres-ir0", "pminres-ir1"):
+            assert run_case(spec, RunConfig(solver=solver)).status in (
+                "converged", "breakdown", "max_iterations")
 
     @pytest.mark.parametrize("solver", ["opins", "opins-j", "opins-p"])
     def test_symmetric_opins_variants_converge(self, solver):
