@@ -41,18 +41,26 @@ def ilu0_factor(a):
 
     Returns (L, U) in CSR: L unit lower triangular with its unit diagonal
     stored, U upper triangular, both on A's own pattern (explicit zeros
-    kept).  Raises ``ZeroDivisionError`` naming the row on a structurally
-    missing or exactly zero pivot.
+    kept).  Raises ``ValueError`` on a non-square matrix, and
+    ``ZeroDivisionError`` naming the row on a structurally missing or
+    exactly zero pivot, or on a pivot or entry that overflowed to inf or
+    nan.
 
     The IKJ elimination is level scheduled (Saad, *Iterative Methods for
-    Sparse Linear Systems*, 2nd ed., section 11.6): a row's level is one more
+    Sparse Linear Systems*, 2nd ed., sections 10.3 and 11.6) in two phases.
+    The symbolic phase reads only A's pattern: a row's level is one more
     than the highest level among the rows of its strictly lower pattern, so
-    the rows of one level depend only on finished rows.  Lower entries are
-    eliminated in groups of (row level, position within the row), each group
-    one vectorized gather-divide-scatter.  Every entry receives the same
-    updates in the same order as the row-by-row loop, so the factors are
-    bit-identical to it.
+    the rows of one level depend only on finished rows; each strictly lower
+    entry (i, k) is keyed by (level of row i, position within row i); and
+    every update a_ij -= l_ik u_kj with (k, j) in the pattern is listed as
+    (target position, source position) in one pass.  The numeric phase then
+    walks the groups of equal key, each one vectorized divide and one
+    gather-multiply-scatter: a group holds one entry per row, so its targets
+    are distinct.  Every entry receives the same updates in the same order
+    as the row-by-row IKJ loop, so the factors are bit-identical to it.
     """
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"ilu0: matrix must be square, got shape {a.shape}")
     a = a.tocsr().astype(float)  # a copy, eliminated in place
     a.sum_duplicates()
     n = a.shape[0]
@@ -63,44 +71,53 @@ def ilu0_factor(a):
         missing = np.setdiff1d(np.arange(n), indices[diag_pos])[0]
         raise ZeroDivisionError(f"ilu0: missing diagonal entry in row {missing}")
     nlower = diag_pos - indptr[:-1]
-
-    # rows that use row k in their strictly lower pattern, grouped by k
     strict = np.flatnonzero(indices < rows)
-    used_by = rows[strict[np.argsort(indices[strict], kind="stable")]]
-    used_ptr = np.concatenate(([0], np.cumsum(np.bincount(indices[strict], minlength=n))))
-    waiting = nlower.copy()
-    keys = rows.astype(np.int64)  # row * n + col, sorted as CSR is
-    keys *= n
-    keys += indices
-    front = np.flatnonzero(waiting == 0)
+    lower_rows = rows[strict]
+
+    # the strictly lower entries in elimination order, cut into groups
+    key = _levels(lower_rows, indices[strict], nlower)[lower_rows].astype(np.int64)
+    key *= nlower.max(initial=0)
+    key += strict - indptr[lower_rows]
+    del lower_rows
+    order = np.argsort(key, kind="stable")
+    elim = strict[order]
+    group_ptr = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
+    del key, order
+    pivot = diag_pos[indices[elim]]
+
+    # the updates of each eliminated entry, in the same order: the entry
+    # (i, k) at elim[e] subtracts data[elim[e]] * u_kj from every a_ij right
+    # of it whose (k, j) is in row k's pattern
+    lens = indptr[rows[elim] + 1] - elim - 1
+    target = _ranges(elim + 1, lens)
+    source = np.empty(0, dtype=indices.dtype)
+    if target.size:
+        # position + 1 of each stored entry, so that 0 reads "not stored"
+        where = sp.csr_matrix((np.arange(1, len(indices) + 1, dtype=indices.dtype),
+                               indices, indptr), shape=a.shape)
+        source = np.asarray(where[np.repeat(indices[elim], lens), indices[target]]).ravel()
+        del where
+    # the schedule kept for the numeric phase is intp: NumPy gathers and
+    # scatters through narrower index arrays cast them on every call
+    hit = np.flatnonzero(source)
+    target = target[hit]
+    source = source[hit].astype(np.intp)
+    source -= 1
+    owner = np.repeat(elim, lens)[hit]
+    # the first update of each group: the hits before its first candidate
+    update_ptr = np.searchsorted(hit, np.concatenate(([0], np.cumsum(lens)))[group_ptr])
+    del lens, hit
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while front.size:
-            # the longest lower parts first, so that the rows still
-            # eliminating their p-th lower entry are a prefix of the front
-            front = front[np.argsort(-nlower[front], kind="stable")]
-            for p in range(nlower[front[0]]):
-                r = front[:np.count_nonzero(nlower[front] > p)]
-                pk = indptr[r] + p
-                k = indices[pk]
-                lik = data[pk] / data[diag_pos[k]]
-                data[pk] = lik
-                # subtract lik * row_k from row_i on row_i's own pattern, j > k
-                lens = indptr[r + 1] - pk - 1
-                owner = np.repeat(np.arange(len(r)), lens)
-                pj = _ranges(pk + 1, lens)
-                sought = k[owner].astype(np.int64) * n + indices[pj]
-                q = np.minimum(np.searchsorted(keys, sought), len(keys) - 1)
-                hit = keys[q] == sought
-                data[pj[hit]] -= lik[owner[hit]] * data[q[hit]]
-            # the next front: the rows whose last unfinished dependency was
-            # in this one
-            users, times = np.unique(
-                used_by[_ranges(used_ptr[front], used_ptr[front + 1] - used_ptr[front])],
-                return_counts=True)
-            waiting[users] -= times
-            front = users[waiting[users] == 0]
-    del keys, used_by, used_ptr, waiting
+        for start, stop, ustart, ustop in zip(group_ptr[:-1].tolist(), group_ptr[1:].tolist(),
+                                              update_ptr[:-1].tolist(), update_ptr[1:].tolist()):
+            pk = elim[start:stop]
+            data[pk] = data[pk] / data[pivot[start:stop]]
+            us = slice(ustart, ustop)
+            data[target[us]] -= data[owner[us]] * data[source[us]]
+    del elim, pivot, target, owner, source, group_ptr, update_ptr
     _check_pivots(indices[strict], data, diag_pos)
+    _check_finite(data, rows, diag_pos)
     del strict
 
     in_lower, in_upper = indices <= rows, indices >= rows
@@ -112,6 +129,37 @@ def ilu0_factor(a):
     upper_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr) - nlower)))
     upper = sp.csr_matrix((data[in_upper], indices[in_upper], upper_ptr), shape=a.shape)
     return lower, upper
+
+
+def _levels(lower_rows, lower_cols, nlower):
+    """Each row's level: 0 for a row without strictly lower entries, else one
+    more than the highest level among the rows k of its entries (i, k).
+
+    Kahn's algorithm, one front of rows per level, so the work of a level is
+    proportional to its front and to the entries that use it.
+    """
+    n = len(nlower)
+    # rows that use row k in their strictly lower pattern, grouped by k
+    used_by = lower_rows[np.argsort(lower_cols, kind="stable")].astype(np.intp)
+    used_ptr = np.concatenate(([0], np.cumsum(np.bincount(lower_cols, minlength=n))))
+    used_lo, used_hi = used_ptr[:-1], used_ptr[1:]
+    waiting = nlower.copy()
+    level = np.empty(n, dtype=lower_rows.dtype)
+    front = np.flatnonzero(waiting == 0)
+    depth = 0
+    while front.size:
+        level[front] = depth
+        depth += 1
+        # the next front: the rows whose last unfinished dependency was in
+        # this one, listed once each
+        starts = used_lo[front]
+        users = used_by[_ranges(starts, used_hi[front] - starts)]
+        times = 1
+        if users.size > 1:  # np.unique is the identity on fewer entries
+            users, times = np.unique(users, return_counts=True)
+        waiting[users] -= times
+        front = users[waiting[users] == 0]
+    return level
 
 
 def _ranges(starts, lens):
@@ -134,6 +182,17 @@ def _check_pivots(lower_cols, data, diag_pos):
         zero = np.flatnonzero(pivots == 0.0)
     if zero.size:
         raise ZeroDivisionError(f"ilu0: zero pivot in row {zero[0]}")
+
+
+def _check_finite(data, rows, diag_pos):
+    """Raise on the first row holding an inf or nan, which finite input
+    reaches by overflow; SuperLU would reject such a factor as singular
+    without naming the row."""
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        row = rows[bad[0]]
+        what = "entry" if np.isfinite(data[diag_pos[row]]) else "pivot"
+        raise ZeroDivisionError(f"ilu0: non-finite {what} in row {row}")
 
 
 def build_g(a, kind):

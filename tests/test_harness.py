@@ -687,6 +687,15 @@ class TestCli:
                        "--seed", "1", "--symmetric", "yes", "--solver", "opins"])
         assert rc == 0
 
+    def test_ilu_overflow_exits_with_config_error(self, tmp_path, capsys):
+        # finite A whose ILU(0) pivot in row 1 overflows to -inf
+        a = np.array([[1e-300, 1, 0, 0], [1e300, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+        save_matrix_market(tmp_path / "ovf.mtx", sp.csr_matrix(a))
+        rc = cli_main(["--matrix-a", str(tmp_path / "ovf.mtx"), "--m", "1", "--seed", "1",
+                       "--solver", "opins-ilu", "--symmetric", "no"])
+        assert rc == 2
+        assert "error: ilu0: non-finite pivot in row 1" in capsys.readouterr().err
+
     def test_singular_flag_guard_exits_with_config_error(self, capsys):
         rc = cli_main(["--problem", "random-s", "--seed", "0", "--solver", "opins-j",
                        "--singular", "yes"])

@@ -61,6 +61,26 @@ def random_pattern(seed, n, density, lower=True):
     return sp.csr_matrix(rng.standard_normal((n, n)) * mask + n * np.eye(n))
 
 
+def laplacian_plus_identity(side):
+    """7-point Laplacian on a side**3 grid, plus the identity."""
+    t = sp.diags([-np.ones(side - 1), 2 * np.ones(side), -np.ones(side - 1)], [-1, 0, 1])
+    i = sp.identity(side)
+    return (sp.kron(sp.kron(t, i), i) + sp.kron(sp.kron(i, t), i)
+            + sp.kron(sp.kron(i, i), t) + sp.identity(side ** 3)).tocsr()
+
+
+def scrambled_coo(seed, n):
+    """A COO matrix whose entries are unsorted and partly duplicated."""
+    coo = random_pattern(seed, n, 0.15).tocoo()
+    rng = np.random.default_rng(seed)
+    dup = rng.choice(coo.nnz, coo.nnz // 3, replace=False)
+    row = np.concatenate((coo.row, coo.row[dup]))
+    col = np.concatenate((coo.col, coo.col[dup]))
+    val = np.concatenate((coo.data, rng.standard_normal(len(dup))))
+    perm = rng.permutation(len(row))
+    return sp.coo_matrix((val[perm], (row[perm], col[perm])), shape=coo.shape)
+
+
 def raised(factor, a):
     """The ``ZeroDivisionError`` message ``factor(a)`` raises, or None."""
     try:
@@ -155,6 +175,45 @@ class TestIlu0:
         with pytest.raises(ZeroDivisionError, match="zero pivot in row 1"):
             ilu0_factor(sp.csr_matrix(dense))
 
+    @pytest.mark.parametrize("dense, what", [
+        # l_10 = 1e600 overflows, and so does the pivot 1 - l_10 * 1
+        ([[1e-300, 1, 0, 0], [1e300, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], "pivot"),
+        # no (0, 1) entry: l_10 overflows, the pivot stays 1
+        ([[1e-300, 0, 0], [1e300, 1, 0], [0, 0, 1]], "entry"),
+    ])
+    def test_non_finite_factor_reports_row(self, dense, what):
+        a = sp.csr_matrix(np.array(dense))
+        assert np.isfinite(a.data).all()
+        with pytest.raises(ZeroDivisionError,
+                           match=f"^ilu0: non-finite {what} in row 1$"):
+            ilu0_factor(a)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_non_square_rejected(self, shape):
+        a = sp.csr_matrix(np.eye(*shape) + 1.0)
+        with pytest.raises(ValueError, match=rf"ilu0: .*\({shape[0]}, {shape[1]}\)"):
+            ilu0_factor(a)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_leaves_input_unmodified(self, fmt):
+        a = random_pattern(6, 40, 0.15)
+        # each row's entries in descending column order, which the
+        # factorization must sort in its own copy only
+        rows = np.repeat(np.arange(40), np.diff(a.indptr))
+        desc = np.lexsort((-a.indices, rows))
+        a = sp.csr_matrix((a.data[desc], a.indices[desc], a.indptr),
+                          shape=a.shape).asformat(fmt)
+
+        def stored(m):
+            if m.format == "coo":
+                return [m.data, m.row, m.col]
+            return [m.data, m.indices, m.indptr]
+
+        kept = [x.copy() for x in stored(a)]
+        ilu0_factor(a)
+        for got, want in zip(stored(a), kept):
+            assert np.array_equal(got, want)
+
 
 class TestIlu0MatchesRowByRowLoop:
     @pytest.mark.parametrize("make", [
@@ -165,8 +224,17 @@ class TestIlu0MatchesRowByRowLoop:
         lambda: random_pattern(4, 50, 0.08, lower=False),
         lambda: random_pattern(5, 12, 1.0),  # full pattern
         lambda: _reservoir_standin(0),
+        # one row per level: every group is a single entry
+        lambda: sp.diags([np.ones(199), 4 * np.ones(200), -np.ones(199)],
+                         [-1, 0, 1], format="csr"),
+        # no strictly lower entries, so no groups and no updates
+        lambda: sp.diags(np.arange(1.0, 31.0), format="csr"),
+        lambda: laplacian_plus_identity(6),
+        lambda: _reservoir_standin(0).tocsc(),
+        lambda: scrambled_coo(7, 35),
     ], ids=["random0", "random1", "random2", "upper-rows3", "upper-rows4",
-            "full5", "reservoir-standin"])
+            "full5", "reservoir-standin", "chain200", "diagonal30", "laplacian6",
+            "standin-csc", "coo-duplicates"])
     def test_factors_bit_identical(self, make):
         a = make()
         for got, want in zip(ilu0_factor(a), reference_ilu0(a)):
