@@ -7,9 +7,10 @@ turns such a G into the null-space-restricted operator
     P_G b = Z (Z^T G Z)^{-1} Z^T b,
 
 evaluated without Z through the range-space sequence: solve G r = b, solve
-the small dense block (U^T G^{-1} U) t = U^T r, then solve G s = b - U t.
-The q-by-q block is assembled with q applications of G^{-1} to the columns
-of U and factored once at construction.
+the small dense block (U^T G^{-1} U) t = U^T r, then take s = r - W t with
+W = G^{-1} U.  W is formed once at construction by q G-solves, so an
+application costs one G-solve; on the B_q path, where W is not kept, the
+last step is the G-solve s = G^{-1} (b - U t).
 """
 
 from __future__ import annotations
@@ -231,23 +232,39 @@ def build_g(a, kind):
 
 
 class ProjectedPreconditioner:
-    """P_G as an operator, built from G and the range-basis factorization."""
+    """P_G as an operator, built from G and the range-basis factorization.
+
+    With a formed U, ``apply`` computes r = G^{-1} b, t = S^{-1} U^T r with
+    S = U^T W, and s = r - W t, where W = G^{-1} U is filled by q G-solves
+    at construction and kept (n-by-q, the size of U).  With B_q and R_11 in
+    place of U, W is not kept and ``apply`` ends with the G-solve
+    s = G^{-1} (b - U t).  S is rejected as singular when a pivot of its LU
+    factorization is at most machine epsilon times the largest, a test that
+    does not depend on the scale of G.
+    """
 
     def __init__(self, g_op, fact):
         self.g_op = g_op
         self.fact = fact
         q = fact.rank
-        schur = np.empty((q, q))
-        for i in range(q):
-            coord = np.zeros(q)
-            coord[i] = 1.0
-            col = g_op.solve(apply_q_block(fact, coord))
-            schur[:, i] = apply_q_block(fact, col, transpose=True)
+        self._w = None
+        if fact.u is not None:
+            self._w = np.empty((fact.nrows, q), order="F")
+            for i in range(q):
+                self._w[:, i] = g_op.solve(fact.u[:, i])
+            schur = fact.u.T @ self._w
+        else:
+            schur = np.empty((q, q))
+            for i in range(q):
+                coord = np.zeros(q)
+                coord[i] = 1.0
+                col = g_op.solve(apply_q_block(fact, coord))
+                schur[:, i] = apply_q_block(fact, col, transpose=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
             self._schur_lu = sla.lu_factor(schur, check_finite=True)
         udiag = np.abs(np.diagonal(self._schur_lu[0]))
-        if udiag.size and udiag.min() <= np.finfo(float).eps * max(udiag.max(), 1.0):
+        if udiag.size and udiag.min() <= np.finfo(float).eps * udiag.max():
             raise ValueError("projected preconditioner: singular U^T G^{-1} U block")
 
     def apply(self, b):
@@ -255,4 +272,6 @@ class ProjectedPreconditioner:
         b = np.asarray(b, dtype=float)
         r = self.g_op.solve(b)
         t = sla.lu_solve(self._schur_lu, apply_q_block(self.fact, r, transpose=True))
+        if self._w is not None:
+            return r - self._w @ t
         return self.g_op.solve(b - apply_q_block(self.fact, t))

@@ -338,7 +338,7 @@ class TestPreconditionedEquivalence:
         assert abs(len(captured) - len(dense_iterates)) <= 1
         for w_k, v_k in list(zip(captured, dense_iterates))[:5]:
             assert mismatch(w_k, v_k) <= 1e-10
-        assert mismatch(captured[-1], dense_iterates[len(captured) - 1]) <= 1e-8
+        assert mismatch(captured[-1], dense_iterates[-1]) <= 1e-8
 
     def test_user_operator_g(self):
         system = random_nonsingular(30)

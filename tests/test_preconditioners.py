@@ -6,11 +6,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
+from opins.driver import OpinsOptions, SaddleSystem, opins_solve
 from opins.preconditioners import (InvertibleOperator, ProjectedPreconditioner,
                                    build_g, ilu0_factor)
 from opins.projection import Projector
 from opins.qrcp import qrcp_factor
 from test_acceptance import _reservoir_standin
+from test_qrcp import averaging_b
 
 RANK_TOL = 1e-12
 
@@ -93,6 +95,17 @@ def raised(factor, a):
 def dense_null_basis(b, rank):
     q_full, _, _ = sla.qr(np.asarray(b, float).T, pivoting=True, mode="full")
     return q_full[:, rank:]
+
+
+def counted(g_op):
+    """``g_op`` with its ``solve`` calls counted in the returned list."""
+    calls = []
+
+    def solve(v):
+        calls.append(1)
+        return g_op.solve(v)
+
+    return InvertibleOperator(dim=g_op.dim, solve=solve), calls
 
 
 class TestBuildG:
@@ -357,3 +370,60 @@ class TestProjectedPreconditioner:
         g_op = InvertibleOperator(dim=3, solve=lambda v: np.asarray(v)[perm])
         with pytest.raises(ValueError, match="singular"):
             ProjectedPreconditioner(g_op, fact)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_oracle_for_ilu0_g(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        n, m = 40, 7
+        a = random_pattern(30 + seed, n, 0.15)
+        b = rng.standard_normal((m, n)) / np.sqrt(n)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        lower, upper = ilu0_factor(a)
+        g_dense = (lower @ upper).toarray()
+        z = dense_null_basis(b, fact.rank)
+        v = rng.standard_normal(n)
+        want = z @ np.linalg.solve(z.T @ g_dense @ z, z.T @ v)
+        got = ProjectedPreconditioner(build_g(a, "ilu0"), fact).apply(v)
+        assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+        assert np.linalg.norm(b @ got) <= 1e-14 * np.linalg.norm(b) * np.linalg.norm(got)
+
+    @pytest.mark.parametrize("formed_u, per_apply", [(True, 1), (False, 2)])
+    def test_g_solves_per_application(self, formed_u, per_apply):
+        # with a formed U, W = G^{-1} U is filled by q solves once and each
+        # application needs one solve; with B_q and R_11 W is not kept, and
+        # each application solves twice
+        b = np.random.default_rng(4).standard_normal((5, 24)) if formed_u else averaging_b(0)
+        n = b.shape[1]
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert (fact.u is not None) == formed_u
+        rng = np.random.default_rng(5)
+        g_op, calls = counted(build_g(np.diag(rng.random(n) + 0.5), "jacobi"))
+        pg = ProjectedPreconditioner(g_op, fact)
+        assert len(calls) == fact.rank
+        for k in range(1, 4):
+            pg.apply(rng.standard_normal(n))
+            assert len(calls) == fact.rank + per_apply * k
+
+
+def test_schur_check_is_scale_invariant():
+    """Scaling (A, f) scales G and so U^T G^{-1} U; the singularity test on
+    that block must not depend on the scale.  The stand-in with a dense B
+    under projected ILU(0) keeps its status and step count."""
+    a = _reservoir_standin(seed=0)
+    rng = np.random.default_rng(42)
+    n, m = a.shape[0], 20
+    b = rng.standard_normal((m, n)) / np.sqrt(n)
+    x0 = rng.standard_normal(n)
+    f = a @ x0 + b.T @ rng.standard_normal(m)
+    opts = OpinsOptions(precond="projected", g_kind="ilu0", restart=50, maxit=500)
+
+    def solve(sigma):
+        return opins_solve(SaddleSystem(a=sigma * a, b=b, f=sigma * f, g=b @ x0,
+                                        a_symmetric=False), opts)
+
+    base = solve(1.0)
+    assert base.inner.status == "converged"
+    for sigma in (1e17, 1e-17, 1e100):
+        report = solve(sigma)
+        assert report.inner.status == "converged", f"sigma {sigma}"
+        assert report.inner.iterations == base.inner.iterations, f"sigma {sigma}"
