@@ -49,8 +49,18 @@ def _frobenius_norm(mat):
     return float(np.linalg.norm(np.asarray(mat)))
 
 
+def _real(name, values):
+    """``values`` as an array, rejected unless its entries are real numbers
+    (not complex, strings or objects)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise OpinsError(f"{name} must have real entries, got dtype {values.dtype}")
+    return values
+
+
 def _check_matrix(name, mat):
-    """Reject a block that is not a 2-d array or sparse matrix, or not finite."""
+    """Reject a block that is not a real 2-d array or sparse matrix, or not
+    finite."""
     if sp.issparse(mat):
         values = mat.data
     elif isinstance(mat, np.ndarray):
@@ -60,6 +70,7 @@ def _check_matrix(name, mat):
                          f"got {type(mat).__name__}")
     if mat.ndim != 2:
         raise OpinsError(f"{name} must be 2-d, got shape {mat.shape}")
+    _real(name, values)
     if not np.all(np.isfinite(values)):
         raise OpinsError(f"{name} has non-finite entries")
 
@@ -72,8 +83,8 @@ class SaddleSystem:
     ``a_symmetric`` selects the symmetric inner solver; ``opins_solve``
     probes it once and raises ``OpinsError`` when A is plainly nonsymmetric.
     A and B must be numpy arrays or scipy.sparse matrices; a block of another
-    type, of the wrong shape or with a non-finite entry raises ``OpinsError``
-    naming it.
+    type, of the wrong shape, or with a complex, non-numeric or non-finite
+    entry raises ``OpinsError`` naming it.
     """
 
     a: object
@@ -85,8 +96,8 @@ class SaddleSystem:
     def __post_init__(self):
         _check_matrix("A", self.a)
         _check_matrix("B", self.b)
-        self.f = np.asarray(self.f, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
+        self.f = _real("f", self.f).astype(float, copy=False)
+        self.g = _real("g", self.g).astype(float, copy=False)
         n_a, n_a2 = self.a.shape
         m_b, n_b = self.b.shape
         if n_a != n_a2:
@@ -145,7 +156,9 @@ class OpinsOptions:
     recurrence for symmetric nonsingular problems and to left application
     otherwise.  ``declared_singular`` is caller-supplied problem metadata;
     singularity of the null-space equation is never detected automatically.
-    ``maxit=0`` means 10 * n.  ``rank_tol`` is the numerical-rank threshold of
+    ``maxit=0`` means 10 * n.  Both tolerances must be positive and finite,
+    ``maxit`` at least 0 and ``restart`` at least 1, or construction raises
+    ``OpinsError``.  ``rank_tol`` is the numerical-rank threshold of
     the QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
     factorization comes from it, and its ``rank_tol`` must equal this one.
 
@@ -169,8 +182,12 @@ class OpinsOptions:
     inner_callback: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.solve_tol <= 0:
-            raise OpinsError("tolerances must be positive")
+        if not (0 < self.rank_tol < np.inf and 0 < self.solve_tol < np.inf):
+            raise OpinsError("tolerances must be positive and finite")
+        if self.maxit < 0:
+            raise OpinsError(f"maxit must be at least 0 (0 means 10 n), got {self.maxit}")
+        if self.restart < 1:
+            raise OpinsError(f"restart must be at least 1, got {self.restart}")
         if self.precond not in ("none", "simple", "projected"):
             raise OpinsError(f"unknown precond {self.precond!r}")
         if self.g_kind not in ("identity", "jacobi", "ilu0", "user-operator"):

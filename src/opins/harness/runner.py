@@ -91,8 +91,12 @@ class RunConfig:
             self.solver = name
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
-        if self.tol <= 0 or self.qrcp_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol < np.inf and 0 < self.qrcp_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if self.maxit < 0:
+            raise ValueError(f"maxit must be at least 0 (0 means 10 n), got {self.maxit}")
+        if self.restart < 1:
+            raise ValueError(f"restart must be at least 1, got {self.restart}")
 
 
 class _HistoryWriter:

@@ -21,7 +21,7 @@ Preconditioning contract:
   Lanczos recurrence (the operator supplies an approximate inverse applied
   once per iteration; no symmetric factor is ever formed).
 * ``gmres`` applies the preconditioner from the left to the residuals.
-* ``cg`` uses the standard PCG recurrence and reports indefinite breakdown
+* ``cg`` takes no preconditioner; it reports indefinite breakdown
   (non-positive curvature, or a residual that stops decreasing) as an
   outcome, not an exception.
 """
@@ -299,7 +299,7 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
     return steps.outcome(status, x)
 
 
-def cg(op, b, tol, maxit, precond=None, callback=None):
+def cg(op, b, tol, maxit, callback=None):
     """Conjugate gradients for SPD-restricted operators.
 
     On indefinite operators CG is expected to fail; a non-positive curvature
@@ -311,9 +311,8 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
     if steps.normb == 0.0:
         return steps.outcome(CONVERGED, x)
     r = steps.b.copy()
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     best = np.inf
     flat = 0
     status = MAX_ITERATIONS
@@ -323,7 +322,7 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
         if pap <= 0.0:
             status = BREAKDOWN
             break
-        alpha = rz / pap
+        alpha = rr / pap
         x = x + alpha * p
         r = r - alpha * ap
         relres = np.linalg.norm(r) / steps.normb
@@ -338,9 +337,8 @@ def cg(op, b, tol, maxit, precond=None, callback=None):
         else:
             best = relres
             flat = 0
-        z = precond(r) if precond is not None else r
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
+        rr_new = float(r @ r)
+        beta = rr_new / rr
+        rr = rr_new
+        p = r + beta * p
     return steps.outcome(status, x)

@@ -1,38 +1,38 @@
 """Householder QR with column pivoting for the transposed constraint matrix.
 
-``qrcp_factor`` computes ``B^T P = Q R`` by LAPACK ``geqp3``, which pivots
-greedily on the largest remaining column norm and downdates the norms with
-the Drmac-Bujanovic safeguard (LAPACK Working Note 176); ties go to the
-lowest column index.  The numerical rank ``q`` is the largest ``k`` with
-``|R_kk| > rank_tol * |R_11|``.
+``qrcp_factor`` computes ``B^T P = Q R`` in three steps, the same for dense
+and sparse B^T:
 
-The factorization keeps only what the solve reads: the pivot order, the
-q-by-q triangle R_11, and one of two representations of U, the leading q
-columns of Q (an orthonormal basis of range(B^T)):
+1. B^T's rows (for sparse input only its nonzero rows, densified) are
+   folded ``STREAM_ROWS`` at a time into a running m-by-m triangle R with
+   ``R^T R = B B^T`` by LAPACK ``tpqrt`` (TSQR: Demmel, Grigori, Hoemmen &
+   Langou, SISC 34, 2012).
+2. LAPACK ``geqp3`` pivots on that R: greedily on the largest remaining
+   column norm, with the norms downdated by the Drmac-Bujanovic safeguard
+   (LAPACK Working Note 176) and ties to the lowest column index.
+   ``B^T = Q_1 R`` and ``R P = Q_2 R'`` give ``B^T P = (Q_1 Q_2) R'``, so the
+   pivots, rank and R_11 are those of a pivoted QR of B^T itself; only ties
+   among equal column norms may break otherwise, on rounding.  The
+   numerical rank ``q`` is the largest ``k`` with
+   ``|R_kk| > rank_tol * |R_11|``.
+3. The factorization keeps only what the solve reads: the pivot order, the
+   q-by-q triangle R_11, and one of two representations of U, the leading q
+   columns of Q (an orthonormal basis of range(B^T)):
 
-* U itself, formed once by LAPACK ``orgqr``, so applying U or U^T is one
-  n-by-q matrix-vector product;
-* or, when B^T arrives sparse and the gate below holds, B_q, the q pivoted
-  rows of B, as CSR.  ``U = B_q^T R_11^{-1}`` holds exactly, so U^T v is
-  ``R_11^{-T} (B_q v)`` and U c is ``B_q^T (R_11^{-1} c)``: O(nnz(B_q) + q^2)
-  per product instead of O(n q), and U is never formed.  This is the
-  projector of the seminormal equations (Bjorck, LAA 88/89, 1987).
+   * when B^T arrives sparse and both hold, ``nnz(B_q) + q^2 < n q`` and the
+     LAPACK ``trcon`` estimate of ``kappa_1(R_11)`` is at most
+     ``SEMINORMAL_MAX_COND``, B_q, the q pivoted rows of B, as CSR.
+     ``U = B_q^T R_11^{-1}`` holds exactly, so U^T v is ``R_11^{-T} (B_q v)``
+     and U c is ``B_q^T (R_11^{-1} c)``: O(nnz(B_q) + q^2) per product
+     instead of O(n q), and U is never formed.  This is the projector of
+     the seminormal equations (Bjorck, LAA 88/89, 1987).
+   * otherwise U itself, so applying U or U^T is one n-by-q matrix-vector
+     product.  U and R_11 come from one unpivoted Householder QR (LAPACK
+     ``geqrf``, then ``orgqr`` on its reflectors) of the n-by-q block of the
+     q pivoted columns of B^T, factored in place.
 
-Sparse B^T whose row lengths leave room for ``nnz(B_q) + q^2 < n q`` at some
-q is factored without an n-by-m array.  Its nonzero rows are densified
-``STREAM_ROWS`` at a time and folded into a running m-by-m triangle R by
-LAPACK ``tpqrt`` (TSQR: Demmel, Grigori, Hoemmen & Langou, SISC 34, 2012),
-and ``geqp3`` runs on that R alone.  ``B^T = Q_1 R`` and ``R P = Q_2 R'``
-give ``B^T P = (Q_1 Q_2) R'``, so the pivots, rank and R_11 are those of a
-pivoted QR of B^T; only ties among equal column norms may break otherwise,
-on rounding.  B_q is kept when both hold: it is cheaper,
-``nnz(B_q) + q^2 < n q``, and the LAPACK ``trcon`` estimate of
-``kappa_1(R_11)`` is at most ``SEMINORMAL_MAX_COND``.
-
-Otherwise (dense input, a dense B stored sparse, or a streamed R_11 that
-fails the gate) ``geqp3`` runs on a dense n-by-m working copy of B^T and
-``orgqr`` forms U from its reflectors; the copy is dropped when the
-factorization returns.  The n-by-(n-q) null-space basis is never formed.
+No step holds an n-by-m array beyond the caller's own, and the
+n-by-(n-q) null-space basis is never formed.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dorgqr, dtpqrt, dtrcon
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtpqrt, dtrcon
 
 __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 
@@ -62,12 +62,18 @@ __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 # bound of the acceptance suite; the benchmark's averaging B has kappa ~ 20.
 SEMINORMAL_MAX_COND = 1e4
 
-# Nonzero rows of sparse B^T densified per ``tpqrt`` step: a 1024-by-m block
-# (1.6 MB at m = 200).  On the benchmark's averaging B (m = 200, n = 8000 and
-# 91 125) 512 to 2048 rows took within 20% of each other.
+# Rows of B^T (of sparse B^T, nonzero rows, densified) folded per ``tpqrt``
+# step: a 1024-by-m block (1.6 MB at m = 200).  On the benchmark's averaging
+# B (m = 200, n = 8000 and 91 125) 512 to 2048 rows took within 20% of each
+# other.
 STREAM_ROWS = 1024
-# block size of the compact-WY T factor inside ``tpqrt``
-_TPQRT_NB = 32
+# LAPACK block size.  ``geqrf`` and ``orgqr`` get workspace for blocks of it
+# (with their default workspace both fall back to unblocked, level-2 loops:
+# 1.56 s against 1.10 s at n = 91 125, q = 181).  The compact-WY T factor
+# inside ``tpqrt`` is a quarter of m wide, at most _NB: folding 3312 rows at
+# m = 20, 64 and 100 took 0.12, 1.1 and 2.6 ms against 0.22, 1.6 and 2.7 ms
+# at min(_NB, m) (one BLAS thread)
+_NB = 32
 
 
 @dataclass(frozen=True)
@@ -104,10 +110,10 @@ def qrcp_factor(bt, rank_tol):
     Parameters
     ----------
     bt : array_like or scipy.sparse matrix, shape (n, m)
-        Not modified.  Both arguments are checked before anything is
+        Real; not modified.  Both arguments are checked before anything is
         copied.  With no rows or no columns the rank is 0.  Sparse input
-        that passes the gate in the module docstring is factored in
-        row blocks and keeps B_q instead of forming U.
+        that passes the gate in the module docstring keeps B_q instead of
+        forming U.
     rank_tol : float
         Relative diagonal threshold for the numerical rank (q = 0 for a zero
         matrix).
@@ -118,83 +124,75 @@ def qrcp_factor(bt, rank_tol):
     """
     if not rank_tol > 0:
         raise ValueError("rank_tol must be positive")
-    if sp.issparse(bt):
-        if bt.ndim != 2:
-            raise ValueError("qrcp_factor expects a 2-d matrix")
+    sparse = sp.issparse(bt)
+    if not sparse:
+        bt = np.asarray(bt)
+    if bt.ndim != 2:
+        raise ValueError("qrcp_factor expects a 2-d matrix")
+    if np.iscomplexobj(bt):
+        raise ValueError("qrcp_factor expects real entries")
+    if sparse:
         b = bt.T.tocsr()  # no copy for the CSC transpose of a CSR B
         values = b.data
     else:
-        values = bt = np.asarray(bt, dtype=float)
-        if bt.ndim != 2:
-            raise ValueError("qrcp_factor expects a 2-d matrix")
+        values = bt = bt.astype(float, copy=False)
     if not np.all(np.isfinite(values)):
         raise ValueError("qrcp_factor: non-finite input entries")
     n, m = bt.shape
     if min(n, m) == 0:
         return _empty(n, m, np.arange(m))
-    if sp.issparse(bt):
-        row_nnz = np.diff(b.indptr)
-        # the q shortest rows of B bound nnz(B_q) from below
-        q = np.arange(1, m + 1)
-        if np.any(np.cumsum(np.sort(row_nnz)) + q * q < n * q):
-            fact = _streamed_factor(b, row_nnz, rank_tol)
-            if fact is not None:
-                return fact
-        a = bt.toarray(order="F").astype(float, copy=False)
+    if sparse:
+        rows = bt.tocsr()
+        rows = rows[np.flatnonzero(np.diff(rows.indptr))]  # unknowns B touches
     else:
-        a = np.array(bt, order="F")
-    work, taus, perm, rank = _pivoted_qr(a, rank_tol)
-    lwork = dorgqr(work[:, :rank], taus[:rank], lwork=-1)[1][0]
-    u, _, info = dorgqr(work[:, :rank], taus[:rank], lwork=int(lwork))
+        rows = bt
+    r = np.zeros((m, m), order="F")
+    nb = max(1, min(_NB, m // 4))
+    for start in range(0, rows.shape[0], STREAM_ROWS):
+        block = rows[start:start + STREAM_ROWS]
+        block = block.toarray(order="F") if sparse else np.array(block, order="F")
+        r, _, _, info = dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"tpqrt failed with info={info}")
+    # geqp3 in place on R; q is the leading run of |R'_kk| above the
+    # threshold (none for a zero matrix)
+    (r, _), _, perm = sla.qr(r, mode="raw", pivoting=True, overwrite_a=True,
+                             check_finite=False)
+    diag = np.abs(np.diagonal(r))
+    rank = int(np.cumprod(diag > rank_tol * diag[0]).sum())
+    if rank == 0:
+        return _empty(n, m, perm)
+    cols = perm[:rank]
+    if sparse:
+        b_q = b[cols].astype(float, copy=False)
+        r_block = np.triu(r[:rank, :rank])
+        # 1 / kappa_1(R_11), estimated as 1 / kappa_inf of R_11^T, which is
+        # Fortran-ordered as it stands and so reaches LAPACK without a copy
+        if (b_q.nnz + rank * rank < n * rank
+                and dtrcon(r_block.T, norm="I", uplo="L")[0] >= 1.0 / SEMINORMAL_MAX_COND):
+            return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
+                                           u=None, r_block=r_block, b_q=b_q)
+        a = b_q.T.toarray(order="F")
+    else:
+        a = np.empty((n, rank), order="F")
+        # rows of the C-ordered a^T; mode "clip" writes them in place, where
+        # the default mode fills a temporary and copies it
+        np.take(bt.T, cols, axis=0, out=a.T, mode="clip")
+    a, taus, _, info = dgeqrf(a, lwork=_NB * rank, overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"geqrf failed with info={info}")
+    r_block = np.triu(a[:rank])
+    u, _, info = dorgqr(a, taus, lwork=_NB * rank, overwrite_a=1)
     if info != 0:
         raise ValueError(f"orgqr failed with info={info}")
     return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
-                                   u=u, r_block=np.triu(work[:rank, :rank]))
+                                   u=u, r_block=r_block)
 
 
 def _empty(n, m, perm):
     """Rank 0: an n-by-0 U and a 0-by-0 R_11."""
     return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=0,
                                    u=np.zeros((n, 0)), r_block=np.zeros((0, 0)))
-
-
-def _pivoted_qr(a, rank_tol):
-    """``geqp3`` on ``a`` in place: its reflectors, their scalars, the pivot
-    order and the leading run of diagonal entries above the threshold (none
-    for a zero matrix)."""
-    (work, taus), _, perm = sla.qr(a, mode="raw", pivoting=True,
-                                   overwrite_a=True, check_finite=False)
-    diag = np.abs(np.diagonal(work))
-    return work, taus, perm, int(np.cumprod(diag > rank_tol * diag[0]).sum())
-
-
-def _streamed_factor(b, row_nnz, rank_tol):
-    """Pivoted QR of B^T through its m-by-m R, with ``b`` = B as CSR: the
-    B_q factorization, rank 0, or None when the gate sends the caller to
-    the dense path."""
-    m, n = b.shape
-    rows = b.T.tocsr()
-    rows = rows[np.flatnonzero(np.diff(rows.indptr))]  # unknowns B touches
-    r = np.zeros((m, m), order="F")
-    for start in range(0, rows.shape[0], STREAM_ROWS):
-        block = rows[start:start + STREAM_ROWS].toarray(order="F").astype(float, copy=False)
-        r, _, _, info = dtpqrt(0, min(_TPQRT_NB, m), r, block, overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"tpqrt failed with info={info}")
-    work, _, perm, rank = _pivoted_qr(r, rank_tol)
-    if rank == 0:
-        return _empty(n, m, perm)
-    r_block = np.triu(work[:rank, :rank])
-    # stored entries of the pivoted rows, counted before any slicing
-    if row_nnz[perm[:rank]].sum() + rank * rank >= n * rank:
-        return None
-    # 1 / kappa_1(R_11), estimated as 1 / kappa_inf of R_11^T, which is
-    # Fortran-ordered as it stands and so reaches LAPACK without a copy
-    if dtrcon(r_block.T, norm="I", uplo="L")[0] < 1.0 / SEMINORMAL_MAX_COND:
-        return None
-    return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
-                                   u=None, r_block=r_block,
-                                   b_q=b[perm[:rank]].astype(float, copy=False))
 
 
 def apply_q_block(fact, v, transpose=False):

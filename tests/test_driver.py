@@ -9,6 +9,7 @@ from opins import krylov
 import opins.driver
 from opins.driver import OpinsError, OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
 from opins.driver import _frobenius_norm as frobenius_norm
+from opins.harness.runner import RunConfig
 from opins.operators import LinearOperator
 from opins.preconditioners import InvertibleOperator
 
@@ -169,7 +170,15 @@ class TestIngest:
         ("A", dict(a=np.array([[np.nan, 0.0], [0.0, 1.0]]))),
         ("A", dict(a=sp.csr_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]])))),
         ("f", dict(f=np.array([np.inf, 0.0]))),
-    ], ids=["list-A", "nan-A", "inf-sparse-A", "inf-f"])
+        ("A", dict(a=np.eye(2) * (1 + 1j))),
+        ("A", dict(a=np.array([["1", "0"], ["0", "1"]]))),
+        ("B", dict(b=np.ones((1, 2)) * 1j)),
+        ("B", dict(b=sp.csr_matrix(np.ones((1, 2)) * 1j))),
+        ("f", dict(f=np.array([1.0, 1j]))),
+        ("g", dict(g=np.array([1j]))),
+        ("g", dict(g=np.array(["1"]))),
+    ], ids=["list-A", "nan-A", "inf-sparse-A", "inf-f", "complex-A", "str-A", "complex-B",
+            "complex-sparse-B", "complex-f", "complex-g", "str-g"])
     def test_bad_block_raises_opins_error_naming_it(self, block, kwargs):
         blocks = dict(a=np.eye(2), b=np.ones((1, 2)), f=np.zeros(2), g=np.zeros(1))
         blocks.update(kwargs)
@@ -360,6 +369,20 @@ class TestOptionValidation:
             OpinsOptions(solve_tol=-1.0)
         with pytest.raises(OpinsError):
             OpinsOptions(rank_tol=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(solve_tol=np.inf), dict(solve_tol=np.nan), dict(rank_tol=np.inf),
+        dict(rank_tol=np.nan), dict(restart=0), dict(restart=-1), dict(maxit=-5),
+    ], ids=["inf-solve-tol", "nan-solve-tol", "inf-rank-tol", "nan-rank-tol", "restart-0",
+            "restart-negative", "maxit-negative"])
+    def test_out_of_range_values(self, kwargs):
+        # solve_tol=inf would report converged after 0 steps, restart=-1 fail
+        # inside numpy and maxit=-5 silently mean the automatic cap
+        with pytest.raises(OpinsError):
+            OpinsOptions(**kwargs)
+        renamed = {"solve_tol": "tol", "rank_tol": "qrcp_tol"}
+        with pytest.raises(ValueError):
+            RunConfig(solver="opins", **{renamed.get(k, k): v for k, v in kwargs.items()})
 
     def test_bad_names(self):
         with pytest.raises(OpinsError):

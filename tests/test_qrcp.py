@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrcon
 
 import opins.qrcp as qrcp_module
 from opins.projection import Projector, particular_solution, recover_multipliers
@@ -78,6 +79,10 @@ class TestFactorExamples:
             qrcp_factor(np.ones((3, 2)), 0.0)
         with pytest.raises(ValueError):
             qrcp_factor(np.ones(3), RANK_TOL)
+        with pytest.raises(ValueError, match="real"):
+            qrcp_factor(np.ones((3, 2)) * 1j, RANK_TOL)
+        with pytest.raises(ValueError, match="real"):
+            qrcp_factor(sp.csr_matrix(np.ones((2, 3)) * 1j).T, RANK_TOL)
 
 
 class TestFactorInvariants:
@@ -236,8 +241,10 @@ class TestLapackPathOnSparseDuplicatedRows:
         assert np.abs(built - reference).max() <= 1e-13
 
     def test_apply_q_block_matches_dense_q(self, case):
+        # the tied column norms of this B break on rounding, so the
+        # reference is scipy's QR of the columns the factorization pivoted on
         b, fact, rng = case
-        u = reference_range_basis(b.T, fact.rank)
+        u, _ = sla.qr(b.T.toarray()[:, fact.permutation[:fact.rank]], mode="economic")
         v = rng.standard_normal(fact.nrows)
         c = rng.standard_normal(fact.rank)
         np.testing.assert_allclose(apply_q_block(fact, v, transpose=True), u.T @ v,
@@ -246,11 +253,11 @@ class TestLapackPathOnSparseDuplicatedRows:
                                    rtol=0, atol=1e-14 * np.linalg.norm(c))
 
 
-def near_dependent_b(seed, delta):
+def near_dependent_b(seed, delta, n=300):
     """Sparse averaging B (31 rows) whose last row is row 0 plus ``delta``
     times an averaging row outside the others' span, so kappa(R_11) grows
     like 1/delta."""
-    base = averaging_b(seed, distinct=31, duplicates=0)
+    base = averaging_b(seed, n=n, distinct=31, duplicates=0)
     return sp.vstack([base[:30], base[0] + delta * base[30]]).tocsr()
 
 
@@ -287,6 +294,23 @@ class TestSeminormalGate:
             nrows=fact.nrows, ncols=fact.ncols, permutation=fact.permutation, rank=fact.rank,
             u=None, r_block=fact.r_block, b_q=b[fact.permutation[:fact.rank]]))
         assert purity(b, seminormal, v) > 1e-12
+
+    def test_failed_gate_forms_u_from_the_pivoted_columns_alone(self):
+        # the traced peak stays near the 8 n q bytes of U: no n-by-m copy of
+        # B^T is made and nothing is factored twice
+        b = near_dependent_b(0, 1e-6, n=30_000)
+        tracemalloc.start()
+        try:
+            fact = qrcp_factor(b.T, RANK_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, q = fact.nrows, fact.rank
+        assert q == 31 and fact.u is not None and fact.b_q is None
+        assert dtrcon(fact.r_block, norm="1", uplo="U")[0] < 1e-4  # kappa_1 > 1e4
+        assert peak <= 1.25 * 8 * n * q
+        for v in np.random.default_rng(0).standard_normal((3, n)):
+            assert purity(b, Projector(fact), v) <= 1e-14
 
     @pytest.mark.parametrize("seed", range(3))
     def test_well_conditioned_sparse_b_matches_dense_input(self, seed):
@@ -420,8 +444,9 @@ def assert_matches_dense_input(b, fact):
 
 
 class TestStreamedFactor:
-    """Sparse B^T is factored by folding row blocks of its nonzero rows into
-    an m-by-m R (LAPACK tpqrt) and pivoting on that R."""
+    """B^T, dense or sparse, is factored by folding row blocks (of sparse
+    B^T, of its nonzero rows) into an m-by-m R (LAPACK tpqrt) and pivoting
+    on that R."""
 
     @pytest.fixture
     def tpqrt_calls(self, monkeypatch):
@@ -434,12 +459,20 @@ class TestStreamedFactor:
         monkeypatch.setattr(qrcp_module, "dtpqrt", counted)
         return calls
 
-    def test_dense_b_stored_sparse_is_not_streamed(self, tpqrt_calls):
-        # row lengths n: no q has nnz(B_q) + q^2 < n q, so B^T goes straight
-        # to the dense path
-        b = sp.csr_matrix(np.random.default_rng(7).standard_normal((20, 300)))
-        assert qrcp_factor(b.T, RANK_TOL).u is not None
-        assert tpqrt_calls == []
+    @pytest.mark.parametrize("storage", ["dense", "dense-as-csr", "sparse"])
+    def test_every_input_is_streamed(self, tpqrt_calls, storage):
+        # one path: dense input, a dense B stored as CSR and a sparse B all
+        # reach the pivots through tpqrt, on every row B^T has stored
+        if storage == "sparse":
+            b = scattered_b(7, n=3000, m=20, per_row=6)
+        else:
+            b = sp.csr_matrix(np.random.default_rng(7).standard_normal((20, 3000)))
+        bt = b.toarray().T if storage == "dense" else b.T
+        fact = qrcp_factor(bt, RANK_TOL)
+        assert fact.rank == 20
+        assert (fact.u is None) == (storage == "sparse")
+        assert sum(shape[0] for shape in tpqrt_calls) == np.unique(b.indices).size
+        assert len(tpqrt_calls) == -(-np.unique(b.indices).size // qrcp_module.STREAM_ROWS)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_distinct_row_norms_match_dense_input(self, seed):
