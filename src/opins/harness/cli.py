@@ -101,6 +101,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if (args.problem is None) == (args.matrix_a is None):
         parser.error("specify exactly one of --problem or --matrix-a")
+    if args.problem is not None:
+        for flag in ("matrix_b", "rhs_f", "rhs_g"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag.replace('_', '-')} needs --matrix-a, not --problem")
+    elif args.sigma is not None:
+        parser.error("--sigma scales a generated problem, not --matrix-a")
+    if args.b_rank is not None and args.problem != "random-s":
+        parser.error("--b-rank applies only to --problem random-s")
     spec = spec_from_args(args)
     try:
         config = RunConfig(solver=args.solver, tol=args.tol, qrcp_tol=args.qrcp_tol,

@@ -13,9 +13,11 @@ summary row.  Every row but the projected-space rows of the opins family
 and pcg goes through ``_Case.row``, whose ``relres_x`` is that of
 P (x - x_p), as in the final record.
 
-The two constraint-preconditioned baselines, pminres-ir* and pgmres, share
-``oracles.constraint_preconditioned`` and work on the rows of B that the
-setup's QRCP keeps; the multipliers of the rows pivoted out are zero.
+Every solver reads the setup's one QRCP of B^T.  The two
+constraint-preconditioned baselines, pminres-ir* and pgmres, share
+``oracles.constraint_preconditioned`` and work on the rows of B that it
+keeps; the multipliers of the rows pivoted out are zero.  nullspace-oracle
+takes its rank.
 
 CSV content depends only on (problem, config), so identical inputs give
 bit-identical files; wall time goes to the JSON report only.
@@ -72,7 +74,11 @@ class MetricsRecord:
 
 @dataclass
 class RunConfig:
-    """Solver selection plus tolerances and output paths."""
+    """Solver selection plus tolerances and output paths.
+
+    ``g_kind`` overrides the G of the opins family and of pminres-ir*
+    (identity or jacobi there); the other solvers take none.
+    """
 
     solver: str
     tol: float = 1e-10
@@ -97,6 +103,11 @@ class RunConfig:
             raise ValueError(f"maxit must be at least 0 (0 means 10 n), got {self.maxit}")
         if self.restart < 1:
             raise ValueError(f"restart must be at least 1, got {self.restart}")
+        if self.g_kind is not None and name not in _OPINS_VARIANTS:
+            if not name.startswith("pminres-ir"):
+                raise ValueError(f"solver {name!r} takes no g_kind")
+            if self.g_kind not in ("identity", "jacobi"):
+                raise ValueError("pminres baseline supports g_kind identity or jacobi")
 
 
 class _HistoryWriter:
@@ -197,14 +208,11 @@ def _opins_case(case, spec, config):
 def _pminres_case(case, spec, config):
     system = case.setup.system
     ir_steps = int(config.solver[-1])
-    g_kind = config.g_kind or "identity"
     n = system.n
-    if g_kind == "identity":
-        g_matrix = np.eye(n)
-    elif g_kind == "jacobi":
+    if config.g_kind == "jacobi":
         g_matrix = np.diag(np.abs(np.asarray(system.a.diagonal(), dtype=float)))
     else:
-        raise ValueError("pminres baseline supports g_kind identity or jacobi")
+        g_matrix = np.eye(n)
     rows = _independent_rows(case.setup)
     # the baseline's own x_p solves B x = g by least squares; the setup's
     # agrees to rounding on compatible or full-rank constraints, but whether
@@ -216,10 +224,9 @@ def _pminres_case(case, spec, config):
         case.row(it, x_p + z_k[:n], _pad(system, rows, z_k[n:]),
                  float(np.linalg.norm(system.b @ z_k[:n])))
 
-    outcome, _ = oracles.pminres_constraint(system, g_matrix, ir_steps,
-                                            config.tol, _maxit(config, n),
-                                            callback=case.observer(on_iter),
-                                            rows=rows, x_p=x_p)
+    outcome = oracles.pminres_constraint(system, g_matrix, ir_steps, config.tol,
+                                         _maxit(config, n), rows, x_p,
+                                         callback=case.observer(on_iter))
     return (x_p + outcome.solution[:n], _pad(system, rows, outcome.solution[n:]),
             outcome.status, outcome.iterations)
 
@@ -257,7 +264,7 @@ def _direct_case(case, spec, config):
         z = oracles.tsvd_solve(system.kkt_matrix(), system.rhs_full(), config.qrcp_tol)
         x, y = z[:system.n], z[system.n:]
     else:
-        x, y = oracles.explicit_nullspace_solve(system, rank_tol=config.qrcp_tol)
+        x, y = oracles.explicit_nullspace_solve(system, case.setup.fact.rank)
     case.row(0, x, y, float(np.linalg.norm(system.g - system.b @ x)))
     return x, y, "converged", 0
 

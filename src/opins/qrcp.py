@@ -141,16 +141,16 @@ def qrcp_factor(bt, rank_tol):
     n, m = bt.shape
     if min(n, m) == 0:
         return _empty(n, m, np.arange(m))
+    rows = bt
     if sparse:
-        rows = bt.tocsr()
-        rows = rows[np.flatnonzero(np.diff(rows.indptr))]  # unknowns B touches
-    else:
-        rows = bt
+        # B^T's nonzero rows (the unknowns B touches) as the CSC transpose of
+        # B's CSR, whose blocks densify straight into Fortran order
+        rows = b[:, np.flatnonzero(np.bincount(b.indices, minlength=n))].T
     r = np.zeros((m, m), order="F")
     nb = max(1, min(_NB, m // 4))
     for start in range(0, rows.shape[0], STREAM_ROWS):
         block = rows[start:start + STREAM_ROWS]
-        block = block.toarray(order="F") if sparse else np.array(block, order="F")
+        block = block.toarray() if sparse else np.array(block, order="F")
         r, _, _, info = dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
         if info != 0:
             raise ValueError(f"tpqrt failed with info={info}")

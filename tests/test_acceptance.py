@@ -24,10 +24,11 @@ from opins.driver import OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
 from opins.harness import relres_full
 from opins.harness.problems import generate_problem, problem_from_files
 from opins.operators import LinearOperator
-from opins.oracles import nonzero_spectrum, null_basis, pminres_constraint, tsvd_solve
+from opins.oracles import null_basis, pminres_constraint, tsvd_solve
 from opins.preconditioners import ProjectedPreconditioner, build_g
 from opins.projection import Projector, particular_solution
 from opins.qrcp import qrcp_factor
+from test_oracles import nonzero_spectrum, rows_and_x_p
 
 QRCP_TOL = 1e-12
 SOLVE_TOL = 1e-10
@@ -246,7 +247,7 @@ def test_criterion_04_null_space_purity():
                       callback=lambda it, w, rr: opins_drift.append(
                           np.linalg.norm(system.b @ projector.complement(w))))
         baseline_drift = []
-        pminres_constraint(system, np.eye(system.n), ir_steps=0, tol=SOLVE_TOL, maxit=300,
+        pminres_constraint(system, np.eye(system.n), 0, SOLVE_TOL, 300, *rows_and_x_p(system),
                            callback=lambda it, z, rr: baseline_drift.append(
                                np.linalg.norm(system.b @ z[:system.n])))
         if opins_drift and baseline_drift and max(opins_drift) > 0:

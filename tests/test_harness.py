@@ -1,6 +1,7 @@
 """Harness layer: file ingestion, generators, metrics, runner, CLI."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -380,6 +381,17 @@ class TestMetrics:
         assert OpinsSetup.build(system, RANK_TOL).relres_x(x_n) == np.inf
 
 
+def count_qrcp_calls(monkeypatch):
+    """List that gains one entry per ``qrcp_factor`` call, through every
+    loaded opins module that binds the name."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "opins" and getattr(module, "qrcp_factor", None) is qrcp_factor:
+            monkeypatch.setattr(module, "qrcp_factor",
+                                lambda bt, tol: calls.append(1) or qrcp_factor(bt, tol))
+    return calls
+
+
 class TestRunner:
     def trivial_spec(self, tmp_path):
         save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(np.eye(3)))
@@ -550,14 +562,7 @@ class TestRunner:
 
     @pytest.mark.parametrize("solver", ["pminres-ir0", "pminres-ir1"])
     def test_pminres_factors_b_once(self, solver, monkeypatch, tmp_path):
-        import opins.harness.runner
-        import opins.oracles
-
-        calls = []
-        for owner in (opins.harness.runner, opins.oracles):
-            factor = owner.qrcp_factor
-            monkeypatch.setattr(owner, "qrcp_factor",
-                                lambda bt, tol, factor=factor: calls.append(1) or factor(bt, tol))
+        calls = count_qrcp_calls(monkeypatch)
         spec = ProblemSpec(name="random-s", source={"kind": "random-s", "seed": 8},
                            declared_singular=True, a_symmetric=True)
         path = tmp_path / "h.csv"
@@ -568,6 +573,15 @@ class TestRunner:
         last = path.read_text().splitlines()[-1].split(",")
         assert int(last[0]) == record.iterations
         assert float(last[1]) == record.relres_x
+
+    @pytest.mark.parametrize("solver", runner.SOLVER_NAMES)
+    def test_every_solver_factors_b_once(self, solver, monkeypatch):
+        # the baselines take the rank, rows and x_p of the run's one QRCP
+        calls = count_qrcp_calls(monkeypatch)
+        spec = ProblemSpec(name="random", source={"kind": "random", "seed": 4},
+                           a_symmetric=True)
+        run_case(spec, RunConfig(solver=solver, maxit=30))
+        assert len(calls) == 1
 
     def test_pgmres_runs(self):
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 6},
@@ -644,6 +658,21 @@ class TestRunner:
         with pytest.raises(ValueError, match="unknown solver"):
             RunConfig(solver="sor")
 
+    @pytest.mark.parametrize("solver, g_kind", [
+        ("pcg", "identity"), ("pgmres", "ilu0"), ("tsvd", "jacobi"),
+        ("nullspace-oracle", "identity"), ("pminres-ir1", "ilu0"), ("pminres-ir(2)", "ilu0"),
+    ])
+    def test_g_kind_the_solver_does_not_read_rejected(self, solver, g_kind):
+        with pytest.raises(ValueError, match="g_kind"):
+            RunConfig(solver=solver, g_kind=g_kind)
+
+    @pytest.mark.parametrize("solver, g_kind", [
+        ("pminres-ir0", "identity"), ("pminres-ir1", "jacobi"), ("opins", "ilu0"),
+        ("opins-p", "jacobi"),
+    ])
+    def test_g_kind_the_solver_reads_accepted(self, solver, g_kind):
+        assert RunConfig(solver=solver, g_kind=g_kind).g_kind == g_kind
+
     def test_concurrent_runs_match_serial(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -718,6 +747,26 @@ class TestCli:
             cli_main(["--problem", kind, "--solver", "opins"])
         assert exc.value.code == 2
         assert "--problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--problem", "random", "--matrix-b", "/nonexistent.mtx"],
+        ["--problem", "random", "--rhs-f", "f.mtx"],
+        ["--problem", "random-s", "--rhs-g", "g.mtx"],
+        ["--matrix-a", "A.mtx", "--sigma", "1e10"],
+        ["--problem", "random", "--b-rank", "10"],
+        ["--matrix-a", "A.mtx", "--b-rank", "10"],
+    ], ids=["matrix-b", "rhs-f", "rhs-g", "sigma-with-file", "b-rank-random",
+            "b-rank-file"])
+    def test_option_the_source_ignores_exits_with_config_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--solver", "opins"])
+        assert exc.value.code == 2
+        assert argv[2] in capsys.readouterr().err
+
+    def test_g_kind_the_solver_ignores_exits_with_config_error(self, capsys):
+        rc = cli_main(["--problem", "random-s", "--solver", "pgmres", "--g-kind", "ilu0"])
+        assert rc == 2
+        assert "g_kind" in capsys.readouterr().err
 
     def test_scaled_problem_flag(self, capsys):
         rc = cli_main(["--problem", "random-s", "--seed", "0", "--sigma", "1e10",

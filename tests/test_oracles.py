@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from opins.driver import SaddleSystem
-from opins.oracles import (dense_kkt_solve, explicit_nullspace_solve, nonzero_spectrum,
-                           null_basis, pminres_constraint, tsvd_solve)
+from opins.oracles import explicit_nullspace_solve, null_basis, pminres_constraint, tsvd_solve
 from opins.projection import Projector
 from opins.qrcp import qrcp_factor
 
@@ -19,12 +18,46 @@ def random_system(seed, n=10, m=3, spd_shift=0.0):
                         g=rng.standard_normal(m), a_symmetric=True)
 
 
+def rows_and_x_p(system):
+    """The independent rows of B, sorted, from a QRCP of B^T, and x_p from a
+    least-squares solve of B x = g: what ``run_case`` hands the baselines.
+    The rank is ``len(rows)``."""
+    b = np.asarray(system.b, dtype=float)
+    fact = qrcp_factor(b.T, 1e-12)
+    x_p, *_ = np.linalg.lstsq(b, system.g, rcond=None)
+    return np.sort(fact.permutation[:fact.rank]), x_p
+
+
+def dense_kkt_solve(sys):
+    """LU solve of the assembled KKT system; errors if singular.
+
+    Returns (x, y).  Verification oracle for unique-solution recovery.
+    """
+    k = sys.kkt_matrix()
+    rhs = sys.rhs_full()
+    cond = np.linalg.cond(k)
+    if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
+        raise np.linalg.LinAlgError("KKT matrix is singular to working precision")
+    z = np.linalg.solve(k, rhs)
+    return z[:sys.n], z[sys.n:]
+
+
+def nonzero_spectrum(op_dense, zero_tol):
+    """Sorted eigenvalues of a symmetric dense matrix above the zero cutoff."""
+    mat = np.asarray(op_dense, dtype=float)
+    vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    if vals.size == 0:
+        return vals
+    cutoff = zero_tol * np.abs(vals).max()
+    return np.sort(vals[np.abs(vals) > cutoff])
+
+
 class TestNullBasis:
     @pytest.mark.parametrize("seed", range(3))
     def test_annihilation_and_orthonormality(self, seed):
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((4, 20))
-        z = null_basis(b)
+        z = null_basis(b, qrcp_factor(b.T, 1e-12).rank)
         assert z.shape == (20, 16)
         assert np.abs(b @ z).max() <= 1e-12 * np.linalg.norm(b)
         assert np.abs(z.T @ z - np.eye(16)).max() <= 1e-12
@@ -34,7 +67,7 @@ class TestNullBasis:
         b = rng.standard_normal((5, 24))
         fact = qrcp_factor(b.T, 1e-12)
         u = fact.u
-        z = null_basis(b, rank=fact.rank)
+        z = null_basis(b, fact.rank)
         full = np.hstack([u, z])
         assert np.abs(full.T @ full - np.eye(24)).max() <= 1e-12
 
@@ -42,7 +75,7 @@ class TestNullBasis:
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((2, 12))
         b = np.vstack([rows, rows[1] * 2.0])
-        z = null_basis(b)
+        z = null_basis(b, qrcp_factor(b.T, 1e-12).rank)
         assert z.shape == (12, 10)
         assert np.abs(b @ z).max() <= 1e-12 * np.linalg.norm(b)
 
@@ -52,14 +85,14 @@ class TestExplicitNullspace:
         system = SaddleSystem(a=np.eye(3), b=np.array([[1.0, 0.0, 0.0]]),
                               f=np.array([5.0, 0.0, 0.0]), g=np.array([2.0]),
                               a_symmetric=True)
-        x, y = explicit_nullspace_solve(system)
+        x, y = explicit_nullspace_solve(system, qrcp_factor(system.b.T, 1e-12).rank)
         np.testing.assert_allclose(x, [2.0, 0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(y, [3.0], atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_kkt(self, seed):
         system = random_system(seed)
-        x1, y1 = explicit_nullspace_solve(system)
+        x1, y1 = explicit_nullspace_solve(system, qrcp_factor(system.b.T, 1e-12).rank)
         x2, y2 = dense_kkt_solve(system)
         np.testing.assert_allclose(x1, x2, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(y1, y2, rtol=1e-10, atol=1e-10)
@@ -68,7 +101,7 @@ class TestExplicitNullspace:
     def test_agrees_with_projected_driver(self, seed):
         from opins.driver import OpinsOptions, opins_solve
         system = random_system(seed + 30)
-        x_oracle, y_oracle = explicit_nullspace_solve(system)
+        x_oracle, y_oracle = explicit_nullspace_solve(system, qrcp_factor(system.b.T, 1e-12).rank)
         report = opins_solve(system, OpinsOptions(solve_tol=1e-12))
         assert report.converged
         assert np.linalg.norm(report.x - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
@@ -82,7 +115,7 @@ class TestExplicitNullspace:
         g = rng.standard_normal(n)
         system = SaddleSystem(a=a, b=b, f=rng.standard_normal(n), g=g,
                               a_symmetric=True)
-        x, _ = explicit_nullspace_solve(system)
+        x, _ = explicit_nullspace_solve(system, qrcp_factor(system.b.T, 1e-12).rank)
         np.testing.assert_allclose(x, np.linalg.solve(b, g), rtol=1e-10, atol=1e-12)
 
     def test_singular_reduced_matrix_raises(self):
@@ -93,7 +126,7 @@ class TestExplicitNullspace:
         system = SaddleSystem(a=a, b=rng.standard_normal((m, n)),
                               f=np.zeros(n), g=np.zeros(m), a_symmetric=True)
         with pytest.raises(np.linalg.LinAlgError):
-            explicit_nullspace_solve(system)
+            explicit_nullspace_solve(system, qrcp_factor(system.b.T, 1e-12).rank)
 
 
 class TestTsvd:
@@ -149,7 +182,7 @@ class TestNonzeroSpectrum:
         projector = Projector(fact)
         pns = np.column_stack([projector.complement(a @ projector.complement(np.eye(n)[:, i]))
                                for i in range(n)])
-        z = null_basis(b, rank=fact.rank)
+        z = null_basis(b, fact.rank)
         reduced = z.T @ a @ z
         ev1 = nonzero_spectrum(pns, 1e-9)
         ev2 = np.sort(np.linalg.eigvalsh(reduced))
@@ -160,24 +193,22 @@ class TestPminresConstraint:
     def test_exact_preconditioner_converges_immediately(self):
         system = random_system(20, n=12, m=3, spd_shift=12.0)
         a_dense = np.asarray(system.a, dtype=float)
-        outcome, x_p = pminres_constraint(system, a_dense, ir_steps=0,
-                                          tol=1e-10, maxit=50)
+        outcome = pminres_constraint(system, a_dense, 0, 1e-10, 50, *rows_and_x_p(system))
         assert outcome.converged
         assert outcome.iterations <= 3
 
     def test_callback_sees_each_history_record(self):
         system = random_system(21, n=16, m=4)
         seen = []
-        outcome, _ = pminres_constraint(system, np.eye(16), ir_steps=0,
-                                        tol=1e-10, maxit=120,
-                                        callback=lambda it, z, rr: seen.append((it, z.shape)))
+        outcome = pminres_constraint(system, np.eye(16), 0, 1e-10, 120, *rows_and_x_p(system),
+                                     callback=lambda it, z, rr: seen.append((it, z.shape)))
         assert outcome.history
         assert seen == [(rec.iter, outcome.solution.shape) for rec in outcome.history]
 
     def test_solution_solves_modified_system(self):
         system = random_system(22, n=14, m=3, spd_shift=14.0)
-        outcome, x_p = pminres_constraint(system, np.eye(14), ir_steps=1,
-                                          tol=1e-10, maxit=300)
+        rows, x_p = rows_and_x_p(system)
+        outcome = pminres_constraint(system, np.eye(14), 1, 1e-10, 300, rows, x_p)
         assert outcome.converged
         x = x_p + outcome.solution[:14]
         y = outcome.solution[14:]
@@ -199,8 +230,8 @@ class TestPminresConstraint:
         assert report.converged
         assert setup.relres_x(report.x_n) <= 1e-10
 
-        outcome, x_p_base = pminres_constraint(system, np.eye(system.n),
-                                               ir_steps=0, tol=1e-10, maxit=2000)
+        rows, x_p_base = rows_and_x_p(system)
+        outcome = pminres_constraint(system, np.eye(system.n), 0, 1e-10, 2000, rows, x_p_base)
         x_base = x_p_base + outcome.solution[:system.n]
         base_rx = setup.relres_x(setup.projector.complement(x_base - setup.x_p))
         assert not outcome.converged
@@ -216,8 +247,8 @@ class TestPminresConstraint:
         x_true = rng.standard_normal(n)
         system = SaddleSystem(a=a, b=b, f=rng.standard_normal(n), g=b @ x_true,
                               a_symmetric=True)
-        outcome, x_p = pminres_constraint(system, np.eye(n), ir_steps=1,
-                                          tol=1e-10, maxit=200)
+        kept, x_p = rows_and_x_p(system)
+        outcome = pminres_constraint(system, np.eye(n), 1, 1e-10, 200, kept, x_p)
         # duplicate constraint row dropped: unknowns are (x_n, y_reduced)
         assert outcome.solution.shape == (n + 2,)
         # the baseline is allowed to stall early (that is the phenomenon the
