@@ -50,17 +50,19 @@ def _frobenius_norm(mat):
 
 
 def _real(name, values):
-    """``values`` as an array, rejected unless its entries are real numbers
-    (not complex, strings or objects)."""
+    """``values`` as an array, rejected unless its entries are finite real
+    numbers (not complex, strings or objects)."""
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         raise OpinsError(f"{name} must have real entries, got dtype {values.dtype}")
+    if not np.all(np.isfinite(values)):
+        raise OpinsError(f"{name} has non-finite entries")
     return values
 
 
 def _check_matrix(name, mat):
-    """Reject a block that is not a real 2-d array or sparse matrix, or not
-    finite."""
+    """Reject a block that is not a real, finite 2-d array or sparse
+    matrix."""
     if sp.issparse(mat):
         values = mat.data
     elif isinstance(mat, np.ndarray):
@@ -71,8 +73,6 @@ def _check_matrix(name, mat):
     if mat.ndim != 2:
         raise OpinsError(f"{name} must be 2-d, got shape {mat.shape}")
     _real(name, values)
-    if not np.all(np.isfinite(values)):
-        raise OpinsError(f"{name} has non-finite entries")
 
 
 @dataclass
@@ -108,9 +108,6 @@ class SaddleSystem:
             raise OpinsError(f"f has shape {self.f.shape}, expected ({n_a},)")
         if self.g.shape != (m_b,):
             raise OpinsError(f"g has shape {self.g.shape}, expected ({m_b},)")
-        for name, vec in (("f", self.f), ("g", self.g)):
-            if not np.all(np.isfinite(vec)):
-                raise OpinsError(f"{name} has non-finite entries")
 
     @property
     def n(self):
@@ -124,11 +121,7 @@ class SaddleSystem:
         """Dense assembled KKT matrix (oracle/metric use only)."""
         a = self.a.toarray() if sp.issparse(self.a) else np.asarray(self.a, float)
         b = self.b.toarray() if sp.issparse(self.b) else np.asarray(self.b, float)
-        k = np.zeros((self.n + self.m, self.n + self.m))
-        k[:self.n, :self.n] = a
-        k[:self.n, self.n:] = b.T
-        k[self.n:, :self.n] = b
-        return k
+        return np.block([[a, b.T], [b, np.zeros((self.m, self.m))]])
 
     def rhs_full(self):
         return np.concatenate([self.f, self.g])
@@ -148,18 +141,21 @@ def relres_full(sys, x, y):
 
 @dataclass
 class OpinsOptions:
-    """Solver configuration.
+    """Solver configuration; construction raises ``OpinsError`` on a value
+    outside these rules.
 
     ``precond`` is one of ``none``, ``simple`` (G^{-1} directly), or
-    ``projected`` (P_G).  ``g_kind`` picks the G builder; ``user-operator``
-    takes ``g_op``.  ``precond_side='auto'`` resolves to the symmetric
-    recurrence for symmetric nonsingular problems and to left application
-    otherwise.  ``declared_singular`` is caller-supplied problem metadata;
-    singularity of the null-space equation is never detected automatically.
-    ``maxit=0`` means 10 * n.  Both tolerances must be positive and finite,
-    ``maxit`` at least 0 and ``restart`` at least 1, or construction raises
-    ``OpinsError``.  ``rank_tol`` is the numerical-rank threshold of
-    the QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
+    ``projected`` (P_G).  Only a preconditioner reads ``g_kind`` (one of
+    ``identity``, ``jacobi``, ``ilu0`` or ``user-operator``, given exactly
+    with ``g_op``) and ``precond_side`` (``auto``, ``left`` or ``symmetric``;
+    ``auto`` resolves to the symmetric recurrence for symmetric nonsingular
+    problems and to left application otherwise), so ``precond='none'`` keeps
+    both at their defaults.  ``declared_singular`` is caller-supplied
+    problem metadata; singularity of the null-space equation is never
+    detected automatically.  Both tolerances must be positive and finite,
+    ``maxit`` at least 0 (0 means 10 * n) and ``restart`` (read by GMRES
+    only) at least 1.  ``rank_tol`` is the numerical-rank threshold of the
+    QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
     factorization comes from it, and its ``rank_tol`` must equal this one.
 
     ``inner_callback(it, w_k, true_relres)``, when set, sees every inner
@@ -194,6 +190,17 @@ class OpinsOptions:
             raise OpinsError(f"unknown g_kind {self.g_kind!r}")
         if self.precond_side not in ("auto", "left", "symmetric"):
             raise OpinsError(f"unknown precond_side {self.precond_side!r}")
+        if (self.g_op is None) == (self.g_kind == "user-operator"):
+            raise OpinsError("g_kind='user-operator' requires g_op" if self.g_op is None else
+                             f"g_op is read only with g_kind='user-operator', not {self.g_kind!r}")
+        for name in ("g_kind", "precond_side"):
+            value = getattr(self, name)
+            if self.precond == "none" and value != getattr(OpinsOptions, name):
+                raise OpinsError(f"precond='none' reads no {name}, got {value!r}")
+
+    def iteration_cap(self, dim):
+        """``maxit``, or 10 * max(``dim``, 1) when it is 0."""
+        return self.maxit if self.maxit > 0 else 10 * max(dim, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,12 +290,7 @@ def _resolve_side(sys, opts):
         return None
     side = opts.precond_side
     if side == "auto":
-        if opts.declared_singular:
-            side = "left"
-        elif sys.a_symmetric:
-            side = "symmetric"
-        else:
-            side = "left"
+        side = "symmetric" if sys.a_symmetric and not opts.declared_singular else "left"
     if opts.declared_singular:
         if opts.precond == "simple":
             raise OpinsError(
@@ -307,12 +309,7 @@ def _resolve_side(sys, opts):
 def _build_precond(sys, opts, fact):
     if opts.precond == "none":
         return None
-    if opts.g_kind == "user-operator":
-        if opts.g_op is None:
-            raise OpinsError("g_kind='user-operator' requires g_op")
-        g_op = opts.g_op
-    else:
-        g_op = build_g(sys.a, opts.g_kind)
+    g_op = opts.g_op if opts.g_op is not None else build_g(sys.a, opts.g_kind)
     apply = g_op.solve if opts.precond == "simple" else ProjectedPreconditioner(g_op, fact).apply
     return LinearOperator(dim=sys.n, apply=apply)
 
@@ -335,7 +332,7 @@ def opins_solve(sys, opts=None):
     if setup is not None and setup.rank_tol != opts.rank_tol:
         raise OpinsError(f"setup has rank_tol={setup.rank_tol!r}, options have {opts.rank_tol!r}")
     sys = setup.system if setup is not None else sys
-    maxit = opts.maxit if opts.maxit > 0 else 10 * max(sys.n, 1)
+    maxit = opts.iteration_cap(sys.n)
     side = _resolve_side(sys, opts)
     if sys.a_symmetric:
         _check_declared_symmetry(sys.a)

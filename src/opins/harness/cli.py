@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from argparse import SUPPRESS
 
 import numpy as np
 
-from .problems import GENERATOR_KINDS, ProblemSpec
+from .problems import A_RANK, GENERATOR_KINDS, M, N, ProblemSpec
 from .runner import SOLVER_NAMES, RunConfig, run_case
 
 
@@ -26,6 +27,7 @@ _PROBLEMS = tuple(kind for kind in GENERATOR_KINDS if kind != "scaled")
 
 
 def build_parser():
+    # settings not given stay absent (SUPPRESS): RunConfig and the generators default them
     parser = argparse.ArgumentParser(
         prog="opins-run",
         description="Solve a saddle-point test problem and report residual metrics.")
@@ -37,11 +39,11 @@ def build_parser():
     src.add_argument("--rhs-f", metavar="PATH", help="Matrix Market vector f")
     src.add_argument("--rhs-g", metavar="PATH", help="Matrix Market vector g")
     src.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    src.add_argument("--n", type=int, default=100, help="generated problem size")
-    src.add_argument("--m", type=int, default=20, help="number of constraints")
-    src.add_argument("--a-rank", type=int, default=50,
-                     help="rank of A for random-s (default 50)")
-    src.add_argument("--b-rank", type=int, default=None,
+    src.add_argument("--n", type=int, default=SUPPRESS, help=f"generated size (default {N})")
+    src.add_argument("--m", type=int, default=SUPPRESS, help=f"generated rows of B (default {M})")
+    src.add_argument("--a-rank", type=int, default=SUPPRESS,
+                     help=f"rank of A for random-s (default {A_RANK})")
+    src.add_argument("--b-rank", type=int, default=SUPPRESS,
                      help="row rank of B for random-s (default full)")
     src.add_argument("--sigma", type=float, default=None,
                      help="scale factor: wraps the generated problem as scaled(sigma)")
@@ -53,14 +55,19 @@ def build_parser():
     run = parser.add_argument_group("solver")
     run.add_argument("--solver", required=True,
                      help=f"one of {', '.join(SOLVER_NAMES)} (pminres-ir(k) accepted)")
-    run.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance")
-    run.add_argument("--qrcp-tol", type=float, default=1e-12, help="rank tolerance")
-    run.add_argument("--maxit", type=int, default=0, help="iteration cap (0 = auto)")
-    run.add_argument("--restart", type=int, default=50, help="GMRES restart length")
-    run.add_argument("--precond-side", choices=("auto", "left", "symmetric"),
-                     default="auto")
-    run.add_argument("--g-kind", choices=("identity", "jacobi", "ilu0"), default=None,
-                     help="override the G builder for the chosen solver")
+    run.add_argument("--tol", type=float, default=SUPPRESS,
+                     help=f"convergence tolerance (default {RunConfig.tol:g})")
+    run.add_argument("--qrcp-tol", type=float, default=SUPPRESS,
+                     help=f"rank tolerance (default {RunConfig.qrcp_tol:g})")
+    run.add_argument("--maxit", type=int, default=SUPPRESS,
+                     help=f"iteration cap (default {RunConfig.maxit}: 10 n)")
+    run.add_argument("--restart", type=int, default=SUPPRESS,
+                     help=f"GMRES restart length (default {RunConfig.restart})")
+    run.add_argument("--precond-side", default=SUPPRESS,
+                     help="auto, left or symmetric, for opins-j, -p and -ilu "
+                          f"(default {RunConfig.precond_side})")
+    run.add_argument("--g-kind", default=SUPPRESS,
+                     help="identity, jacobi or ilu0: the G of opins-j, -p, -ilu or pminres-ir*")
 
     out = parser.add_argument_group("output")
     out.add_argument("--history", metavar="PATH.csv", help="per-iteration history CSV")
@@ -68,32 +75,24 @@ def build_parser():
     return parser
 
 
+def _given(args, *names):
+    """The options among ``names`` that the command line gives."""
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
 def spec_from_args(args):
-    declared_singular = args.singular == "yes"
     if args.matrix_a is not None:
-        symmetric = args.symmetric == "yes"
-        return ProblemSpec(
-            name=args.matrix_a,
-            source={"path_a": args.matrix_a, "path_b": args.matrix_b,
-                    "path_f": args.rhs_f, "path_g": args.rhs_g,
-                    "m": args.m, "seed": args.seed},
-            declared_singular=declared_singular,
-            a_symmetric=symmetric)
-    params = {"n": args.n, "m": args.m}
-    kind = args.problem
-    if kind == "random-s":
-        params["a_rank"] = args.a_rank
-        if args.b_rank is not None:
-            params["b_rank"] = args.b_rank
-    if args.sigma is not None:
-        params = {"sigma": args.sigma, "base": (kind, params)}
-        kind = "scaled"
-    symmetric = (args.symmetric == "yes") if args.symmetric is not None else True
-    return ProblemSpec(
-        name=f"{args.problem}(seed={args.seed})",
-        source={"kind": kind, "seed": args.seed, "params": params},
-        declared_singular=declared_singular,
-        a_symmetric=symmetric)
+        name, symmetric = args.matrix_a, args.symmetric == "yes"
+        source = {"path_a": args.matrix_a, "path_b": args.matrix_b, "path_f": args.rhs_f,
+                  "path_g": args.rhs_g, "seed": args.seed, **_given(args, "m")}
+    else:
+        name, symmetric = f"{args.problem}(seed={args.seed})", args.symmetric != "no"
+        kind, params = args.problem, _given(args, "n", "m", "a_rank", "b_rank")
+        if args.sigma is not None:
+            kind, params = "scaled", {"sigma": args.sigma, "base": (kind, params)}
+        source = {"kind": kind, "seed": args.seed, "params": params}
+    return ProblemSpec(name=name, source=source, declared_singular=args.singular == "yes",
+                       a_symmetric=symmetric)
 
 
 def main(argv=None):
@@ -107,14 +106,19 @@ def main(argv=None):
                 parser.error(f"--{flag.replace('_', '-')} needs --matrix-a, not --problem")
     elif args.sigma is not None:
         parser.error("--sigma scales a generated problem, not --matrix-a")
-    if args.b_rank is not None and args.problem != "random-s":
-        parser.error("--b-rank applies only to --problem random-s")
+    elif _given(args, "n"):
+        parser.error("--n sizes a generated problem, not --matrix-a")
+    elif _given(args, "m") and args.matrix_b is not None:
+        parser.error("--m sizes a generated B, not --matrix-b")
+    for flag in _given(args, "a_rank", "b_rank"):
+        if args.problem != "random-s":
+            parser.error(f"--{flag.replace('_', '-')} applies only to --problem random-s")
     spec = spec_from_args(args)
     try:
-        config = RunConfig(solver=args.solver, tol=args.tol, qrcp_tol=args.qrcp_tol,
-                           maxit=args.maxit, restart=args.restart,
-                           precond_side=args.precond_side, g_kind=args.g_kind,
-                           history_path=args.history, report_path=args.report)
+        config = RunConfig(solver=args.solver, history_path=args.history,
+                           report_path=args.report,
+                           **_given(args, "tol", "qrcp_tol", "maxit", "restart",
+                                    "precond_side", "g_kind"))
         record = run_case(spec, config)
     except (ValueError, ZeroDivisionError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

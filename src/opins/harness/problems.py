@@ -28,10 +28,16 @@ __all__ = ["ProblemSpec", "generate_problem", "problem_from_files", "build_syste
 
 GENERATOR_KINDS = ("random", "random-s", "scaled")
 
+# defaults: a generated n and m (m also sizes a file problem's B), random-s's rank of A
+N, M, A_RANK = 100, 20, 50
+
 
 @dataclass
 class ProblemSpec:
-    """A named test case: either file paths or a registered generator."""
+    """A named test case: either file paths (``path_a`` with the other
+    parameters of ``problem_from_files``) or a registered generator
+    (``kind``, ``seed``, ``params``).  A source key nothing reads, such as
+    ``m`` beside a ``path_b``, raises ``ValueError``."""
 
     name: str
     source: dict = field(default_factory=dict)
@@ -39,54 +45,27 @@ class ProblemSpec:
     a_symmetric: bool = False
 
     def __post_init__(self):
-        kind = self.source.get("kind")
-        if "path_a" not in self.source and kind not in GENERATOR_KINDS:
+        src, kind = self.source, self.source.get("kind")
+        if "path_a" not in src and kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
+        read = {"kind", "seed", "params"}
+        if "path_a" in src:
+            read = {"path_a", "path_b", "path_f", "path_g", "seed"}
+            if src.get("path_b") is None:
+                read.add("m")  # m sizes a generated B
+        if set(src) - read:
+            raise ValueError(f"source keys nothing reads: {sorted(set(src) - read)}")
 
 
 def generate_problem(kind, seed, params=None):
     """Build a SaddleSystem from a registered generator.
 
-    ``params`` accepts ``n``, ``m``, plus per-kind extras: ``a_rank`` and
-    ``b_rank`` for ``random-s``; ``sigma`` and ``base`` (a nested
-    ``(kind, params)`` pair) for ``scaled``.
+    ``params`` accepts ``n`` (default ``N``), ``m`` (default ``M``), plus
+    per-kind extras: ``a_rank`` (default ``A_RANK``) and ``b_rank`` (default
+    m) for ``random-s``; ``sigma`` and ``base`` (a nested ``(kind, params)``
+    pair) for ``scaled``.
     """
     params = dict(params or {})
-    if kind == "random":
-        n = int(params.pop("n", 100))
-        m = int(params.pop("m", 20))
-        if params:
-            raise ValueError(f"unexpected params {sorted(params)}")
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n, n))
-        a = (raw + raw.T) / 2.0
-        b = rng.standard_normal((m, n)) / np.sqrt(n)
-        f = rng.standard_normal(n)
-        g = rng.standard_normal(m)
-        return SaddleSystem(a=a, b=b, f=f, g=g, a_symmetric=True)
-    if kind == "random-s":
-        n = int(params.pop("n", 100))
-        m = int(params.pop("m", 20))
-        a_rank = int(params.pop("a_rank", 50))
-        b_rank = int(params.pop("b_rank", m))
-        if params:
-            raise ValueError(f"unexpected params {sorted(params)}")
-        if not 0 < b_rank <= m:
-            raise ValueError("b_rank must be in 1..m")
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal((n, a_rank))
-        a = c @ c.T
-        b_rows = rng.standard_normal((b_rank, n)) / np.sqrt(n)
-        if b_rank < m:
-            copies = b_rows[rng.integers(0, b_rank, size=m - b_rank)]
-            b = np.vstack([b_rows, copies])
-        else:
-            b = b_rows
-        x0 = rng.standard_normal(n)
-        y0 = rng.standard_normal(m)
-        f = a @ x0 + b.T @ y0
-        g = b @ rng.standard_normal(n)
-        return SaddleSystem(a=a, b=b, f=f, g=g, a_symmetric=True)
     if kind == "scaled":
         if "sigma" not in params:
             raise ValueError("scaled generator needs params['sigma']")
@@ -97,11 +76,39 @@ def generate_problem(kind, seed, params=None):
         base = generate_problem(base_kind, seed, base_params)
         return SaddleSystem(a=sigma * base.a, b=base.b, f=sigma * base.f,
                             g=base.g, a_symmetric=base.a_symmetric)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    n = int(params.pop("n", N))
+    m = int(params.pop("m", M))
+    if kind == "random-s":
+        a_rank = int(params.pop("a_rank", A_RANK))
+        b_rank = int(params.pop("b_rank", m))
+    if params:
+        raise ValueError(f"unexpected params {sorted(params)}")
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        raw = rng.standard_normal((n, n))
+        a = (raw + raw.T) / 2.0
+        b = rng.standard_normal((m, n)) / np.sqrt(n)
+        return SaddleSystem(a=a, b=b, f=rng.standard_normal(n), g=rng.standard_normal(m),
+                            a_symmetric=True)
+    if not 0 < b_rank <= m:
+        raise ValueError("b_rank must be in 1..m")
+    c = rng.standard_normal((n, a_rank))
+    a = c @ c.T
+    b_rows = rng.standard_normal((b_rank, n)) / np.sqrt(n)
+    if b_rank < m:
+        copies = b_rows[rng.integers(0, b_rank, size=m - b_rank)]
+        b = np.vstack([b_rows, copies])
+    else:
+        b = b_rows
+    x0 = rng.standard_normal(n)
+    f = a @ x0 + b.T @ rng.standard_normal(m)
+    return SaddleSystem(a=a, b=b, f=f, g=b @ rng.standard_normal(n), a_symmetric=True)
 
 
 def problem_from_files(path_a, path_b=None, path_f=None, path_g=None,
-                       m=20, seed=0, a_symmetric=False):
+                       m=M, seed=0, a_symmetric=False):
     """Assemble a SaddleSystem from Matrix Market files.
 
     Missing B: a seeded dense full-rank m-by-n block.  Missing f or g:
@@ -129,14 +136,12 @@ def problem_from_files(path_a, path_b=None, path_f=None, path_g=None,
 
 
 def build_system(spec, seed=0):
-    """Realize a ProblemSpec into a SaddleSystem."""
+    """Realize a ProblemSpec into a SaddleSystem, passing on only the keys
+    its source holds (``seed`` stands in for a missing one)."""
     src = dict(spec.source)
+    seed = src.pop("seed", seed)
     if "path_a" in src:
-        sys = problem_from_files(
-            src["path_a"], src.get("path_b"), src.get("path_f"), src.get("path_g"),
-            m=src.get("m", 20), seed=src.get("seed", seed),
-            a_symmetric=spec.a_symmetric)
-    else:
-        sys = generate_problem(src["kind"], src.get("seed", seed), src.get("params"))
-        sys.a_symmetric = spec.a_symmetric or sys.a_symmetric
+        return problem_from_files(**src, seed=seed, a_symmetric=spec.a_symmetric)
+    sys = generate_problem(src["kind"], seed, src.get("params"))
+    sys.a_symmetric = spec.a_symmetric or sys.a_symmetric
     return sys

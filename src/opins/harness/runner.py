@@ -35,6 +35,7 @@ import scipy.sparse as sp
 
 from .. import krylov, oracles
 from ..driver import OpinsOptions, OpinsSetup, opins_solve, relres_full
+from ..preconditioners import jacobi_diagonal
 from ..projection import Projector, particular_solution, recover_multipliers
 from ..qrcp import qrcp_factor
 from .problems import build_system
@@ -42,9 +43,6 @@ from .problems import build_system
 __all__ = ["MetricsRecord", "RunConfig", "run_case", "SOLVER_NAMES"]
 
 SCHEMA_VERSION = 1
-
-SOLVER_NAMES = ("opins", "opins-j", "opins-p", "opins-ilu", "nullspace-oracle",
-                "tsvd", "pminres-ir0", "pminres-ir1", "pminres-ir2", "pcg", "pgmres")
 
 _OPINS_VARIANTS = {
     "opins": ("none", "identity"),
@@ -76,16 +74,22 @@ class MetricsRecord:
 class RunConfig:
     """Solver selection plus tolerances and output paths.
 
-    ``g_kind`` overrides the G of the opins family and of pminres-ir*
-    (identity or jacobi there); the other solvers take none.
+    ``tol``, ``qrcp_tol``, ``maxit``, ``restart`` and ``precond_side`` are
+    ``OpinsOptions``' ``solve_tol``, ``rank_tol``, ``maxit``, ``restart`` and
+    ``precond_side``, defaults included; construction checks them through
+    the ``OpinsOptions`` of the run, before any problem is loaded.
+    ``precond_side`` is read by opins-j, opins-p and opins-ilu, ``g_kind`` by
+    those three and by pminres-ir* (identity or jacobi there); either one set
+    for another solver raises ``ValueError``.  Every solver reads
+    ``qrcp_tol``, the iterative ones ``tol`` and ``maxit``, GMRES ``restart``.
     """
 
     solver: str
-    tol: float = 1e-10
-    qrcp_tol: float = 1e-12
-    maxit: int = 0
-    restart: int = 50
-    precond_side: str = "auto"
+    tol: float = OpinsOptions.solve_tol
+    qrcp_tol: float = OpinsOptions.rank_tol
+    maxit: int = OpinsOptions.maxit
+    restart: int = OpinsOptions.restart
+    precond_side: str = OpinsOptions.precond_side
     g_kind: Optional[str] = None
     history_path: Optional[str] = None
     report_path: Optional[str] = None
@@ -97,17 +101,27 @@ class RunConfig:
             self.solver = name
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
-        if not (0 < self.tol < np.inf and 0 < self.qrcp_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.maxit < 0:
-            raise ValueError(f"maxit must be at least 0 (0 means 10 n), got {self.maxit}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be at least 1, got {self.restart}")
-        if self.g_kind is not None and name not in _OPINS_VARIANTS:
+        preconditioned = _OPINS_VARIANTS.get(name, ("none",))[0] != "none"
+        if self.g_kind is not None and not preconditioned:
             if not name.startswith("pminres-ir"):
                 raise ValueError(f"solver {name!r} takes no g_kind")
             if self.g_kind not in ("identity", "jacobi"):
                 raise ValueError("pminres baseline supports g_kind identity or jacobi")
+        if self.precond_side != OpinsOptions.precond_side and not preconditioned:
+            raise ValueError(f"solver {name!r} takes no precond_side")
+        _opins_options(self)
+
+
+def _opins_options(config, **problem):
+    """The ``OpinsOptions`` an opins variant solves with, given the problem's
+    ``declared_singular`` and ``inner_callback``; for another solver, those
+    of plain opins, which hold the settings it shares."""
+    precond, g_kind = _OPINS_VARIANTS.get(config.solver, _OPINS_VARIANTS["opins"])
+    if precond != "none" and config.g_kind is not None:
+        g_kind = config.g_kind
+    return OpinsOptions(rank_tol=config.qrcp_tol, solve_tol=config.tol, maxit=config.maxit,
+                        restart=config.restart, precond=precond, g_kind=g_kind,
+                        precond_side=config.precond_side, **problem)
 
 
 class _HistoryWriter:
@@ -146,14 +160,20 @@ class _Case:
         drift the solver reports."""
         self.writer.add(it, self.relres_x(x), relres_full(self.setup.system, x, y), bxn)
 
-    def projected_row(self, it, w_k, relres):
-        """History row for a projected-space iterate: x_n = P w_k and the
-        multipliers recovered from it.  ``relres`` is the solver's true
-        residual ||rhs - P A P w_k|| / ||rhs||, which is relres_x(P w_k)."""
+    def recover(self, w):
+        """(x, y, x_n) of a projected-space iterate w: x_n = P w,
+        x = x_p + x_n and y from B^T y = f - A x."""
         setup, system = self.setup, self.setup.system
-        x_n_k = setup.projector.complement(w_k)
-        x_k = setup.x_p + x_n_k
-        y_k = recover_multipliers(setup.projector, system.f - system.a @ x_k)
+        x_n = setup.projector.complement(w)
+        x = setup.x_p + x_n
+        return x, recover_multipliers(setup.projector, system.f - system.a @ x), x_n
+
+    def projected_row(self, it, w_k, relres):
+        """History row for a projected-space iterate.  ``relres`` is the
+        solver's true residual ||rhs - P A P w_k|| / ||rhs||, which is
+        relres_x(P w_k)."""
+        system = self.setup.system
+        x_k, y_k, x_n_k = self.recover(w_k)
         self.writer.add(it, relres, relres_full(system, x_k, y_k),
                         float(np.linalg.norm(system.b @ x_n_k)))
 
@@ -185,20 +205,14 @@ def _pad(system, rows, y_rows):
 
 
 def _maxit(config, dim):
-    return config.maxit if config.maxit > 0 else 10 * max(dim, 1)
+    return _opins_options(config).iteration_cap(dim)
 
 
 def _opins_case(case, spec, config):
     system = case.setup.system
-    precond, default_g = _OPINS_VARIANTS[config.solver]
     callback = case.observer(case.projected_row)
-    opts = OpinsOptions(rank_tol=config.qrcp_tol, solve_tol=config.tol,
-                        maxit=config.maxit, restart=config.restart,
-                        precond=precond, g_kind=config.g_kind or default_g,
-                        precond_side=config.precond_side,
-                        declared_singular=spec.declared_singular,
-                        inner_callback=callback)
-    report = opins_solve(case.setup, opts)
+    report = opins_solve(case.setup, _opins_options(
+        config, declared_singular=spec.declared_singular, inner_callback=callback))
     if callback is not None and not report.inner.history and report.converged:
         # projected right-hand side was zero: single summary row
         case.row(0, report.x, report.y, float(np.linalg.norm(system.b @ report.x_n)))
@@ -209,10 +223,7 @@ def _pminres_case(case, spec, config):
     system = case.setup.system
     ir_steps = int(config.solver[-1])
     n = system.n
-    if config.g_kind == "jacobi":
-        g_matrix = np.diag(np.abs(np.asarray(system.a.diagonal(), dtype=float)))
-    else:
-        g_matrix = np.eye(n)
+    g_matrix = np.diag(jacobi_diagonal(system.a) if config.g_kind == "jacobi" else np.ones(n))
     rows = _independent_rows(case.setup)
     # the baseline's own x_p solves B x = g by least squares; the setup's
     # agrees to rounding on compatible or full-rank constraints, but whether
@@ -235,8 +246,7 @@ def _pcg_case(case, spec, config):
     setup, system = case.setup, case.setup.system
     outcome = krylov.cg(setup.operator, setup.rhs, config.tol, _maxit(config, system.n),
                         callback=case.observer(case.projected_row))
-    x = setup.x_p + setup.projector.complement(outcome.solution)
-    y = recover_multipliers(setup.projector, system.f - system.a @ x)
+    x, y, _ = case.recover(outcome.solution)
     return x, y, outcome.status, outcome.iterations
 
 
@@ -269,6 +279,13 @@ def _direct_case(case, spec, config):
     return x, y, "converged", 0
 
 
+_CASES = {**dict.fromkeys(_OPINS_VARIANTS, _opins_case),
+          "nullspace-oracle": _direct_case, "tsvd": _direct_case,
+          **{f"pminres-ir{k}": _pminres_case for k in range(3)},
+          "pcg": _pcg_case, "pgmres": _pgmres_case}
+SOLVER_NAMES = tuple(_CASES)
+
+
 def run_case(spec, config):
     """Execute one solver on one problem; returns the final MetricsRecord.
 
@@ -276,22 +293,12 @@ def run_case(spec, config):
     in the config.  Solver failures are captured in the record's status.
     """
     system = build_system(spec)
-    needs_symmetry = config.solver in ("pcg", "pminres-ir0", "pminres-ir1", "pminres-ir2")
-    if needs_symmetry and not system.a_symmetric:
+    if _CASES[config.solver] in (_pcg_case, _pminres_case) and not system.a_symmetric:
         raise ValueError(f"solver {config.solver!r} requires a symmetric system")
     writer = _HistoryWriter(config.history_path)
     case = _make_case(system, config, writer)
     started = time.perf_counter()
-    if config.solver in _OPINS_VARIANTS:
-        x, y, status, iterations = _opins_case(case, spec, config)
-    elif config.solver.startswith("pminres-ir"):
-        x, y, status, iterations = _pminres_case(case, spec, config)
-    elif config.solver == "pcg":
-        x, y, status, iterations = _pcg_case(case, spec, config)
-    elif config.solver == "pgmres":
-        x, y, status, iterations = _pgmres_case(case, spec, config)
-    else:
-        x, y, status, iterations = _direct_case(case, spec, config)
+    x, y, status, iterations = _CASES[config.solver](case, spec, config)
     elapsed = time.perf_counter() - started
     writer.flush()
 

@@ -106,29 +106,17 @@ class _Steps:
 def minres(op, b, tol, maxit, precond=None, callback=None):
     """MINRES for symmetric (possibly singular, compatible) systems.
 
-    Started from zero and unpreconditioned, the iterates stay in range(op),
-    so a compatible singular solve returns the minimum-norm solution.  A
-    preconditioner enters through the preconditioned Lanczos recurrence and
-    must act positive definitely on the residual space; a nonpositive inner
-    product is reported as ``breakdown``.
-
-    Parameters
-    ----------
-    op : LinearOperator
-        Symmetric operator (caller-declared).
-    b : ndarray
-        Right-hand side; must lie in range(op) for min-norm guarantees.
-    tol : float
-        Relative residual tolerance (applied to both the recurrence residual
-        and the recomputed true residual).
-    maxit : int
-        Iteration cap.
-    precond : LinearOperator, optional
-        Approximate inverse, applied once per iteration.
-    callback : callable, optional
-        Invoked as ``callback(iter, x_candidate, true_relres)`` each step;
-        without one the true residual is computed only at steps whose
-        recurrence residual meets ``tol``.
+    ``op`` is symmetric (caller-declared).  Started from zero and
+    unpreconditioned, the iterates stay in range(op), so for ``b`` in
+    range(op) a compatible singular solve returns the minimum-norm solution.
+    ``tol`` bounds both the recurrence and the true relative residual, and
+    ``maxit`` the steps.  ``precond``, an approximate inverse applied once
+    per step, enters through the preconditioned Lanczos recurrence and must
+    act positive definitely on the residual space; a nonpositive inner
+    product is reported as ``breakdown``.  ``callback(iter, x, true_relres)``
+    sees every step.  Every test is relative, the floor on the rotation's
+    gamma to a running estimate of ||T_k|| (as MINRES-QLP keeps), so scaling
+    ``op`` and ``b`` together leaves the steps unchanged.
     """
     steps = _Steps(op, b, tol, callback)
     x = np.zeros(op.dim)
@@ -145,7 +133,8 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
     beta1 = np.sqrt(beta1)
 
     oldb, beta = 0.0, beta1
-    dbar, epsln, phibar = 0.0, 0.0, beta1
+    # tnorm: a running estimate of ||T_k||, the scale of the floor on gamma
+    dbar, epsln, phibar, tnorm = 0.0, 0.0, beta1, 0.0
     cs, sn = -1.0, 0.0
     w = np.zeros(op.dim)
     w2 = np.zeros(op.dim)
@@ -173,7 +162,8 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        gamma = max(np.hypot(gbar, beta), _EPS)
+        tnorm = max(tnorm, np.hypot(np.hypot(alfa, beta), oldb))
+        gamma = max(np.hypot(gbar, beta), _EPS * tnorm)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar

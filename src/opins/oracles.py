@@ -10,6 +10,8 @@ so q is the same on both paths and B^T is factored once per run.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -82,15 +84,14 @@ def constraint_preconditioned(sys, g_matrix, rows, ir_steps):
     as it is when B_r has dependent rows.
     """
     b_red = _dense(sys.b)[rows]
-    n = sys.n
-    dim = n + len(rows)
-    kmat = np.zeros((dim, dim))
-    kmat[:n, :n] = _dense(sys.a)
-    kmat[:n, n:] = b_red.T
-    kmat[n:, :n] = b_red
+    n, q = sys.n, len(rows)
+    kmat = np.block([[_dense(sys.a), b_red.T], [b_red, np.zeros((q, q))]])
     mprec = kmat.copy()
     mprec[:n, :n] = np.asarray(g_matrix, dtype=float)
-    lu = sla.lu_factor(mprec)
+    with warnings.catch_warnings():
+        # the pivot check below raises instead
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(mprec)
     udiag = np.abs(np.diagonal(lu[0]))
     if udiag.size and udiag.min() <= np.finfo(float).eps * max(udiag.max(), 1.0):
         raise np.linalg.LinAlgError("constraint preconditioner matrix is singular")
@@ -101,8 +102,8 @@ def constraint_preconditioned(sys, g_matrix, rows, ir_steps):
             s = s + sla.lu_solve(lu, r - mprec @ s)
         return s
 
-    return (LinearOperator(dim=dim, apply=lambda v: kmat @ v),
-            LinearOperator(dim=dim, apply=psolve))
+    return (LinearOperator(dim=n + q, apply=lambda v: kmat @ v),
+            LinearOperator(dim=n + q, apply=psolve))
 
 
 def pminres_constraint(sys, g_matrix, ir_steps, tol, maxit, rows, x_p, callback=None):

@@ -26,7 +26,8 @@ from scipy.sparse.linalg import splu
 
 from .qrcp import apply_q_block
 
-__all__ = ["InvertibleOperator", "build_g", "ilu0_factor", "ProjectedPreconditioner"]
+__all__ = ["InvertibleOperator", "build_g", "jacobi_diagonal", "ilu0_factor",
+           "ProjectedPreconditioner"]
 
 
 @dataclass(frozen=True)
@@ -196,21 +197,26 @@ def _check_finite(data, rows, diag_pos):
         raise ZeroDivisionError(f"ilu0: non-finite {what} in row {row}")
 
 
+def jacobi_diagonal(a):
+    """The diagonal of the Jacobi G: A's absolute diagonal, so that G stays
+    positive definite for indefinite A, with zero entries replaced by 1."""
+    diag = np.abs(np.asarray(a.diagonal(), dtype=float))
+    diag[diag == 0.0] = 1.0
+    return diag
+
+
 def build_g(a, kind):
     """Build an invertible approximation G of A.
 
-    ``kind`` is one of ``identity``, ``jacobi``, ``ilu0``.  Jacobi uses the
-    absolute diagonal so the operator stays positive definite for indefinite
-    A, with zero entries replaced by 1.  ILU(0) reports zero pivots with the
-    offending row.
+    ``kind`` is one of ``identity``, ``jacobi`` (see ``jacobi_diagonal``),
+    ``ilu0``.  ILU(0) reports zero pivots with the offending row.
     """
     n = a.shape[0]
     if kind == "identity":
         ident = lambda v: np.asarray(v, dtype=float)
         return InvertibleOperator(dim=n, solve=ident)
     if kind == "jacobi":
-        diag = np.abs(np.asarray(a.diagonal(), dtype=float)).copy()
-        diag[diag == 0.0] = 1.0
+        diag = jacobi_diagonal(a)
         return InvertibleOperator(dim=n, solve=lambda v: v / diag)
     if kind == "ilu0":
         mat = a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))

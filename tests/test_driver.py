@@ -12,6 +12,7 @@ from opins.driver import _frobenius_norm as frobenius_norm
 from opins.harness.runner import RunConfig
 from opins.operators import LinearOperator
 from opins.preconditioners import InvertibleOperator
+from test_qrcp import averaging_b
 
 
 def random_nonsingular(seed, n=12, m=4):
@@ -296,6 +297,41 @@ class TestScalingRobustness:
                                    rtol=1e-6, atol=1e-8 * sigma * np.linalg.norm(rep0.y))
 
 
+    @pytest.fixture(scope="class")
+    def neumann_case(self):
+        """Neumann Laplacian on a side-8 grid (singular, constants in its null
+        space) with 20 averaging rows of B, two of them duplicates;
+        compatible right-hand side."""
+        t = sp.diags([-np.ones(7), 2 * np.ones(8), -np.ones(7)], [-1, 0, 1]).tolil()
+        t[0, 0] = t[-1, -1] = 1.0
+        i = sp.identity(8)
+        a = (sp.kron(sp.kron(t, i), i) + sp.kron(sp.kron(i, t), i)
+             + sp.kron(sp.kron(i, i), t)).tocsr()
+        b = averaging_b(0, n=a.shape[0], distinct=18, duplicates=2)
+        rng = np.random.default_rng(1)
+        x0 = rng.standard_normal(a.shape[0])
+        return a, b, a @ x0 + b.T @ rng.standard_normal(b.shape[0]), b @ x0
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["minres", "gmres"])
+    def test_extreme_scales_keep_steps_and_x(self, neumann_case, symmetric):
+        # every test inside the inner solver is relative, so scaling (A, f)
+        # far outside 1e+-16 changes neither the steps nor x
+        a, b, f, g = neumann_case
+
+        def solve(sigma):
+            return opins_solve(SaddleSystem(a=sigma * a, b=b, f=sigma * f, g=g,
+                                            a_symmetric=symmetric),
+                               OpinsOptions(declared_singular=True, maxit=300))
+
+        base = solve(1.0)
+        assert base.converged
+        for sigma in (1e-100, 1e-20, 1e20, 1e100):
+            report = solve(sigma)
+            assert report.converged, f"sigma {sigma}"
+            assert abs(report.inner.iterations - base.inner.iterations) <= 1, f"sigma {sigma}"
+            assert np.linalg.norm(report.x - base.x) <= 1e-12 * np.linalg.norm(base.x)
+
+
 class TestPreconditionedEquivalence:
     def test_projected_precond_matches_dense_reduced_iteration(self):
         """Projected preconditioning must reproduce, iterate by iterate, the
@@ -391,6 +427,21 @@ class TestOptionValidation:
             OpinsOptions(g_kind="amg")
         with pytest.raises(OpinsError):
             OpinsOptions(precond_side="right")
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(precond="simple", g_kind="user-operator"), "g_op"),
+        (dict(precond="simple", g_op=InvertibleOperator(dim=3, solve=abs)), "g_op"),
+        (dict(g_kind="user-operator", g_op=InvertibleOperator(dim=3, solve=abs)), "g_kind"),
+        (dict(g_kind="jacobi"), "g_kind"),
+        (dict(precond_side="left"), "precond_side"),
+    ], ids=["user-operator-without-g_op", "g_op-without-user-operator",
+            "user-operator-unpreconditioned", "g_kind-unpreconditioned",
+            "side-unpreconditioned"])
+    def test_settings_nothing_reads_rejected_on_construction(self, kwargs, match):
+        # a G operator nothing calls, or a G or side without a preconditioner,
+        # is an error of the options themselves, before any solve
+        with pytest.raises(OpinsError, match=match):
+            OpinsOptions(**kwargs)
 
 
 class TestFrobeniusNorm:

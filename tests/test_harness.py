@@ -1,6 +1,7 @@
 """Harness layer: file ingestion, generators, metrics, runner, CLI."""
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -319,6 +320,16 @@ class TestGenerators:
             generate_problem("banded", seed=0)
         with pytest.raises(ValueError, match="kind"):
             ProblemSpec(name="x", source={"kind": "banded"})
+
+    @pytest.mark.parametrize("source, key", [
+        ({"path_a": "a.mtx", "n": 50}, "n"),
+        ({"kind": "random", "m": 5}, "m"),
+        ({"path_a": "a.mtx", "path_b": "b.mtx", "m": 5}, "m"),
+    ], ids=["n-with-file", "m-outside-params", "m-with-path-b"])
+    def test_source_key_nothing_reads_rejected(self, source, key):
+        # m sizes a generated B, so a file B leaves it unread
+        with pytest.raises(ValueError, match=rf"nothing reads: \['{key}'\]"):
+            ProblemSpec(name="x", source=source)
 
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unexpected"):
@@ -661,17 +672,52 @@ class TestRunner:
     @pytest.mark.parametrize("solver, g_kind", [
         ("pcg", "identity"), ("pgmres", "ilu0"), ("tsvd", "jacobi"),
         ("nullspace-oracle", "identity"), ("pminres-ir1", "ilu0"), ("pminres-ir(2)", "ilu0"),
+        ("opins", "ilu0"),
     ])
     def test_g_kind_the_solver_does_not_read_rejected(self, solver, g_kind):
         with pytest.raises(ValueError, match="g_kind"):
             RunConfig(solver=solver, g_kind=g_kind)
 
     @pytest.mark.parametrize("solver, g_kind", [
-        ("pminres-ir0", "identity"), ("pminres-ir1", "jacobi"), ("opins", "ilu0"),
-        ("opins-p", "jacobi"),
+        ("pminres-ir0", "identity"), ("pminres-ir1", "jacobi"), ("opins-p", "jacobi"),
     ])
     def test_g_kind_the_solver_reads_accepted(self, solver, g_kind):
         assert RunConfig(solver=solver, g_kind=g_kind).g_kind == g_kind
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(solver="opins", g_kind="amg"), "g_kind"),
+        (dict(solver="opins-j", g_kind="amg"), "g_kind"),
+        (dict(solver="opins", precond_side="right"), "precond_side"),
+        (dict(solver="opins-p", precond_side="right"), "precond_side"),
+        (dict(solver="opins", precond_side="left"), "precond_side"),
+        (dict(solver="pcg", precond_side="left"), "precond_side"),
+        (dict(solver="tsvd", precond_side="symmetric"), "precond_side"),
+    ], ids=["opins-amg", "opins-j-amg", "opins-right", "opins-p-right", "opins-left",
+            "pcg-left", "tsvd-symmetric"])
+    def test_setting_rejected_when_the_config_is_built(self, kwargs, match):
+        # a value no solver accepts, or a setting the chosen solver does not
+        # read, fails in the constructor, before any problem is loaded
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**kwargs)
+
+    def test_pminres_jacobi_replaces_a_zero_diagonal_as_build_g_does(self, tmp_path):
+        # a_00 = 0 and B's column 0 zero: |diag A| as G would leave row and
+        # column 0 of the constraint preconditioner zero
+        rng = np.random.default_rng(0)
+        raw = rng.standard_normal((40, 40))
+        a = (raw + raw.T) / 2 + 10 * np.eye(40)
+        a[0, 0] = 0.0
+        b = rng.standard_normal((5, 40))
+        b[:, 0] = 0.0
+        save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(a))
+        save_matrix_market(tmp_path / "b.mtx", sp.csr_matrix(b))
+        spec = ProblemSpec(name="zero-diagonal",
+                           source={"path_a": str(tmp_path / "a.mtx"),
+                                   "path_b": str(tmp_path / "b.mtx"), "seed": 3},
+                           a_symmetric=True)
+        for solver in ("opins-j", "opins-p", "pminres-ir1"):
+            record = run_case(spec, RunConfig(solver=solver, g_kind="jacobi"))
+            assert record.status == "converged", solver
 
     def test_concurrent_runs_match_serial(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
@@ -755,13 +801,34 @@ class TestCli:
         ["--matrix-a", "A.mtx", "--sigma", "1e10"],
         ["--problem", "random", "--b-rank", "10"],
         ["--matrix-a", "A.mtx", "--b-rank", "10"],
+        ["--matrix-a", "A.mtx", "--n", "50"],
+        ["--matrix-a", "A.mtx", "--m", "5", "--matrix-b", "B.mtx"],
+        ["--problem", "random", "--a-rank", "10"],
+        ["--matrix-a", "A.mtx", "--a-rank", "10"],
     ], ids=["matrix-b", "rhs-f", "rhs-g", "sigma-with-file", "b-rank-random",
-            "b-rank-file"])
+            "b-rank-file", "n-with-file", "m-with-matrix-b", "a-rank-random", "a-rank-file"])
     def test_option_the_source_ignores_exits_with_config_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--solver", "opins"])
         assert exc.value.code == 2
-        assert argv[2] in capsys.readouterr().err
+        # the error line, not the usage above it, names the flag
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert re.search(rf"{argv[2]}\b", message), message
+
+    def test_precond_side_the_solver_ignores_exits_with_config_error(self, capsys):
+        rc = cli_main(["--problem", "random", "--solver", "tsvd",
+                       "--precond-side", "symmetric"])
+        assert rc == 2
+        assert "precond_side" in capsys.readouterr().err
+
+    def test_settings_not_given_stay_absent(self):
+        # RunConfig and the generators supply every default, not the parser
+        from opins.harness.cli import build_parser
+
+        args = vars(build_parser().parse_args(["--problem", "random", "--solver", "opins"]))
+        for name in ("n", "m", "a_rank", "b_rank", "tol", "qrcp_tol", "maxit", "restart",
+                     "precond_side", "g_kind"):
+            assert name not in args
 
     def test_g_kind_the_solver_ignores_exits_with_config_error(self, capsys):
         rc = cli_main(["--problem", "random-s", "--solver", "pgmres", "--g-kind", "ilu0"])

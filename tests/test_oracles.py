@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from opins.driver import SaddleSystem
-from opins.oracles import explicit_nullspace_solve, null_basis, pminres_constraint, tsvd_solve
+from opins.oracles import (constraint_preconditioned, explicit_nullspace_solve, null_basis,
+                           pminres_constraint, tsvd_solve)
 from opins.projection import Projector
 from opins.qrcp import qrcp_factor
 
@@ -190,6 +191,16 @@ class TestNonzeroSpectrum:
 
 
 class TestPminresConstraint:
+    def test_singular_preconditioner_raises_without_a_warning(self):
+        # G = diag(0, 1, 1) and B's column 0 zero: row and column 0 of
+        # [[G, B^T], [B, 0]] vanish.  The pivot check raises; LAPACK's own
+        # warning about the exact zero stays inside (pytest turns warnings
+        # into errors)
+        b = np.array([[0.0, 1.0, 2.0]])
+        system = SaddleSystem(a=np.eye(3), b=b, f=np.ones(3), g=np.ones(1), a_symmetric=True)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            constraint_preconditioned(system, np.diag([0.0, 1.0, 1.0]), [0], 0)
+
     def test_exact_preconditioner_converges_immediately(self):
         system = random_system(20, n=12, m=3, spd_shift=12.0)
         a_dense = np.asarray(system.a, dtype=float)
