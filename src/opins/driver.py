@@ -7,18 +7,19 @@ orthogonal projector onto null(B); it is applied, never assembled.  Inner
 solves always start from zero, which is what the uniqueness and minimum-norm
 results rely on.
 
-Singular-system guard: when the caller declares the null-space equation
-singular, only an unpreconditioned solve or the projected preconditioner
-applied from the LEFT is accepted.  Applying a preconditioner through the
-symmetric recurrence can move iterates out of null(B)-consistent subspaces
-and silently lose the minimum-norm property, so that combination is rejected
-with a diagnostic.
+Solver rule: MINRES when A is declared symmetric, unless a preconditioner is
+applied to a system declared singular; restarted GMRES with the
+preconditioner applied from the left otherwise.  G^{-1} alone does not map
+into null(B) as P_G does, so ``precond='simple'`` on a system declared
+singular raises ``OpinsError``.  On a compatible singular system an
+unpreconditioned solve returns the minimum-norm x; the projected
+preconditioner returns a solution, but not in general that one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,8 +81,9 @@ class SaddleSystem:
     """Blocks of the saddle-point system: A (n x n), B (m x n), f, g.
 
     Compatibility of f (f in range(A) + range(B^T)) is assumed, not checked.
-    ``a_symmetric`` selects the symmetric inner solver; ``opins_solve``
-    probes it once and raises ``OpinsError`` when A is plainly nonsymmetric.
+    ``a_symmetric`` selects MINRES as the inner solver, by the rule of the
+    module docstring; ``opins_solve`` probes it once and raises
+    ``OpinsError`` when A is plainly nonsymmetric.
     A and B must be numpy arrays or scipy.sparse matrices; a block of another
     type, of the wrong shape, or with a complex, non-numeric or non-finite
     entry raises ``OpinsError`` naming it.
@@ -145,16 +147,16 @@ class OpinsOptions:
     outside these rules.
 
     ``precond`` is one of ``none``, ``simple`` (G^{-1} directly), or
-    ``projected`` (P_G).  Only a preconditioner reads ``g_kind`` (one of
-    ``identity``, ``jacobi``, ``ilu0`` or ``user-operator``, given exactly
-    with ``g_op``) and ``precond_side`` (``auto``, ``left`` or ``symmetric``;
-    ``auto`` resolves to the symmetric recurrence for symmetric nonsingular
-    problems and to left application otherwise), so ``precond='none'`` keeps
-    both at their defaults.  ``declared_singular`` is caller-supplied
-    problem metadata; singularity of the null-space equation is never
-    detected automatically.  Both tolerances must be positive and finite,
-    ``maxit`` at least 0 (0 means 10 * n) and ``restart`` (read by GMRES
-    only) at least 1.  ``rank_tol`` is the numerical-rank threshold of the
+    ``projected`` (P_G).  Only a preconditioner reads ``g_kind``, the name
+    of a G to build from A (``identity``, ``jacobi`` or ``ilu0``) or an
+    ``InvertibleOperator`` that is G itself, so ``precond='none'`` keeps it
+    at its default.  ``declared_singular`` is caller-supplied problem
+    metadata; singularity of the null-space equation is never detected
+    automatically, and ``precond='simple'`` with it raises.  Whether the
+    solve runs MINRES or GMRES follows from these and
+    ``SaddleSystem.a_symmetric`` (module docstring).  Both tolerances must
+    be positive and finite, ``maxit`` at least 0 (0 means 10 * n) and
+    ``restart`` (read by GMRES only) at least 1.  ``rank_tol`` is the numerical-rank threshold of the
     QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
     factorization comes from it, and its ``rank_tol`` must equal this one.
 
@@ -171,9 +173,7 @@ class OpinsOptions:
     maxit: int = 0
     restart: int = 50
     precond: str = "none"
-    g_kind: str = "identity"
-    g_op: Optional[InvertibleOperator] = None
-    precond_side: str = "auto"
+    g_kind: Union[str, InvertibleOperator] = "identity"
     declared_singular: bool = False
     inner_callback: Optional[Callable] = None
 
@@ -186,17 +186,14 @@ class OpinsOptions:
             raise OpinsError(f"restart must be at least 1, got {self.restart}")
         if self.precond not in ("none", "simple", "projected"):
             raise OpinsError(f"unknown precond {self.precond!r}")
-        if self.g_kind not in ("identity", "jacobi", "ilu0", "user-operator"):
+        if not (isinstance(self.g_kind, InvertibleOperator)
+                or isinstance(self.g_kind, str) and self.g_kind in ("identity", "jacobi", "ilu0")):
             raise OpinsError(f"unknown g_kind {self.g_kind!r}")
-        if self.precond_side not in ("auto", "left", "symmetric"):
-            raise OpinsError(f"unknown precond_side {self.precond_side!r}")
-        if (self.g_op is None) == (self.g_kind == "user-operator"):
-            raise OpinsError("g_kind='user-operator' requires g_op" if self.g_op is None else
-                             f"g_op is read only with g_kind='user-operator', not {self.g_kind!r}")
-        for name in ("g_kind", "precond_side"):
-            value = getattr(self, name)
-            if self.precond == "none" and value != getattr(OpinsOptions, name):
-                raise OpinsError(f"precond='none' reads no {name}, got {value!r}")
+        if self.precond == "none" and self.g_kind != "identity":
+            raise OpinsError(f"precond='none' reads no g_kind, got {self.g_kind!r}")
+        if self.declared_singular and self.precond == "simple":
+            raise OpinsError("singular systems accept only precond='none' or the projected "
+                             "preconditioner applied from the left")
 
     def iteration_cap(self, dim):
         """``maxit``, or 10 * max(``dim``, 1) when it is 0."""
@@ -285,32 +282,13 @@ def _check_declared_symmetry(a):
             f"exceeds {_SYMMETRY_TOL:.1e} * ||A||_F; pass a_symmetric=False")
 
 
-def _resolve_side(sys, opts):
-    if opts.precond == "none":
-        return None
-    side = opts.precond_side
-    if side == "auto":
-        side = "symmetric" if sys.a_symmetric and not opts.declared_singular else "left"
-    if opts.declared_singular:
-        if opts.precond == "simple":
-            raise OpinsError(
-                "singular systems accept only precond='none' or the projected "
-                "preconditioner applied from the left")
-        if side == "symmetric":
-            raise OpinsError(
-                "symmetric preconditioner application can alter the null space "
-                "of the projected operator; use precond_side='left' (or no "
-                "preconditioner) for singular systems")
-    if not sys.a_symmetric and side == "symmetric":
-        raise OpinsError("symmetric preconditioner application requires a symmetric system")
-    return side
-
-
 def _build_precond(sys, opts, fact):
     if opts.precond == "none":
         return None
-    g_op = opts.g_op if opts.g_op is not None else build_g(sys.a, opts.g_kind)
-    apply = g_op.solve if opts.precond == "simple" else ProjectedPreconditioner(g_op, fact).apply
+    g = opts.g_kind
+    if isinstance(g, str):
+        g = build_g(sys.a, g)
+    apply = g.solve if opts.precond == "simple" else ProjectedPreconditioner(g, fact).apply
     return LinearOperator(dim=sys.n, apply=apply)
 
 
@@ -322,9 +300,8 @@ def opins_solve(sys, opts=None):
     not ``opts.rank_tol`` raises ``OpinsError``.  Returns an OpinsReport.
     For a nonsingular null-space equation the x recovered is the unique
     primal solution; for compatible singular systems solved without a
-    preconditioner (or with the projected preconditioner from the left) the
-    computed x has minimum norm among all solutions that minimize
-    ||g - B x||.  Inner-solver failures surface in the report status, never
+    preconditioner the computed x has minimum norm among all solutions that
+    minimize ||g - B x||.  Inner-solver failures surface in the report status, never
     as exceptions.
     """
     opts = opts or OpinsOptions()
@@ -333,7 +310,6 @@ def opins_solve(sys, opts=None):
         raise OpinsError(f"setup has rank_tol={setup.rank_tol!r}, options have {opts.rank_tol!r}")
     sys = setup.system if setup is not None else sys
     maxit = opts.iteration_cap(sys.n)
-    side = _resolve_side(sys, opts)
     if sys.a_symmetric:
         _check_declared_symmetry(sys.a)
     if setup is None:
@@ -355,7 +331,7 @@ def opins_solve(sys, opts=None):
             opts.inner_callback(it, w_k, relres)
 
     precond = _build_precond(sys, opts, setup.fact)
-    if sys.a_symmetric and not (side == "left" and precond is not None):
+    if sys.a_symmetric and not (opts.declared_singular and precond is not None):
         inner = krylov.minres(setup.operator, rhs, opts.solve_tol, maxit,
                               precond=precond, callback=inner_cb)
     else:

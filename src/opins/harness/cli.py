@@ -48,7 +48,8 @@ def build_parser():
     src.add_argument("--sigma", type=float, default=None,
                      help="scale factor: wraps the generated problem as scaled(sigma)")
     src.add_argument("--symmetric", choices=("yes", "no"), default=None,
-                     help="declare A symmetric (default: per generator)")
+                     help="declare A symmetric or not (default: yes for --problem, "
+                          "no for --matrix-a)")
     src.add_argument("--singular", choices=("yes", "no"), default="no",
                      help="declare the null-space equation singular")
 
@@ -63,9 +64,6 @@ def build_parser():
                      help=f"iteration cap (default {RunConfig.maxit}: 10 n)")
     run.add_argument("--restart", type=int, default=SUPPRESS,
                      help=f"GMRES restart length (default {RunConfig.restart})")
-    run.add_argument("--precond-side", default=SUPPRESS,
-                     help="auto, left or symmetric, for opins-j, -p and -ilu "
-                          f"(default {RunConfig.precond_side})")
     run.add_argument("--g-kind", default=SUPPRESS,
                      help="identity, jacobi or ilu0: the G of opins-j, -p, -ilu or pminres-ir*")
 
@@ -82,17 +80,17 @@ def _given(args, *names):
 
 def spec_from_args(args):
     if args.matrix_a is not None:
-        name, symmetric = args.matrix_a, args.symmetric == "yes"
+        name = args.matrix_a
         source = {"path_a": args.matrix_a, "path_b": args.matrix_b, "path_f": args.rhs_f,
                   "path_g": args.rhs_g, "seed": args.seed, **_given(args, "m")}
     else:
-        name, symmetric = f"{args.problem}(seed={args.seed})", args.symmetric != "no"
+        name = f"{args.problem}(seed={args.seed})"
         kind, params = args.problem, _given(args, "n", "m", "a_rank", "b_rank")
         if args.sigma is not None:
             kind, params = "scaled", {"sigma": args.sigma, "base": (kind, params)}
         source = {"kind": kind, "seed": args.seed, "params": params}
     return ProblemSpec(name=name, source=source, declared_singular=args.singular == "yes",
-                       a_symmetric=symmetric)
+                       a_symmetric=None if args.symmetric is None else args.symmetric == "yes")
 
 
 def main(argv=None):
@@ -117,8 +115,7 @@ def main(argv=None):
     try:
         config = RunConfig(solver=args.solver, history_path=args.history,
                            report_path=args.report,
-                           **_given(args, "tol", "qrcp_tol", "maxit", "restart",
-                                    "precond_side", "g_kind"))
+                           **_given(args, "tol", "qrcp_tol", "maxit", "restart", "g_kind"))
         record = run_case(spec, config)
     except (ValueError, ZeroDivisionError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ multiplying the system matrix with a random vector, so they stay compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -37,12 +38,13 @@ class ProblemSpec:
     """A named test case: either file paths (``path_a`` with the other
     parameters of ``problem_from_files``) or a registered generator
     (``kind``, ``seed``, ``params``).  A source key nothing reads, such as
-    ``m`` beside a ``path_b``, raises ``ValueError``."""
+    ``m`` beside a ``path_b``, raises ``ValueError``.  ``a_symmetric`` None
+    means as the source says: True for the generators, False for files."""
 
     name: str
     source: dict = field(default_factory=dict)
     declared_singular: bool = False
-    a_symmetric: bool = False
+    a_symmetric: Optional[bool] = None
 
     def __post_init__(self):
         src, kind = self.source, self.source.get("kind")
@@ -137,11 +139,14 @@ def problem_from_files(path_a, path_b=None, path_f=None, path_g=None,
 
 def build_system(spec, seed=0):
     """Realize a ProblemSpec into a SaddleSystem, passing on only the keys
-    its source holds (``seed`` stands in for a missing one)."""
+    its source holds (``seed`` stands in for a missing one), with the spec's
+    ``a_symmetric`` when it is not None."""
     src = dict(spec.source)
     seed = src.pop("seed", seed)
     if "path_a" in src:
-        return problem_from_files(**src, seed=seed, a_symmetric=spec.a_symmetric)
-    sys = generate_problem(src["kind"], seed, src.get("params"))
-    sys.a_symmetric = spec.a_symmetric or sys.a_symmetric
+        sys = problem_from_files(**src, seed=seed)
+    else:
+        sys = generate_problem(src["kind"], seed, src.get("params"))
+    if spec.a_symmetric is not None:
+        sys.a_symmetric = spec.a_symmetric
     return sys

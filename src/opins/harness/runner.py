@@ -74,14 +74,14 @@ class MetricsRecord:
 class RunConfig:
     """Solver selection plus tolerances and output paths.
 
-    ``tol``, ``qrcp_tol``, ``maxit``, ``restart`` and ``precond_side`` are
-    ``OpinsOptions``' ``solve_tol``, ``rank_tol``, ``maxit``, ``restart`` and
-    ``precond_side``, defaults included; construction checks them through
-    the ``OpinsOptions`` of the run, before any problem is loaded.
-    ``precond_side`` is read by opins-j, opins-p and opins-ilu, ``g_kind`` by
-    those three and by pminres-ir* (identity or jacobi there); either one set
-    for another solver raises ``ValueError``.  Every solver reads
-    ``qrcp_tol``, the iterative ones ``tol`` and ``maxit``, GMRES ``restart``.
+    ``tol``, ``qrcp_tol``, ``maxit`` and ``restart`` are ``OpinsOptions``'
+    ``solve_tol``, ``rank_tol``, ``maxit`` and ``restart``, defaults
+    included; construction checks them through the ``OpinsOptions`` of the
+    run, before any problem is loaded, and raises ``ValueError`` on a
+    setting that ``_UNREAD`` lists for the solver.  ``g_kind`` is read by
+    opins-j, opins-p, opins-ilu and pminres-ir* (identity or jacobi there).
+    An opins variant reads ``restart`` only when the loaded system takes
+    GMRES, so that one is not checked.
     """
 
     solver: str
@@ -89,7 +89,6 @@ class RunConfig:
     qrcp_tol: float = OpinsOptions.rank_tol
     maxit: int = OpinsOptions.maxit
     restart: int = OpinsOptions.restart
-    precond_side: str = OpinsOptions.precond_side
     g_kind: Optional[str] = None
     history_path: Optional[str] = None
     report_path: Optional[str] = None
@@ -101,14 +100,11 @@ class RunConfig:
             self.solver = name
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
-        preconditioned = _OPINS_VARIANTS.get(name, ("none",))[0] != "none"
-        if self.g_kind is not None and not preconditioned:
-            if not name.startswith("pminres-ir"):
-                raise ValueError(f"solver {name!r} takes no g_kind")
-            if self.g_kind not in ("identity", "jacobi"):
-                raise ValueError("pminres baseline supports g_kind identity or jacobi")
-        if self.precond_side != OpinsOptions.precond_side and not preconditioned:
-            raise ValueError(f"solver {name!r} takes no precond_side")
+        unread = [s for s in _UNREAD.get(name, ()) if getattr(self, s) != getattr(RunConfig, s)]
+        if unread:
+            raise ValueError(f"solver {name!r} takes no {', '.join(unread)}")
+        if name.startswith("pminres-ir") and self.g_kind not in (None, "identity", "jacobi"):
+            raise ValueError("pminres baseline supports g_kind identity or jacobi")
         _opins_options(self)
 
 
@@ -120,8 +116,7 @@ def _opins_options(config, **problem):
     if precond != "none" and config.g_kind is not None:
         g_kind = config.g_kind
     return OpinsOptions(rank_tol=config.qrcp_tol, solve_tol=config.tol, maxit=config.maxit,
-                        restart=config.restart, precond=precond, g_kind=g_kind,
-                        precond_side=config.precond_side, **problem)
+                        restart=config.restart, precond=precond, g_kind=g_kind, **problem)
 
 
 class _HistoryWriter:
@@ -284,6 +279,10 @@ _CASES = {**dict.fromkeys(_OPINS_VARIANTS, _opins_case),
           **{f"pminres-ir{k}": _pminres_case for k in range(3)},
           "pcg": _pcg_case, "pgmres": _pgmres_case}
 SOLVER_NAMES = tuple(_CASES)
+# the RunConfig settings each solver never reads
+_UNREAD = {"opins": ("g_kind",), "pcg": ("restart", "g_kind"), "pgmres": ("g_kind",),
+           **dict.fromkeys(("tsvd", "nullspace-oracle"), ("tol", "maxit", "restart", "g_kind")),
+           **{f"pminres-ir{k}": ("restart",) for k in range(3)}}
 
 
 def run_case(spec, config):

@@ -249,22 +249,22 @@ class ProjectedPreconditioner:
     does not depend on the scale of G.
     """
 
-    def __init__(self, g_op, fact):
-        self.g_op = g_op
+    def __init__(self, g, fact):
+        self.g = g
         self.fact = fact
         q = fact.rank
         self._w = None
         if fact.u is not None:
             self._w = np.empty((fact.nrows, q), order="F")
             for i in range(q):
-                self._w[:, i] = g_op.solve(fact.u[:, i])
+                self._w[:, i] = g.solve(fact.u[:, i])
             schur = fact.u.T @ self._w
         else:
             schur = np.empty((q, q))
             for i in range(q):
                 coord = np.zeros(q)
                 coord[i] = 1.0
-                col = g_op.solve(apply_q_block(fact, coord))
+                col = g.solve(apply_q_block(fact, coord))
                 schur[:, i] = apply_q_block(fact, col, transpose=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -276,8 +276,8 @@ class ProjectedPreconditioner:
     def apply(self, b):
         """Evaluate s = P_G b via the cached range-space solve."""
         b = np.asarray(b, dtype=float)
-        r = self.g_op.solve(b)
+        r = self.g.solve(b)
         t = sla.lu_solve(self._schur_lu, apply_q_block(self.fact, r, transpose=True))
         if self._w is not None:
             return r - self._w @ t
-        return self.g_op.solve(b - apply_q_block(self.fact, t))
+        return self.g.solve(b - apply_q_block(self.fact, t))

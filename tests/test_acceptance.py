@@ -83,7 +83,7 @@ def preserved_null_family():
                                   params={"a_rank": 95, "b_rank": 15})
         plain = _solve(system, declared_singular=True)
         left = _solve(system, declared_singular=True, precond="projected",
-                      g_kind="jacobi", precond_side="left", restart=200)
+                      g_kind="jacobi", restart=200)
         out.append((seed, system, plain, left))
     return out
 

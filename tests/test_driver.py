@@ -41,6 +41,18 @@ def random_nonsymmetric(seed, n=30, m=6):
     return SaddleSystem(a=a, b=b, f=rng.standard_normal(n), g=rng.standard_normal(m))
 
 
+def krylov_runs(monkeypatch):
+    """The list, filled as they run, of the names of the ``opins.krylov``
+    MINRES and GMRES calls made while ``monkeypatch`` is active."""
+    ran = []
+    for name in ("minres", "gmres"):
+        def spy(*args, _name=name, _solve=getattr(krylov, name), **kwargs):
+            ran.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(krylov, name, spy)
+    return ran
+
+
 def kkt_lu(system):
     z = np.linalg.solve(system.kkt_matrix(), system.rhs_full())
     return z[:system.n], z[system.n:]
@@ -242,26 +254,42 @@ class TestSingularGuard:
             opins_solve(system, OpinsOptions(precond="simple", g_kind="jacobi",
                                              declared_singular=True))
 
-    def test_symmetric_application_rejected_when_singular(self):
-        system = random_singular(1)
-        with pytest.raises(OpinsError, match="null space"):
-            opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
-                                             precond_side="symmetric",
-                                             declared_singular=True))
-
     def test_projected_left_accepted_when_singular(self):
         system = random_singular(2)
         report = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
-                                                  precond_side="left", restart=200,
-                                                  declared_singular=True))
+                                                  restart=200, declared_singular=True))
         assert report.converged
 
-    def test_symmetric_side_needs_symmetric_system(self):
-        system = random_nonsingular(4)
-        system.a_symmetric = False
-        with pytest.raises(OpinsError, match="symmetric"):
-            opins_solve(system, OpinsOptions(precond="simple", g_kind="jacobi",
-                                             precond_side="symmetric"))
+
+class TestSolverRule:
+    """MINRES when A is declared symmetric, unless a preconditioner is
+    applied to a system declared singular; GMRES otherwise."""
+
+    @pytest.mark.parametrize("precond", ["none", "simple", "projected"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["nonsingular", "singular"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+    def test_inner_solver_table(self, symmetric, singular, precond, monkeypatch):
+        ran = krylov_runs(monkeypatch)
+        system = random_singular(2)
+        system.a_symmetric = symmetric
+        g_kind = "identity" if precond == "none" else "jacobi"
+        if singular and precond == "simple":
+            with pytest.raises(OpinsError, match="projected"):
+                opins_solve(system, OpinsOptions(precond=precond, g_kind=g_kind,
+                                                 declared_singular=True))
+            assert ran == []
+            return
+        report = opins_solve(system, OpinsOptions(precond=precond, g_kind=g_kind,
+                                                  restart=200, declared_singular=singular))
+        expected = "minres" if symmetric and (not singular or precond == "none") else "gmres"
+        assert ran == [expected]
+        if singular:
+            # the null-space equation is singular: both solvers return a
+            # solution, and without a preconditioner the minimum-norm one
+            assert report.converged and report.metrics["relres_full"] <= 1e-10
+            if precond == "none":
+                z = np.linalg.lstsq(system.kkt_matrix(), system.rhs_full(), rcond=None)[0]
+                np.testing.assert_allclose(report.x, z[:system.n], rtol=1e-8, atol=1e-10)
 
 
 class TestMinNorm:
@@ -386,17 +414,12 @@ class TestPreconditionedEquivalence:
         assert mismatch(captured[-1], dense_iterates[-1]) <= 1e-8
 
     def test_user_operator_g(self):
+        # g_kind may be G itself instead of the name of a G to build
         system = random_nonsingular(30)
         d = np.abs(np.diag(np.asarray(system.a))) + 1.0
-        g_op = InvertibleOperator(dim=system.n, solve=lambda v: v / d)
-        report = opins_solve(system, OpinsOptions(precond="projected",
-                                                  g_kind="user-operator", g_op=g_op))
+        g = InvertibleOperator(dim=system.n, solve=lambda v: v / d)
+        report = opins_solve(system, OpinsOptions(precond="projected", g_kind=g))
         assert report.converged
-
-    def test_user_operator_requires_g_op(self):
-        with pytest.raises(OpinsError, match="g_op"):
-            opins_solve(random_nonsingular(31),
-                        OpinsOptions(precond="simple", g_kind="user-operator"))
 
 
 class TestOptionValidation:
@@ -424,22 +447,17 @@ class TestOptionValidation:
         with pytest.raises(OpinsError):
             OpinsOptions(precond="fancy")
         with pytest.raises(OpinsError):
-            OpinsOptions(g_kind="amg")
+            OpinsOptions(precond="simple", g_kind="amg")
         with pytest.raises(OpinsError):
-            OpinsOptions(precond_side="right")
+            OpinsOptions(precond="simple", g_kind=np.eye(3))
 
     @pytest.mark.parametrize("kwargs, match", [
-        (dict(precond="simple", g_kind="user-operator"), "g_op"),
-        (dict(precond="simple", g_op=InvertibleOperator(dim=3, solve=abs)), "g_op"),
-        (dict(g_kind="user-operator", g_op=InvertibleOperator(dim=3, solve=abs)), "g_kind"),
+        (dict(g_kind=InvertibleOperator(dim=3, solve=abs)), "g_kind"),
         (dict(g_kind="jacobi"), "g_kind"),
-        (dict(precond_side="left"), "precond_side"),
-    ], ids=["user-operator-without-g_op", "g_op-without-user-operator",
-            "user-operator-unpreconditioned", "g_kind-unpreconditioned",
-            "side-unpreconditioned"])
+    ], ids=["user-operator-unpreconditioned", "g_kind-unpreconditioned"])
     def test_settings_nothing_reads_rejected_on_construction(self, kwargs, match):
-        # a G operator nothing calls, or a G or side without a preconditioner,
-        # is an error of the options themselves, before any solve
+        # a G operator or a G name without a preconditioner is an error of
+        # the options themselves, before any solve
         with pytest.raises(OpinsError, match=match):
             OpinsOptions(**kwargs)
 

@@ -18,6 +18,7 @@ from opins.harness.problems import ProblemSpec, build_system, generate_problem
 from opins.harness.runner import RunConfig, run_case
 from opins.projection import Projector, particular_solution
 from opins.qrcp import qrcp_factor
+from test_driver import krylov_runs
 from test_qrcp import reference_range_basis
 
 RANK_TOL = 1e-12
@@ -331,6 +332,18 @@ class TestGenerators:
         with pytest.raises(ValueError, match=rf"nothing reads: \['{key}'\]"):
             ProblemSpec(name="x", source=source)
 
+    @pytest.mark.parametrize("declared", [None, True, False])
+    @pytest.mark.parametrize("kind", ["random", "file"])
+    def test_a_symmetric_is_the_sources_unless_declared(self, kind, declared, tmp_path):
+        # the generators say symmetric, files do not; a declared value wins
+        source = {"kind": kind, "seed": 0}
+        if kind == "file":
+            save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(2.0 * np.eye(6)))
+            source = {"path_a": str(tmp_path / "a.mtx"), "m": 2}
+        spec = ProblemSpec(name=kind, source=source, a_symmetric=declared)
+        expected = kind != "file" if declared is None else declared
+        assert build_system(spec).a_symmetric is expected
+
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unexpected"):
             generate_problem("random", seed=0, params={"rank": 3})
@@ -493,12 +506,14 @@ class TestRunner:
         for row, expect in zip(rows, recomputed):
             assert float(row[1]) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("solver, kind, side, krylov_name", [
-        ("opins", "random", "auto", "minres"),
-        ("opins-j", "random", "left", "gmres"),
-        ("pcg", "random-s", "auto", "cg"),
-    ])
-    def test_projected_rows_take_the_solvers_relres(self, solver, kind, side, krylov_name,
+    # symmetric is the spec's a_symmetric: None keeps the generator's True
+    # (auto), False sends opins-j to GMRES, which preconditions from the left
+    @pytest.mark.parametrize("solver, kind, symmetric, krylov_name", [
+        ("opins", "random", None, "minres"),
+        ("opins-j", "random", False, "gmres"),
+        ("pcg", "random-s", None, "cg"),
+    ], ids=["opins-random-auto-minres", "opins-j-random-left-gmres", "pcg-random-s-auto-cg"])
+    def test_projected_rows_take_the_solvers_relres(self, solver, kind, symmetric, krylov_name,
                                                     monkeypatch, tmp_path):
         # the relres_x column is the solver's true residual, equal as a float
         # to setup.relres_x(P w_k) recomputed from the iterate, and the rows
@@ -530,9 +545,8 @@ class TestRunner:
             row(case, it, w_k, relres)
 
         monkeypatch.setattr(opins.harness.runner._Case, "projected_row", recording)
-        spec = ProblemSpec(name=kind, source={"kind": kind, "seed": 2}, a_symmetric=True)
-        run_case(spec, RunConfig(solver=solver, precond_side=side, maxit=60,
-                                 history_path=str(tmp_path / "h.csv")))
+        spec = ProblemSpec(name=kind, source={"kind": kind, "seed": 2}, a_symmetric=symmetric)
+        run_case(spec, RunConfig(solver=solver, maxit=60, history_path=str(tmp_path / "h.csv")))
         assert ran == [krylov_name]
         rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
         assert len(rows) == len(seen) > 5
@@ -591,7 +605,8 @@ class TestRunner:
         calls = count_qrcp_calls(monkeypatch)
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 4},
                            a_symmetric=True)
-        run_case(spec, RunConfig(solver=solver, maxit=30))
+        direct = runner._CASES[solver] is runner._direct_case
+        run_case(spec, RunConfig(solver=solver, **({} if direct else dict(maxit=30))))
         assert len(calls) == 1
 
     def test_pgmres_runs(self):
@@ -687,13 +702,14 @@ class TestRunner:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(solver="opins", g_kind="amg"), "g_kind"),
         (dict(solver="opins-j", g_kind="amg"), "g_kind"),
-        (dict(solver="opins", precond_side="right"), "precond_side"),
-        (dict(solver="opins-p", precond_side="right"), "precond_side"),
-        (dict(solver="opins", precond_side="left"), "precond_side"),
-        (dict(solver="pcg", precond_side="left"), "precond_side"),
-        (dict(solver="tsvd", precond_side="symmetric"), "precond_side"),
-    ], ids=["opins-amg", "opins-j-amg", "opins-right", "opins-p-right", "opins-left",
-            "pcg-left", "tsvd-symmetric"])
+        (dict(solver="tsvd", tol=0.5), "tol"),
+        (dict(solver="tsvd", maxit=5), "maxit"),
+        (dict(solver="nullspace-oracle", restart=3), "restart"),
+        (dict(solver="nullspace-oracle", tol=0.5, maxit=5), "tol, maxit"),
+        (dict(solver="pcg", restart=3), "restart"),
+        (dict(solver="pminres-ir1", restart=3), "restart"),
+    ], ids=["opins-amg", "opins-j-amg", "tsvd-tol", "tsvd-maxit", "nullspace-oracle-restart",
+            "nullspace-oracle-tol-maxit", "pcg-restart", "pminres-restart"])
     def test_setting_rejected_when_the_config_is_built(self, kwargs, match):
         # a value no solver accepts, or a setting the chosen solver does not
         # read, fails in the constructor, before any problem is loaded
@@ -815,11 +831,25 @@ class TestCli:
         message = capsys.readouterr().err.splitlines()[-1]
         assert re.search(rf"{argv[2]}\b", message), message
 
-    def test_precond_side_the_solver_ignores_exits_with_config_error(self, capsys):
-        rc = cli_main(["--problem", "random", "--solver", "tsvd",
-                       "--precond-side", "symmetric"])
+    def test_setting_the_solver_ignores_exits_with_config_error(self, capsys):
+        # tsvd is direct: it reads neither an iteration cap nor a tolerance
+        rc = cli_main(["--problem", "random", "--seed", "1", "--solver", "tsvd",
+                       "--maxit", "5", "--tol", "0.5"])
         assert rc == 2
-        assert "precond_side" in capsys.readouterr().err
+        assert "takes no tol, maxit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symmetric, krylov_name, exit_code", [
+        ("yes", "minres", 0),
+        # GMRES(50) stalls on the indefinite problem and ends at max_iterations
+        ("no", "gmres", 1),
+    ])
+    def test_symmetric_flag_picks_the_solver_of_a_generated_problem(
+            self, symmetric, krylov_name, exit_code, monkeypatch, capsys):
+        ran = krylov_runs(monkeypatch)
+        rc = cli_main(["--problem", "random", "--seed", "1", "--solver", "opins",
+                       "--symmetric", symmetric])
+        assert rc == exit_code
+        assert ran == [krylov_name]
 
     def test_settings_not_given_stay_absent(self):
         # RunConfig and the generators supply every default, not the parser
@@ -827,7 +857,7 @@ class TestCli:
 
         args = vars(build_parser().parse_args(["--problem", "random", "--solver", "opins"]))
         for name in ("n", "m", "a_rank", "b_rank", "tol", "qrcp_tol", "maxit", "restart",
-                     "precond_side", "g_kind"):
+                     "g_kind"):
             assert name not in args
 
     def test_g_kind_the_solver_ignores_exits_with_config_error(self, capsys):
