@@ -7,13 +7,20 @@ orthogonal projector onto null(B); it is applied, never assembled.  Inner
 solves always start from zero, which is what the uniqueness and minimum-norm
 results rely on.
 
-Solver rule: MINRES when A is declared symmetric, unless a preconditioner is
-applied to a system declared singular; restarted GMRES with the
-preconditioner applied from the left otherwise.  G^{-1} alone does not map
-into null(B) as P_G does, so ``precond='simple'`` on a system declared
-singular raises ``OpinsError``.  On a compatible singular system an
-unpreconditioned solve returns the minimum-norm x; the projected
-preconditioner returns a solution, but not in general that one.
+Solver rule: MINRES when A is declared symmetric and either no
+preconditioner is applied or G is SPD (``InvertibleOperator.spd``) on a
+system not declared singular; restarted GMRES with the preconditioner
+applied from the left otherwise.  Preconditioned MINRES needs a symmetric
+positive definite preconditioner, which ILU(0) of an indefinite A is not.
+G^{-1} alone does not map into null(B) as P_G does, so ``precond='simple'``
+on a system declared singular raises ``OpinsError``.  On a compatible
+singular system an unpreconditioned solve returns the minimum-norm x; the
+projected preconditioner returns a solution, but not in general that one.
+
+Observation: with ``OpinsOptions.inner_callback`` set, one ``InnerObserver``
+per solve computes x_n = P w once per inner step, inside the true residual
+the Krylov solver asks for, and the null-space purity and the callback read
+that x_n.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .projection import Projector, particular_solution, recover_multipliers
 from .qrcp import qrcp_factor
 
 __all__ = ["SaddleSystem", "OpinsOptions", "OpinsSetup", "OpinsReport", "OpinsError",
-           "opins_solve"]
+           "InnerObserver", "opins_solve"]
 
 
 class OpinsError(ValueError):
@@ -129,13 +136,16 @@ class SaddleSystem:
         return np.concatenate([self.f, self.g])
 
 
-def relres_full(sys, x, y):
+def relres_full(sys, x, y, ax=None):
     """Relative residual of the whole system for the pair (x, y); a zero
-    right-hand side falls back to the absolute residual norm."""
+    right-hand side falls back to the absolute residual norm.  ``ax``, when
+    given, is the caller's A x, which is then not formed again."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = sys.rhs_full() - np.concatenate([sys.a @ x + sys.b.T @ y, sys.b @ x])
-    denom = np.linalg.norm(sys.rhs_full())
+    ax = sys.a @ x if ax is None else ax
+    rhs = sys.rhs_full()
+    r = rhs - np.concatenate([ax + sys.b.T @ y, sys.b @ x])
+    denom = np.linalg.norm(rhs)
     if denom == 0.0:
         return float(np.linalg.norm(r))
     return float(np.linalg.norm(r) / denom)
@@ -160,12 +170,15 @@ class OpinsOptions:
     QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
     factorization comes from it, and its ``rank_tol`` must equal this one.
 
-    ``inner_callback(it, w_k, true_relres)``, when set, sees every inner
-    iterate.  It is also what turns on per-iteration observation: the inner
-    solver then recomputes the true residual at every step, and the driver
-    measures the null-space purity of every iterate.  Without it the true
-    residual is computed only where the recurrence residual meets
-    ``solve_tol``, and the purity only of the final iterate.
+    ``inner_callback(it, x_n_k, true_relres)``, when set, sees every inner
+    step: its null-space part x_n_k = P w_k of the inner iterate w_k, and
+    the true relative residual ||rhs - P A x_n_k|| / ||rhs||.  It is also
+    what turns on per-iteration observation: the inner solver then
+    recomputes the true residual at every step, and the driver measures the
+    null-space purity of every iterate, both from the one x_n_k
+    (``InnerObserver``).  Without it the true residual is computed only
+    where the recurrence residual meets ``solve_tol``, and the purity only
+    of the final iterate.
     """
 
     rank_tol: float = 1e-12
@@ -243,6 +256,31 @@ class OpinsSetup:
         return float(num / denom)
 
 
+class InnerObserver:
+    """The observation of one inner solve, made per solve.
+
+    Passed to a Krylov solver as its ``residual``, ``residual(w)`` computes
+    x_n = P w, keeps it, and returns ``rhs - P(A x_n)``: the operations of
+    ``rhs - operator(w)``, so the same bits.  Passed as its callback, which
+    runs right after the residual of the same iterate, the observer calls
+    ``callback(it, x_n, true_relres)`` with that x_n.
+    """
+
+    def __init__(self, setup, callback):
+        self.setup, self.callback = setup, callback
+        self.w = self.x_n = None
+
+    def residual(self, w):
+        projector = self.setup.projector
+        self.w, self.x_n = w, projector.complement(w)
+        return self.setup.rhs - projector.complement(self.setup.system.a @ self.x_n)
+
+    def __call__(self, it, w, relres):
+        if w is not self.w:
+            raise RuntimeError("an inner step was observed without its residual")
+        self.callback(it, self.x_n, relres)
+
+
 @dataclass
 class OpinsReport:
     """Solution and diagnostics: x = x_p + x_n with x_n the projected inner w.
@@ -283,13 +321,15 @@ def _check_declared_symmetry(a):
 
 
 def _build_precond(sys, opts, fact):
+    """The inner preconditioner, None for ``precond='none'``, and whether
+    its G is SPD."""
     if opts.precond == "none":
-        return None
+        return None, False
     g = opts.g_kind
     if isinstance(g, str):
         g = build_g(sys.a, g)
     apply = g.solve if opts.precond == "simple" else ProjectedPreconditioner(g, fact).apply
-    return LinearOperator(dim=sys.n, apply=apply)
+    return LinearOperator(dim=sys.n, apply=apply), g.spd
 
 
 def opins_solve(sys, opts=None):
@@ -324,22 +364,26 @@ def opins_solve(sys, opts=None):
         return drift / denom if denom > 0 else 0.0
 
     purity = []
-    inner_cb = None
+    step = residual = None
     if opts.inner_callback is not None:
-        def inner_cb(it, w_k, relres):
-            purity.append(purity_of(projector.complement(w_k), w_k))
-            opts.inner_callback(it, w_k, relres)
+        observer = InnerObserver(setup, opts.inner_callback)
+        residual = observer.residual
 
-    precond = _build_precond(sys, opts, setup.fact)
-    if sys.a_symmetric and not (opts.declared_singular and precond is not None):
+        # step refers to the observer, not the reverse: no reference cycle
+        def step(it, w_k, relres):
+            purity.append(purity_of(observer.x_n, w_k))
+            observer(it, w_k, relres)
+
+    precond, g_spd = _build_precond(sys, opts, setup.fact)
+    if sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular):
         inner = krylov.minres(setup.operator, rhs, opts.solve_tol, maxit,
-                              precond=precond, callback=inner_cb)
+                              precond=precond, callback=step, residual=residual)
     else:
         inner = krylov.gmres(setup.operator, rhs, opts.restart, opts.solve_tol, maxit,
-                             left_precond=precond, callback=inner_cb)
+                             left_precond=precond, callback=step, residual=residual)
 
     x_n = projector.complement(inner.solution)
-    if inner_cb is None:
+    if step is None:
         purity.append(purity_of(x_n, inner.solution))
     x = setup.x_p + x_n
     y = recover_multipliers(projector, sys.f - sys.a @ x)

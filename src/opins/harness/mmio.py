@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import re
+from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +42,8 @@ _PLUS_SIGN = re.compile(rb"\+(?<=[ \t\n]\+)(?=[\d.])")
 # header line, then blank and comment lines, then the size line (group 1)
 _PREAMBLE = re.compile(rb"[^\n]*\n(?:[ \t]*(?:%[^\n]*)?\n)*([^\n]*)")
 _SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.S)
+# every digit to 0: lines that differ only in their digits then read alike
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
 
 
 class MatrixMarketError(ValueError):
@@ -97,11 +100,15 @@ def load_matrix_market(path):
         raise MatrixMarketError(path, size_lineno, f"{symmetry} matrix must be square")
 
     # every line after the size line is blank or one entry and nothing else:
-    # scipy ignores what follows an entry's valid prefix, and crashes on a NUL
-    entry = _NUMBER[field] if fmt == "array" else rb"\d+[ \t]+\d+[ \t]+" + _NUMBER[field]
+    # scipy ignores what follows an entry's valid prefix, and crashes on a NUL.
+    # The pattern sees digits only as digits, so each distinct line shape
+    # (digits read as 0) is matched once; a failure is looked up by line.
+    entry = rb"(?:" + (_NUMBER[field] if fmt == "array"
+                       else rb"\d+[ \t]+\d+[ \t]+" + _NUMBER[field]) + rb"[ \t]*)?"
     body = preamble.end(1)
-    bad = re.compile(rb"\n(?![ \t]*(?:" + entry + rb"[ \t]*)?(?:\n|\Z))").search(data, body)
-    if bad:
+    shapes = Counter(data[body:].translate(_ZERO_DIGITS).split(b"\n"))
+    if not all(map(re.compile(rb"[ \t]*" + entry).fullmatch, shapes)):
+        bad = re.compile(rb"\n(?![ \t]*" + entry + rb"(?:\n|\Z))").search(data, body)
         line = data[bad.start() + 1:].partition(b"\n")[0].decode(errors="backslashreplace")
         raise MatrixMarketError(path, _lineno(data, bad.start() + 1), f"bad entry {line!r}")
     if fmt == "coordinate":
@@ -109,7 +116,8 @@ def load_matrix_market(path):
     else:  # array storage of a symmetric matrix holds its lower triangle
         expected = {"general": nrows * ncols, "symmetric": nrows * (nrows + 1) // 2,
                     "skew-symmetric": nrows * (nrows - 1) // 2}[symmetry]
-    found = len(data[body:].split()) // (3 if fmt == "coordinate" else 1)
+    # each non-blank line is one entry
+    found = sum(count for shape, count in shapes.items() if shape.strip(b" \t"))
     if found != expected:
         raise MatrixMarketError(path, size_lineno,
                                 f"header promises {expected} entries, file has {found}")

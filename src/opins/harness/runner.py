@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import krylov, oracles
-from ..driver import OpinsOptions, OpinsSetup, opins_solve, relres_full
+from ..driver import InnerObserver, OpinsOptions, OpinsSetup, opins_solve, relres_full
 from ..preconditioners import jacobi_diagonal
 from ..projection import Projector, particular_solution, recover_multipliers
 from ..qrcp import qrcp_factor
@@ -155,26 +155,28 @@ class _Case:
         drift the solver reports."""
         self.writer.add(it, self.relres_x(x), relres_full(self.setup.system, x, y), bxn)
 
-    def recover(self, w):
-        """(x, y, x_n) of a projected-space iterate w: x_n = P w,
-        x = x_p + x_n and y from B^T y = f - A x."""
+    def recover(self, x_n):
+        """(x, y, A x) of a null-space part x_n: x = x_p + x_n and y from
+        B^T y = f - A x."""
         setup, system = self.setup, self.setup.system
-        x_n = setup.projector.complement(w)
         x = setup.x_p + x_n
-        return x, recover_multipliers(setup.projector, system.f - system.a @ x), x_n
+        ax = system.a @ x
+        return x, recover_multipliers(setup.projector, system.f - ax), ax
 
-    def projected_row(self, it, w_k, relres):
-        """History row for a projected-space iterate.  ``relres`` is the
-        solver's true residual ||rhs - P A P w_k|| / ||rhs||, which is
-        relres_x(P w_k)."""
+    def projected_row(self, it, x_n_k, relres):
+        """History row for the null-space part x_n_k = P w_k of a
+        projected-space iterate, as an ``InnerObserver`` hands it on.
+        ``relres`` is the solver's true residual ||rhs - P A x_n_k|| / ||rhs||,
+        which is relres_x(x_n_k); A x_k is formed once, for the multipliers
+        and the full residual both."""
         system = self.setup.system
-        x_k, y_k, x_n_k = self.recover(w_k)
-        self.writer.add(it, relres, relres_full(system, x_k, y_k),
+        x_k, y_k, ax_k = self.recover(x_n_k)
+        self.writer.add(it, relres, relres_full(system, x_k, y_k, ax_k),
                         float(np.linalg.norm(system.b @ x_n_k)))
 
     def observer(self, callback):
         """``callback`` when a history file will be written, else None: each
-        history row costs multipliers, a full residual and a projection."""
+        history row costs an A product, the multipliers and a full residual."""
         return callback if self.writer.path is not None else None
 
 
@@ -239,9 +241,11 @@ def _pminres_case(case, spec, config):
 
 def _pcg_case(case, spec, config):
     setup, system = case.setup, case.setup.system
+    observer = case.observer(InnerObserver(setup, case.projected_row))
     outcome = krylov.cg(setup.operator, setup.rhs, config.tol, _maxit(config, system.n),
-                        callback=case.observer(case.projected_row))
-    x, y, _ = case.recover(outcome.solution)
+                        callback=observer,
+                        residual=None if observer is None else observer.residual)
+    x, y, _ = case.recover(setup.projector.complement(outcome.solution))
     return x, y, outcome.status, outcome.iterations
 
 

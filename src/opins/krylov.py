@@ -11,6 +11,12 @@ run is reported ``converged`` only when both are at or below the tolerance,
 so a converged status always certifies the true relative residual, and a run
 stops at the same step with or without a callback.
 
+Each solver takes an optional ``residual(x)`` that returns ``b - op(x)``,
+which is also what it computes without one.  A caller that observes the
+iterates passes its own, to keep what the residual computes on the way
+(the driver keeps the projected iterate): a step's ``callback(iter, x,
+true_relres)`` runs right after ``residual`` of the same ``x``.
+
 ``iterations`` counts completed, recorded steps: it equals ``len(history)``
 for every status, and the returned solution is the iterate of the last
 record.  A step that breaks down before its record is not counted.
@@ -32,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
+
+from ._lapack import solve_triangular
 
 __all__ = ["IterationRecord", "SolveOutcome", "minres", "gmres", "cg"]
 
@@ -72,11 +79,19 @@ class _Steps:
     """The ledger of one run: ||b||, one record per completed step, the
     true residual where a step is observed, and the returned outcome."""
 
-    def __init__(self, op, b, tol, callback):
-        self.op, self.tol, self.callback = op, tol, callback
+    def __init__(self, op, b, tol, callback, residual):
+        self.op, self.tol, self.callback, self._residual = op, tol, callback, residual
         self.b = np.asarray(b, dtype=float)
         self.normb = np.linalg.norm(self.b)
         self.history = []
+
+    def residual(self, x):
+        """b - op(x), or the caller's ``residual(x)``.  (Dispatched here,
+        not stored as a closure over the ledger: that cycle would keep every
+        run's history alive until the collector's oldest generation runs.)"""
+        if self._residual is None:
+            return self.b - self.op(x)
+        return self._residual(x)
 
     def __len__(self):
         return len(self.history)
@@ -94,7 +109,7 @@ class _Steps:
         self.history.append(rec)
         if not self.observed(relres):
             return False
-        rec.true_relres = np.linalg.norm(self.b - self.op(x)) / self.normb
+        rec.true_relres = np.linalg.norm(self.residual(x)) / self.normb
         if self.callback is not None:
             self.callback(rec.iter, x, rec.true_relres)
         return relres <= self.tol and rec.true_relres <= self.tol
@@ -103,7 +118,7 @@ class _Steps:
         return SolveOutcome(x, status, len(self.history), self.history)
 
 
-def minres(op, b, tol, maxit, precond=None, callback=None):
+def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
     """MINRES for symmetric (possibly singular, compatible) systems.
 
     ``op`` is symmetric (caller-declared).  Started from zero and
@@ -114,11 +129,12 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
     per step, enters through the preconditioned Lanczos recurrence and must
     act positive definitely on the residual space; a nonpositive inner
     product is reported as ``breakdown``.  ``callback(iter, x, true_relres)``
-    sees every step.  Every test is relative, the floor on the rotation's
-    gamma to a running estimate of ||T_k|| (as MINRES-QLP keeps), so scaling
-    ``op`` and ``b`` together leaves the steps unchanged.
+    sees every step, and ``residual`` is as in the module docstring.  Every
+    test is relative, the floor on the rotation's gamma to a running
+    estimate of ||T_k|| (as MINRES-QLP keeps), so scaling ``op`` and ``b``
+    together leaves the steps unchanged.
     """
-    steps = _Steps(op, b, tol, callback)
+    steps = _Steps(op, b, tol, callback, residual)
     x = np.zeros(op.dim)
     if steps.normb == 0.0:
         return steps.outcome(CONVERGED, x)
@@ -186,7 +202,7 @@ def minres(op, b, tol, maxit, precond=None, callback=None):
     return steps.outcome(status, x)
 
 
-def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
+def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual=None):
     """Restarted GMRES with classical Gram-Schmidt applied twice (CGS2).
 
     The basis is kept as rows and each Arnoldi step orthogonalizes with two
@@ -197,11 +213,12 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
     the last completed step is then returned.  For singular operators the
     caller asserts range(op) = range(op^T) and compatibility; started from
     zero and unpreconditioned the converged solution is then minimum-norm.
-    ``left_precond`` is applied to the residuals.  A restart cycle that
+    ``left_precond`` is applied to the residuals, each restart's included,
+    which ``residual`` (module docstring) computes.  A restart cycle that
     improves the (preconditioned) residual by less than a factor of
     ``1 - 1e-3`` reports ``stagnation``.
     """
-    steps = _Steps(op, b, tol, callback)
+    steps = _Steps(op, b, tol, callback, residual)
     b, n = steps.b, op.dim
     x = np.zeros(n)
     if steps.normb == 0.0:
@@ -213,13 +230,13 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
 
     def solution_at(j):
         """Iterate of the current cycle after its step ``j``."""
-        yk = sla.solve_triangular(H[:j + 1, :j + 1], g[:j + 1], lower=False)
+        yk = solve_triangular(H[:j + 1, :j + 1], np.array(g[:j + 1]), overwrite_b=True)
         return x + yk @ V[:j + 1]
 
     status = None
     prev_cycle = None
     while status is None:
-        r = b - op(x)
+        r = steps.residual(x)
         pr = left_precond(r) if left_precond is not None else r
         beta = np.linalg.norm(pr)
         if beta / normpb <= tol and np.linalg.norm(r) / steps.normb <= tol:
@@ -289,14 +306,15 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None):
     return steps.outcome(status, x)
 
 
-def cg(op, b, tol, maxit, callback=None):
+def cg(op, b, tol, maxit, callback=None, residual=None):
     """Conjugate gradients for SPD-restricted operators.
 
     On indefinite operators CG is expected to fail; a non-positive curvature
     ``p^T op p`` or ten consecutive iterations without residual decrease is
-    reported as ``breakdown``.
+    reported as ``breakdown``.  ``callback`` and ``residual`` are as in the
+    module docstring.
     """
-    steps = _Steps(op, b, tol, callback)
+    steps = _Steps(op, b, tol, callback, residual)
     x = np.zeros(op.dim)
     if steps.normb == 0.0:
         return steps.outcome(CONVERGED, x)

@@ -24,6 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from ._lapack import lu_solve
 from .qrcp import apply_q_block
 
 __all__ = ["InvertibleOperator", "build_g", "jacobi_diagonal", "ilu0_factor",
@@ -32,10 +33,16 @@ __all__ = ["InvertibleOperator", "build_g", "jacobi_diagonal", "ilu0_factor",
 
 @dataclass(frozen=True)
 class InvertibleOperator:
-    """An approximation G of A, given by its ``solve`` (G^{-1} v)."""
+    """An approximation G of A, given by its ``solve`` (G^{-1} v).
+
+    ``spd`` declares G symmetric positive definite, which preconditioned
+    MINRES needs; a G that does not declare it is preconditioned through
+    GMRES (the solver rule in ``opins.driver``).
+    """
 
     dim: int
     solve: Callable[[np.ndarray], np.ndarray]
+    spd: bool = False
 
 
 def ilu0_factor(a):
@@ -209,15 +216,16 @@ def build_g(a, kind):
     """Build an invertible approximation G of A.
 
     ``kind`` is one of ``identity``, ``jacobi`` (see ``jacobi_diagonal``),
-    ``ilu0``.  ILU(0) reports zero pivots with the offending row.
+    ``ilu0``.  The first two are SPD; ILU(0) is not in general, and reports
+    zero pivots with the offending row.
     """
     n = a.shape[0]
     if kind == "identity":
         ident = lambda v: np.asarray(v, dtype=float)
-        return InvertibleOperator(dim=n, solve=ident)
+        return InvertibleOperator(dim=n, solve=ident, spd=True)
     if kind == "jacobi":
         diag = jacobi_diagonal(a)
-        return InvertibleOperator(dim=n, solve=lambda v: v / diag)
+        return InvertibleOperator(dim=n, solve=lambda v: v / diag, spd=True)
     if kind == "ilu0":
         mat = a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
         lower, upper = ilu0_factor(mat)
@@ -277,7 +285,8 @@ class ProjectedPreconditioner:
         """Evaluate s = P_G b via the cached range-space solve."""
         b = np.asarray(b, dtype=float)
         r = self.g.solve(b)
-        t = sla.lu_solve(self._schur_lu, apply_q_block(self.fact, r, transpose=True))
+        t = lu_solve(self._schur_lu, apply_q_block(self.fact, r, transpose=True),
+                     overwrite_b=True)
         if self._w is not None:
             return r - self._w @ t
         return self.g.solve(b - apply_q_block(self.fact, t))

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lapack import solve_triangular
 from .qrcp import RangeBasisFactorization, apply_q_block
 
 __all__ = ["Projector", "particular_solution", "recover_multipliers"]
@@ -53,7 +53,8 @@ def particular_solution(p, g):
     g = np.asarray(g, dtype=float)
     if g.shape != (fact.ncols,):
         raise ValueError(f"particular_solution: expected length {fact.ncols}, got {g.shape}")
-    t = sla.solve_triangular(fact.r_block, g[fact.permutation[:fact.rank]], trans="T")
+    t = solve_triangular(fact.r_block, g[fact.permutation[:fact.rank]], trans=True,
+                         overwrite_b=True)
     return apply_q_block(fact, t)
 
 
@@ -71,5 +72,5 @@ def recover_multipliers(p, residual):
         raise ValueError(f"recover_multipliers: expected length {fact.nrows}, got {residual.shape}")
     y = np.zeros(fact.ncols)
     t = apply_q_block(fact, residual, transpose=True)
-    y[fact.permutation[:fact.rank]] = sla.solve_triangular(fact.r_block, t)
+    y[fact.permutation[:fact.rank]] = solve_triangular(fact.r_block, t, overwrite_b=True)
     return y

@@ -45,6 +45,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgeqrf, dorgqr, dtpqrt, dtrcon
 
+from ._lapack import solve_triangular
+
 __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 
 # Largest LAPACK trcon estimate of kappa_1(R_11) at which sparse B^T keeps
@@ -208,11 +210,11 @@ def apply_q_block(fact, v, transpose=False):
         if v.shape != (fact.nrows,):
             raise ValueError(f"apply_q_block: expected length {fact.nrows}, got {v.shape}")
         if fact.u is None:
-            return sla.solve_triangular(fact.r_block, fact.b_q @ v, trans="T",
-                                        check_finite=False)
+            return solve_triangular(fact.r_block, fact.b_q @ v, trans=True,
+                                    check_finite=False, overwrite_b=True)
         return fact.u.T @ v
     if v.shape != (fact.rank,):
         raise ValueError(f"apply_q_block: expected length {fact.rank}, got {v.shape}")
     if fact.u is None:
-        return fact.b_q_t @ sla.solve_triangular(fact.r_block, v, check_finite=False)
+        return fact.b_q_t @ solve_triangular(fact.r_block, v, check_finite=False)
     return fact.u @ v

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from opins import krylov
 import opins.driver
-from opins.driver import OpinsError, OpinsOptions, OpinsSetup, SaddleSystem, opins_solve
+from opins.driver import (InnerObserver, OpinsError, OpinsOptions, OpinsSetup, SaddleSystem,
+                          opins_solve)
 from opins.driver import _frobenius_norm as frobenius_norm
 from opins.harness.runner import RunConfig
 from opins.operators import LinearOperator
@@ -246,6 +247,39 @@ class TestObservation:
         assert observed.metrics["null_space_purity_max"] >= final
         assert final <= 1e-12
 
+    @pytest.mark.parametrize("system, opts", [
+        (random_singular(5), {}),
+        (random_nonsymmetric(3), dict(precond="projected", g_kind="jacobi", restart=8)),
+    ], ids=["minres", "gmres-restarted"])
+    def test_callback_receives_the_projected_iterate(self, system, opts, monkeypatch):
+        # inner_callback's x_n_k is P w_k of the solver's own iterate w_k
+        iterates, parts = [], []
+        for name in ("minres", "gmres"):
+            def spy(*args, _solve=getattr(krylov, name), callback, **kwargs):
+                def seen(it, w, relres):
+                    iterates.append(w)
+                    callback(it, w, relres)
+                return _solve(*args, callback=seen, **kwargs)
+            monkeypatch.setattr(krylov, name, spy)
+        report = opins_solve(system, OpinsOptions(
+            inner_callback=lambda it, x_n, rr: parts.append(x_n), **opts))
+        projector = OpinsSetup.build(system, 1e-12).projector
+        assert len(parts) == len(iterates) == report.inner.iterations > 0
+        for x_n, w in zip(parts, iterates):
+            assert np.array_equal(x_n, projector.complement(w))
+
+    def test_observer_refuses_a_step_without_its_residual(self):
+        # the x_n an observer hands on is that of the last residual it computed
+        setup = OpinsSetup.build(random_singular(5), 1e-12)
+        seen = []
+        observer = InnerObserver(setup, lambda it, x_n, rr: seen.append(x_n))
+        w = np.ones(setup.system.n)
+        observer.residual(w)
+        observer(1, w, 0.5)
+        assert len(seen) == 1 and seen[0] is observer.x_n
+        with pytest.raises(RuntimeError, match="residual"):
+            observer(2, w.copy(), 0.5)
+
 
 class TestSingularGuard:
     def test_simple_precond_rejected_when_singular(self):
@@ -262,17 +296,20 @@ class TestSingularGuard:
 
 
 class TestSolverRule:
-    """MINRES when A is declared symmetric, unless a preconditioner is
-    applied to a system declared singular; GMRES otherwise."""
+    """MINRES when A is declared symmetric and either no preconditioner is
+    applied or G is SPD on a system not declared singular; GMRES
+    otherwise."""
 
-    @pytest.mark.parametrize("precond", ["none", "simple", "projected"])
+    @pytest.mark.parametrize("precond, g_kind", [
+        ("none", "identity"), ("simple", "jacobi"), ("projected", "jacobi"),
+        ("simple", "ilu0"), ("projected", "ilu0")],
+        ids=["none", "simple", "projected", "simple-ilu0", "projected-ilu0"])
     @pytest.mark.parametrize("singular", [False, True], ids=["nonsingular", "singular"])
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
-    def test_inner_solver_table(self, symmetric, singular, precond, monkeypatch):
+    def test_inner_solver_table(self, symmetric, singular, precond, g_kind, monkeypatch):
         ran = krylov_runs(monkeypatch)
         system = random_singular(2)
         system.a_symmetric = symmetric
-        g_kind = "identity" if precond == "none" else "jacobi"
         if singular and precond == "simple":
             with pytest.raises(OpinsError, match="projected"):
                 opins_solve(system, OpinsOptions(precond=precond, g_kind=g_kind,
@@ -281,9 +318,13 @@ class TestSolverRule:
             return
         report = opins_solve(system, OpinsOptions(precond=precond, g_kind=g_kind,
                                                   restart=200, declared_singular=singular))
-        expected = "minres" if symmetric and (not singular or precond == "none") else "gmres"
+        spd = g_kind != "ilu0"
+        expected = "minres" if symmetric and (precond == "none" or spd and not singular) \
+            else "gmres"
         assert ran == [expected]
-        if singular:
+        # ILU(0) of this rank-deficient dense A is its LU with rounding-level
+        # pivots, so only the choice of solver is checked with it
+        if singular and spd:
             # the null-space equation is singular: both solvers return a
             # solution, and without a preconditioner the minimum-norm one
             assert report.converged and report.metrics["relres_full"] <= 1e-10
@@ -413,13 +454,25 @@ class TestPreconditionedEquivalence:
             assert mismatch(w_k, v_k) <= 1e-10
         assert mismatch(captured[-1], dense_iterates[-1]) <= 1e-8
 
-    def test_user_operator_g(self):
-        # g_kind may be G itself instead of the name of a G to build
+    def test_user_operator_g(self, monkeypatch):
+        # g_kind may be G itself instead of the name of a G to build; one
+        # not declared SPD preconditions GMRES
+        ran = krylov_runs(monkeypatch)
         system = random_nonsingular(30)
         d = np.abs(np.diag(np.asarray(system.a))) + 1.0
         g = InvertibleOperator(dim=system.n, solve=lambda v: v / d)
         report = opins_solve(system, OpinsOptions(precond="projected", g_kind=g))
         assert report.converged
+        assert ran == ["gmres"]
+
+    def test_user_operator_g_declared_spd_preconditions_minres(self, monkeypatch):
+        ran = krylov_runs(monkeypatch)
+        system = random_nonsingular(30)
+        d = np.abs(np.diag(np.asarray(system.a))) + 1.0
+        g = InvertibleOperator(dim=system.n, solve=lambda v: v / d, spd=True)
+        report = opins_solve(system, OpinsOptions(precond="projected", g_kind=g))
+        assert report.converged
+        assert ran == ["minres"]
 
 
 class TestOptionValidation:

@@ -195,6 +195,35 @@ class TestMatrixMarket:
         assert f"{name}.mtx:{lineno}:" in str(err.value)
         assert err.value.lineno == lineno
 
+    @pytest.mark.parametrize("bad", ["1 2 3.5 7", "1 2 3.5x", "1 2 nan", "1 2"])
+    def test_late_bad_line_among_many_shapes_is_named(self, bad, tmp_path):
+        # lines of many shapes (index and value lengths, signs, exponents,
+        # blanks), the one bad line near the end; a count-only fault is
+        # named at the size line
+        rng = np.random.default_rng(4)
+        lines = [f"{i + 1} {j + 1} {v:.{k}g}" for i, j, v, k in zip(
+            rng.integers(0, 300, 400), rng.integers(0, 300, 400),
+            rng.standard_normal(400) * 10.0 ** rng.integers(-30, 30, 400),
+            rng.integers(1, 18, 400))]
+        lines[::37] = [""] * len(lines[::37])
+        entries = sum(1 for line in lines if line)
+        lines.insert(390, bad)
+        path = tmp_path / "late.mtx"
+        path.write_text(COORD_HEADER + f"300 300 {entries}\n" + "\n".join(lines) + "\n")
+        with pytest.raises(MatrixMarketError) as err:
+            load_matrix_market(path)
+        assert err.value.lineno == 2 + 390 + 1
+        assert "bad entry" in str(err.value)
+        # the same lines without the bad one load, and with it as a valid
+        # entry the count names the size line
+        del lines[390]
+        path.write_text(COORD_HEADER + f"300 300 {entries}\n" + "\n".join(lines) + "\n")
+        assert load_matrix_market(path).shape == (300, 300)
+        lines.insert(390, "1 2 3.5")
+        path.write_text(COORD_HEADER + f"300 300 {entries}\n" + "\n".join(lines) + "\n")
+        with pytest.raises(MatrixMarketError, match="header promises"):
+            load_matrix_market(path)
+
     @pytest.mark.parametrize("text", [
         # the format allows comments only before the size line
         COORD_HEADER + "2 2 1\n% late comment\n1 1 1.0\n",
@@ -516,9 +545,9 @@ class TestRunner:
     def test_projected_rows_take_the_solvers_relres(self, solver, kind, symmetric, krylov_name,
                                                     monkeypatch, tmp_path):
         # the relres_x column is the solver's true residual, equal as a float
-        # to setup.relres_x(P w_k) recomputed from the iterate, and the rows
-        # do not recompute it: besides the check's own calls, relres_x runs
-        # only for the final metrics
+        # to setup.relres_x(x_n_k) recomputed from the x_n_k = P w_k the row
+        # receives, and the rows do not recompute it: besides the check's own
+        # calls, relres_x runs only for the final metrics
         import opins.driver
         import opins.harness.runner
         import opins.krylov
@@ -540,9 +569,9 @@ class TestRunner:
         monkeypatch.setattr(opins.krylov, krylov_name, spy)
         row = opins.harness.runner._Case.projected_row
 
-        def recording(case, it, w_k, relres):
-            seen.append(case.setup.relres_x(case.setup.projector.complement(w_k)))
-            row(case, it, w_k, relres)
+        def recording(case, it, x_n_k, relres):
+            seen.append(case.setup.relres_x(x_n_k))
+            row(case, it, x_n_k, relres)
 
         monkeypatch.setattr(opins.harness.runner._Case, "projected_row", recording)
         spec = ProblemSpec(name=kind, source={"kind": kind, "seed": 2}, a_symmetric=symmetric)
@@ -663,6 +692,109 @@ class TestRunner:
         record = run_case(spec, RunConfig(solver="opins-ilu"))
         assert record.status == "converged"
         assert record.relres_x <= 1e-10
+
+    def test_observed_step_budget(self, monkeypatch, tmp_path):
+        # an observed GMRES step makes 3 A products and 4 projections: one of
+        # each pair for the Arnoldi vector, one P w and one P(A x_n) for the
+        # true residual, and one A x for the history row, which reads that
+        # x_n; each restart cycle adds the residual of its starting iterate
+        import opins.harness.runner
+        import opins.krylov
+        from opins.projection import Projector
+
+        rng = np.random.default_rng(9)
+        n = 200
+        dense = sp.random(n, n, density=0.03, random_state=rng).toarray()
+        dense -= dense.T.copy() * 0.5
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 0.05)
+        save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(dense))
+        spec = ProblemSpec(name="nonsym-sparse",
+                           source={"path_a": str(tmp_path / "a.mtx"), "m": 5, "seed": 2})
+
+        a_products, complements, iterates, rows = [], [], [], []
+
+        class CountedCSR(sp.csr_matrix):
+            def _matmul_vector(self, other):
+                a_products.append(1)
+                return super()._matmul_vector(other)
+
+        build = opins.harness.runner.build_system
+
+        def counted_build(spec):
+            system = build(spec)
+            system.a = CountedCSR(system.a)
+            return system
+
+        complement = Projector.complement
+
+        def counted_complement(projector, v):
+            complements.append(1)
+            return complement(projector, v)
+
+        gmres, counts = opins.krylov.gmres, {}
+
+        def spy(*args, callback, **kwargs):
+            def seen(it, w, relres):
+                iterates.append(w)
+                callback(it, w, relres)
+
+            before = len(a_products), len(complements)
+            outcome = gmres(*args, callback=seen, **kwargs)
+            counts["a"], counts["p"] = (len(a_products) - before[0],
+                                        len(complements) - before[1])
+            return outcome
+
+        row = opins.harness.runner._Case.projected_row
+
+        def recording(case, it, x_n_k, relres):
+            rows.append((case.setup.projector, x_n_k))
+            row(case, it, x_n_k, relres)
+
+        monkeypatch.setattr(opins.harness.runner, "build_system", counted_build)
+        monkeypatch.setattr(Projector, "complement", counted_complement)
+        monkeypatch.setattr(opins.krylov, "gmres", spy)
+        monkeypatch.setattr(opins.harness.runner._Case, "projected_row", recording)
+        record = run_case(spec, RunConfig(solver="opins-ilu",
+                                          history_path=str(tmp_path / "h.csv")))
+        steps = record.iterations
+        assert record.status == "converged" and 5 < steps < RunConfig.restart
+        # one restart cycle: its starting residual, then the steps
+        assert counts == {"a": 1 + 3 * steps, "p": 2 + 4 * steps}
+        # the row gets x_n = P w of the solver's own iterate w, as computed
+        assert len(rows) == len(iterates) == steps
+        for (projector, x_n_k), w_k in zip(rows, iterates):
+            assert np.array_equal(x_n_k, complement(projector, w_k))
+
+    @pytest.mark.parametrize("solver, kind", [
+        ("opins-ilu", "random"), ("opins-p", "random"), ("pcg", "random-s")])
+    def test_runs_leave_no_reference_cycles(self, solver, kind, tmp_path):
+        # a cycle through a run's step ledger or observer keeps its history
+        # and iterates alive until a full collection: repeated observed runs
+        # then hold far more memory than one
+        import gc
+
+        spec = ProblemSpec(name=kind, source={"kind": kind, "seed": 1})
+        history = str(tmp_path / "h.csv")
+        run_case(spec, RunConfig(solver=solver, history_path=history))
+        gc.collect()
+        gc.disable()
+        try:
+            run_case(spec, RunConfig(solver=solver, history_path=history))
+            run_case(spec, RunConfig(solver=solver))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("solver", ["opins-ilu", "opins-p"])
+    def test_ilu0_on_a_generated_problem_runs_gmres(self, solver, seed, monkeypatch):
+        # ILU(0) of the symmetric indefinite A is no SPD preconditioner, which
+        # MINRES needs (it broke down after 0 steps); GMRES converges
+        ran = krylov_runs(monkeypatch)
+        spec = ProblemSpec(name="random", source={"kind": "random", "seed": seed})
+        record = run_case(spec, RunConfig(solver=solver, g_kind="ilu0"))
+        assert ran == ["gmres"]
+        assert record.status == "converged" and record.relres_x <= 1e-10
 
     @pytest.mark.parametrize("solver", ["opins", "opins-p", "pcg", "pminres-ir1", "pgmres"])
     def test_history_file_does_not_change_the_result(self, solver, tmp_path):
