@@ -386,14 +386,15 @@ def opins_solve(sys, opts=None):
     if step is None:
         purity.append(purity_of(x_n, inner.solution))
     x = setup.x_p + x_n
-    y = recover_multipliers(projector, sys.f - sys.a @ x)
+    ax = sys.a @ x
+    y = recover_multipliers(projector, sys.f - ax)
 
     metrics = {
         "relres_x": setup.relres_x(x_n),
         "constraint_residual": float(np.linalg.norm(sys.g - sys.b @ x)),
         "norm_x": float(np.linalg.norm(x)),
         "null_space_purity_max": float(max(purity)) if purity else 0.0,
-        "relres_full": relres_full(sys, x, y),
+        "relres_full": relres_full(sys, x, y, ax),
         "norm_y": float(np.linalg.norm(y)),
     }
     return OpinsReport(x=x, y=y, x_p=setup.x_p, x_n=x_n, rank_b=setup.fact.rank,

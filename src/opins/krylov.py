@@ -214,9 +214,10 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
     caller asserts range(op) = range(op^T) and compatibility; started from
     zero and unpreconditioned the converged solution is then minimum-norm.
     ``left_precond`` is applied to the residuals, each restart's included,
-    which ``residual`` (module docstring) computes.  A restart cycle that
-    improves the (preconditioned) residual by less than a factor of
-    ``1 - 1e-3`` reports ``stagnation``.
+    which ``residual`` (module docstring) computes; the first cycle starts
+    at x = 0 from ``b`` itself, with no operator application.  A restart
+    cycle that improves the (preconditioned) residual by less than a factor
+    of ``1 - 1e-3`` reports ``stagnation``.
     """
     steps = _Steps(op, b, tol, callback, residual)
     b, n = steps.b, op.dim
@@ -236,8 +237,12 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
     status = None
     prev_cycle = None
     while status is None:
-        r = steps.residual(x)
-        pr = left_precond(r) if left_precond is not None else r
+        if len(steps):
+            r = steps.residual(x)
+            pr = left_precond(r) if left_precond is not None else r
+        else:
+            # x is still zero before the first record, and b - op(0) is b
+            r, pr = b, pb
         beta = np.linalg.norm(pr)
         if beta / normpb <= tol and np.linalg.norm(r) / steps.normb <= tol:
             status = CONVERGED

@@ -1,12 +1,26 @@
 """Householder QR with column pivoting for the transposed constraint matrix.
 
-``qrcp_factor`` computes ``B^T P = Q R`` in three steps, the same for dense
-and sparse B^T:
+``qrcp_factor`` computes ``B^T P = Q R`` in three steps:
 
-1. B^T's rows (for sparse input only its nonzero rows, densified) are
-   folded ``STREAM_ROWS`` at a time into a running m-by-m triangle R with
-   ``R^T R = B B^T`` by LAPACK ``tpqrt`` (TSQR: Demmel, Grigori, Hoemmen &
-   Langou, SISC 34, 2012).
+1. B^T's rows are folded ``STREAM_ROWS`` at a time into a running m-by-m
+   triangle R with ``R^T R = B B^T`` by LAPACK ``tpqrt`` (TSQR: Demmel,
+   Grigori, Hoemmen & Langou, SISC 34, 2012).  Dense B^T is folded in row
+   order at the full width m.  Sparse B^T is folded as in sparse QR by rows
+   (George & Heath, LAA 34, 1980), from one CSR of B^T:
+
+   * its columns (B's rows) are pre-ordered from the pattern alone, by the
+     weight ``sum 1 / nnz(row i of B^T)`` over the rows i that store the
+     column, ascending and stable, so the columns that carry many short
+     rows come last (equal weights, as for a dense B stored as CSR, keep
+     B's order);
+   * its nonzero rows, sorted stably by their leading column under that
+     order, are densified one block at a time and folded panel by panel,
+     nb columns to a panel (the ``tpqrt`` block size, a quarter of m, at
+     most 32): the rows leading in columns j to j + nb - 1 are zero left
+     of j, so they are folded into the trailing triangle ``R[j:, j:]``
+     alone, at width m - j;
+   * R's columns are put back in B's row order before step 2, which keeps
+     ``R^T R = B B^T``.
 2. LAPACK ``geqp3`` pivots on that R: greedily on the largest remaining
    column norm, with the norms downdated by the Drmac-Bujanovic safeguard
    (LAPACK Working Note 176) and ties to the lowest column index.
@@ -64,17 +78,21 @@ __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 # bound of the acceptance suite; the benchmark's averaging B has kappa ~ 20.
 SEMINORMAL_MAX_COND = 1e4
 
-# Rows of B^T (of sparse B^T, nonzero rows, densified) folded per ``tpqrt``
-# step: a 1024-by-m block (1.6 MB at m = 200).  On the benchmark's averaging
-# B (m = 200, n = 8000 and 91 125) 512 to 2048 rows took within 20% of each
-# other.
+# Rows of B^T folded per ``tpqrt`` step: a block of at most 1024-by-m (1.6 MB
+# at m = 200), the only dense block the fold holds.  Sparse B^T's nonzero
+# rows are densified per block at the width m - j of their panel j, after
+# the pre-order by column weight and the sort by leading column; blocks never
+# straddle two panels.  On the benchmark's averaging B (m = 200, n = 8000
+# and 91 125) 512 to 2048 rows took within 20% of each other at the full
+# width; at n = 8000 the panels fold 87 M rows times width^2 against 209 M
+# at the full width.
 STREAM_ROWS = 1024
 # LAPACK block size.  ``geqrf`` and ``orgqr`` get workspace for blocks of it
 # (with their default workspace both fall back to unblocked, level-2 loops:
 # 1.56 s against 1.10 s at n = 91 125, q = 181).  The compact-WY T factor
 # inside ``tpqrt`` is a quarter of m wide, at most _NB: folding 3312 rows at
 # m = 20, 64 and 100 took 0.12, 1.1 and 2.6 ms against 0.22, 1.6 and 2.7 ms
-# at min(_NB, m) (one BLAS thread)
+# at min(_NB, m) (one BLAS thread).  The sparse fold's panels are as wide.
 _NB = 32
 
 
@@ -143,19 +161,13 @@ def qrcp_factor(bt, rank_tol):
     n, m = bt.shape
     if min(n, m) == 0:
         return _empty(n, m, np.arange(m))
-    rows = bt
-    if sparse:
-        # B^T's nonzero rows (the unknowns B touches) as the CSC transpose of
-        # B's CSR, whose blocks densify straight into Fortran order
-        rows = b[:, np.flatnonzero(np.bincount(b.indices, minlength=n))].T
-    r = np.zeros((m, m), order="F")
     nb = max(1, min(_NB, m // 4))
-    for start in range(0, rows.shape[0], STREAM_ROWS):
-        block = rows[start:start + STREAM_ROWS]
-        block = block.toarray() if sparse else np.array(block, order="F")
-        r, _, _, info = dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"tpqrt failed with info={info}")
+    if sparse:
+        r = _sparse_triangle(b, nb)
+    else:
+        r = np.zeros((m, m), order="F")
+        for start in range(0, n, STREAM_ROWS):
+            r = _fold(r, np.array(bt[start:start + STREAM_ROWS], order="F"), nb)
     # geqp3 in place on R; q is the leading run of |R'_kk| above the
     # threshold (none for a zero matrix)
     (r, _), _, perm = sla.qr(r, mode="raw", pivoting=True, overwrite_a=True,
@@ -189,6 +201,62 @@ def qrcp_factor(bt, rank_tol):
         raise ValueError(f"orgqr failed with info={info}")
     return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
                                    u=u, r_block=r_block)
+
+
+def _fold(r, block, nb):
+    """Fold ``block`` into the triangle ``r`` (LAPACK ``tpqrt`` with a T
+    factor ``nb`` wide, in ``r``'s memory when ``r`` is Fortran-contiguous,
+    otherwise in a copy): the R returned has
+    ``R^T R = r^T r + block^T block``."""
+    r, _, _, info = dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"tpqrt failed with info={info}")
+    return r
+
+
+def _sparse_triangle(b, nb):
+    """The m-by-m R with ``R^T R = B B^T`` for the m-by-n CSR ``b``, folded
+    panel by panel into the trailing triangle (step 1 of the module
+    docstring); nothing in it is n-by-m."""
+    m = b.shape[0]
+    # CSR of B^T: a new copy, so summing its duplicates leaves B alone
+    rows = b.T.tocsr()
+    rows.sum_duplicates()
+    count = np.diff(rows.indptr)
+    touched = np.flatnonzero(count)
+    start, count = rows.indptr[touched], count[touched]
+    # B's rows, lightest first: a row weighs 1/nnz of each row of B^T it is
+    # stored in, so rows that share many short rows of B^T come last
+    weight = np.bincount(rows.indices, weights=np.repeat(1.0 / count, count), minlength=m)
+    pos = np.empty(m, dtype=np.intp)
+    pos[np.argsort(weight, kind="stable")] = np.arange(m)
+    # the nonzero rows of B^T by leading column under that order
+    lead = np.minimum.reduceat(pos[rows.indices], start)
+    by_lead = np.argsort(lead, kind="stable")
+    lead, start, count = lead[by_lead], start[by_lead], count[by_lead]
+    # panel j takes the rows that lead in columns j to j + nb - 1; they are
+    # zero left of j, so they change only R[j:, j:] (for j > 0 a strided
+    # view, which tpqrt gets as a copy that is then written back)
+    r = np.zeros((m, m), order="F")
+    # every block is zeroed and scattered into this one buffer: a new
+    # array per block costs its page faults again
+    buf = np.empty(min(STREAM_ROWS, lead.size) * m)
+    first = np.searchsorted(lead, np.arange(0, m, nb))
+    for j, lo, hi in zip(range(0, m, nb), first, np.append(first[1:], lead.size)):
+        for s in range(lo, hi, STREAM_ROWS):
+            e = min(s + STREAM_ROWS, hi)
+            # the block's entries, gathered from the CSR and scattered once
+            # by flat index into a C-ordered (m - j)-by-rows array, whose
+            # transpose is the Fortran-ordered block tpqrt takes
+            k = count[s:e]
+            src = np.repeat(start[s:e] - np.cumsum(k) + k, k) + np.arange(k.sum())
+            block = buf[:(m - j) * (e - s)]
+            block.fill(0.0)
+            block[(pos[rows.indices[src]] - j) * (e - s) + np.repeat(np.arange(e - s), k)] = \
+                rows.data[src]
+            r[j:, j:] = _fold(r[j:, j:], block.reshape(m - j, e - s).T, min(nb, m - j))
+    # R of B^T with its columns in B's own row order: R^T R = B B^T
+    return np.asfortranarray(r[:, pos])
 
 
 def _empty(n, m, perm):

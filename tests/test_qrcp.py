@@ -443,17 +443,53 @@ def assert_matches_dense_input(b, fact):
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def panel_width(m):
+    """Columns per panel of the sparse fold (the tpqrt T-factor width)."""
+    return max(1, min(qrcp_module._NB, m // 4))
+
+
+def row_values(mat):
+    """Each row's nonzero values, sorted, as a sorted list: the rows of a
+    matrix as a multiset, whatever their column order or zero padding."""
+    return sorted(tuple(np.sort(row[row != 0])) for row in np.asarray(mat))
+
+
+def assert_folds_each_row_once(b, calls):
+    """The fold's tpqrt calls: each folds 1 to STREAM_ROWS rows at the width
+    m - j of its panel, whose start j is a multiple of the panel width;
+    every row leads in the panel's first columns, panels run left to right
+    and only a panel's last block is short, and together the calls fold
+    every nonzero row of B^T exactly once."""
+    m = b.shape[0]
+    nb = panel_width(m)
+    widths = [block.shape[1] for _, block in calls]
+    assert widths == sorted(widths, reverse=True)
+    for k, (t, block) in enumerate(calls):
+        rows, width = block.shape
+        assert 0 < rows <= qrcp_module.STREAM_ROWS
+        assert 0 < width <= m and (m - width) % nb == 0
+        assert t == min(nb, width)
+        assert np.all(np.any(block[:, :t] != 0, axis=1))
+        if k + 1 < len(calls) and widths[k + 1] == width:
+            assert rows == qrcp_module.STREAM_ROWS
+    assert row_values(np.vstack([np.pad(block, ((0, 0), (m - block.shape[1], 0)))
+                                 for _, block in calls])) \
+        == row_values(b.T.toarray()[np.unique(b.indices)])
+
+
 class TestStreamedFactor:
-    """B^T, dense or sparse, is factored by folding row blocks (of sparse
-    B^T, of its nonzero rows) into an m-by-m R (LAPACK tpqrt) and pivoting
-    on that R."""
+    """B^T, dense or sparse, is factored by folding row blocks into an m-by-m
+    R (LAPACK tpqrt) and pivoting on that R.  Dense B^T is folded in row
+    order at the full width m; sparse B^T's nonzero rows are folded by
+    leading column, panel by panel, into the trailing triangle only."""
 
     @pytest.fixture
     def tpqrt_calls(self, monkeypatch):
+        """(T-factor width, a copy of the block) of every tpqrt call."""
         calls, tpqrt = [], qrcp_module.dtpqrt
 
         def counted(*args, **kwargs):
-            calls.append(args[3].shape)
+            calls.append((args[1], np.array(args[3])))
             return tpqrt(*args, **kwargs)
 
         monkeypatch.setattr(qrcp_module, "dtpqrt", counted)
@@ -462,7 +498,10 @@ class TestStreamedFactor:
     @pytest.mark.parametrize("storage", ["dense", "dense-as-csr", "sparse"])
     def test_every_input_is_streamed(self, tpqrt_calls, storage):
         # one path: dense input, a dense B stored as CSR and a sparse B all
-        # reach the pivots through tpqrt, on every row B^T has stored
+        # reach the pivots through tpqrt, on every row B^T has stored.  A
+        # dense B stored as CSR weighs its rows equally and every row of B^T
+        # leads in column 0, so it makes dense input's calls: the rows in
+        # order, STREAM_ROWS at a time, at the full width
         if storage == "sparse":
             b = scattered_b(7, n=3000, m=20, per_row=6)
         else:
@@ -471,8 +510,15 @@ class TestStreamedFactor:
         fact = qrcp_factor(bt, RANK_TOL)
         assert fact.rank == 20
         assert (fact.u is None) == (storage == "sparse")
-        assert sum(shape[0] for shape in tpqrt_calls) == np.unique(b.indices).size
-        assert len(tpqrt_calls) == -(-np.unique(b.indices).size // qrcp_module.STREAM_ROWS)
+        assert_folds_each_row_once(b, tpqrt_calls)
+        if storage == "sparse":
+            assert len({block.shape[1] for _, block in tpqrt_calls}) > 1
+            assert_matches_dense_input(b, fact)
+        else:
+            assert [(t, block.shape) for t, block in tpqrt_calls] == \
+                [(5, (1024, 20)), (5, (1024, 20)), (5, (952, 20))]
+            np.testing.assert_array_equal(np.vstack([block for _, block in tpqrt_calls]),
+                                          b.toarray().T)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_distinct_row_norms_match_dense_input(self, seed):
@@ -482,12 +528,50 @@ class TestStreamedFactor:
         assert_matches_dense_input(b, fact)
 
     def test_more_than_three_blocks(self, tpqrt_calls):
+        # more nonzero rows of B^T than one block holds, so the first panel
+        # takes two blocks, and more than three blocks in all
         b = scattered_b(2, n=6000, m=60, per_row=90)
-        touched = np.unique(b.indices).size
         fact = qrcp_factor(b.T, RANK_TOL)
         assert fact.u is None
-        assert len(tpqrt_calls) == -(-touched // qrcp_module.STREAM_ROWS) > 3
-        assert sum(shape[0] for shape in tpqrt_calls) == touched
+        assert len(tpqrt_calls) > 3
+        assert [block.shape[1] for _, block in tpqrt_calls][:2] == [60, 60]
+        assert_folds_each_row_once(b, tpqrt_calls)
+        assert_matches_dense_input(b, fact)
+
+    def test_row_touching_every_unknown(self, tpqrt_calls):
+        # B's first row touches all 400 unknowns, so in B's own order every
+        # row of B^T would lead in column 0 and fold at the full width.  That
+        # row weighs the most, so the pre-order puts it last: the 400 - 150
+        # rows of B^T it alone touches lead in the last column, and the
+        # others lead where the scattered rows put them
+        m = 30
+        b = sp.vstack([sp.csr_matrix(np.full((1, 400), 0.5)),
+                       scattered_b(8, n=400, m=m - 1, per_row=5, touched=150)]).tocsr()
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.rank == m and fact.u is None
+        assert_folds_each_row_once(b, tpqrt_calls)
+        last = m - (m - 1) // panel_width(m) * panel_width(m)
+        assert sum(block.shape[0] for _, block in tpqrt_calls
+                   if block.shape[1] == last) >= 400 - 150
+        assert_matches_dense_input(b, fact)
+
+    def test_pre_order_reverses_the_rows_of_b(self, tpqrt_calls):
+        # row c of B touches the first (m - c) k unknowns, so the weights
+        # fall strictly with c and the pre-order reverses B's rows: a row
+        # of B^T that rows 0 to c_max touch leads in column m - 1 - c_max
+        # and folds in that column's panel, at width m minus its start
+        m, k = 24, 7
+        c_max = m - 1 - np.arange(m * k) // k
+        rng = np.random.default_rng(9)
+        dense = np.where(np.arange(m)[:, None] <= c_max, rng.standard_normal((m, m * k)), 0.0)
+        b = sp.csr_matrix(dense * ((1.0 + np.arange(m)) / np.linalg.norm(dense, axis=1))[:, None])
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.rank == m and fact.u is None
+        assert_folds_each_row_once(b, tpqrt_calls)
+        nb = panel_width(m)
+        want = sorted(m - (m - 1 - c_max) // nb * nb)
+        assert sorted(block.shape[1] for _, block in tpqrt_calls
+                      for _ in range(block.shape[0])) == want
         assert_matches_dense_input(b, fact)
 
     def test_untouched_unknowns(self, tpqrt_calls):
@@ -496,7 +580,8 @@ class TestStreamedFactor:
         b = scattered_b(3, n=600, m=20, per_row=10, touched=150)
         fact = qrcp_factor(b.T, RANK_TOL)
         assert fact.u is None
-        assert sum(shape[0] for shape in tpqrt_calls) == np.unique(b.indices).size <= 150
+        assert np.unique(b.indices).size <= 150
+        assert_folds_each_row_once(b, tpqrt_calls)
         assert_matches_dense_input(b, fact)
         e = np.zeros(600)
         e[400] = 1.0
@@ -509,6 +594,19 @@ class TestStreamedFactor:
         assert fact.rank == svd_rank(b.toarray()) == 12
         assert fact.u is None
         assert_matches_dense_input(b, fact)
+
+    def test_unsummed_duplicate_entries(self):
+        # every entry of B stored twice at half its value: the fold sums them
+        # before it writes each into its block
+        b = scattered_b(11, n=300, m=20, per_row=6)
+        twice = sp.csr_matrix((np.repeat(b.data / 2, 2), np.repeat(b.indices, 2), 2 * b.indptr),
+                              shape=b.shape)
+        assert not twice.has_canonical_format
+        fact = qrcp_factor(twice.T, RANK_TOL)
+        assert fact.u is None
+        assert_matches_dense_input(b, fact)
+        # the caller's B is left as it was
+        assert twice.nnz == 2 * b.nnz
 
     def test_all_zero_sparse_b(self):
         b = sp.csr_matrix((30, 500))
@@ -532,6 +630,25 @@ class TestStreamedFactor:
             tracemalloc.stop()
         assert fact.u is None and fact.rank == m
         assert peak <= 16e6
+
+    def test_fold_holds_one_block(self):
+        # at n = 1e5 the traced peak stays within one STREAM_ROWS-by-m block,
+        # three m-by-m arrays (R, its trailing triangle, the un-permuted
+        # copy), the CSR of B^T's row pointer and row lengths (up to 8 bytes
+        # per row each) and 64 bytes per entry of B; holding every block
+        # at once would take 8 nnz(B^T rows) m bytes, about 16 MB here
+        n, m = 100_000, 200
+        b = scattered_b(10, n=n, m=m, per_row=54)
+        tracemalloc.start()
+        try:
+            fact = qrcp_factor(b.T, RANK_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fact.u is None and fact.rank == m
+        assert np.unique(b.indices).size * m * 8 > 15e6
+        assert peak <= 8 * qrcp_module.STREAM_ROWS * m + 3 * 8 * m * m + 16 * (n + 1) \
+            + 64 * b.nnz
 
 
 class TestValidatesBeforeCopying:
