@@ -11,7 +11,10 @@ that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
 it is the constraint violation ||g - B x||.  Direct solvers emit a single
 summary row.  Every row but the projected-space rows of the opins family
 and pcg goes through ``_Case.row``, whose ``relres_x`` is that of
-P (x - x_p), as in the final record.
+P (x - x_p).  The final record of an opins variant takes ``relres_x`` and
+``relres_full`` from the report of its ``opins_solve``, whose ``relres_x``
+is that of its x_n = P w, as in the projected-space rows; for the other
+solvers the record computes both as ``_Case.row`` does.
 
 Every solver reads the setup's one QRCP of B^T.  The two
 constraint-preconditioned baselines, pminres-ir* and pgmres, share
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -144,6 +147,9 @@ class _Case:
 
     setup: OpinsSetup
     writer: _HistoryWriter
+    # relres_x and relres_full of the x the solver returns, when its own
+    # solve computed them (the opins family's report); empty otherwise
+    final: dict = field(default_factory=dict)
 
     def relres_x(self, x):
         """relres_x of the null-space part P (x - x_p) of a whole-space x."""
@@ -213,6 +219,7 @@ def _opins_case(case, spec, config):
     if callback is not None and not report.inner.history and report.converged:
         # projected right-hand side was zero: single summary row
         case.row(0, report.x, report.y, float(np.linalg.norm(system.b @ report.x_n)))
+    case.final = report.metrics
     return report.x, report.y, report.inner.status, report.inner.iterations
 
 
@@ -305,9 +312,10 @@ def run_case(spec, config):
     elapsed = time.perf_counter() - started
     writer.flush()
 
+    final = case.final or {"relres_x": case.relres_x(x), "relres_full": relres_full(system, x, y)}
     record = MetricsRecord(
-        relres_x=case.relres_x(x),
-        relres_full=relres_full(system, x, y),
+        relres_x=final["relres_x"],
+        relres_full=final["relres_full"],
         constraint_residual=float(np.linalg.norm(system.g - system.b @ x)),
         norm_x=float(np.linalg.norm(x)),
         norm_y=float(np.linalg.norm(y)),

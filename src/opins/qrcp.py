@@ -10,10 +10,16 @@
 
    * its columns (B's rows) are pre-ordered from the pattern alone, by the
      weight ``sum 1 / nnz(row i of B^T)`` over the rows i that store the
-     column, ascending and stable, so the columns that carry many short
-     rows come last (equal weights, as for a dense B stored as CSR, keep
-     B's order);
-   * its nonzero rows, sorted stably by their leading column under that
+     column, repeated rows included, ascending and stable, so the columns
+     that carry many short rows come last (equal weights, as for a dense B
+     stored as CSR, keep B's order);
+   * its nonzero rows that are equal in every column and value are folded
+     once, as the first of the k copies scaled by sqrt(k), which adds the
+     same ``k r^T r`` to ``R^T R`` (the repeated-row case of sparse QR by
+     rows): rows whose lengths and two probe keys agree are compared
+     entry by entry with the earliest of them, and only rows found equal
+     merge;
+   * the rows kept, sorted stably by their leading column under that
      order, are densified one block at a time and folded panel by panel,
      nb columns to a panel (the ``tpqrt`` block size, a quarter of m, at
      most 32): the rows leading in columns j to j + nb - 1 are zero left
@@ -81,11 +87,13 @@ SEMINORMAL_MAX_COND = 1e4
 # Rows of B^T folded per ``tpqrt`` step: a block of at most 1024-by-m (1.6 MB
 # at m = 200), the only dense block the fold holds.  Sparse B^T's nonzero
 # rows are densified per block at the width m - j of their panel j, after
-# the pre-order by column weight and the sort by leading column; blocks never
-# straddle two panels.  On the benchmark's averaging B (m = 200, n = 8000
-# and 91 125) 512 to 2048 rows took within 20% of each other at the full
-# width; at n = 8000 the panels fold 87 M rows times width^2 against 209 M
-# at the full width.
+# the pre-order by column weight, the merge of repeated rows and the sort by
+# leading column; blocks never straddle two panels.  On the benchmark's
+# averaging B (m = 200, n = 8000 and 91 125) 512 to 2048 rows took within
+# 20% of each other at the full width; at n = 8000 the panels fold 87 M rows
+# times width^2 against 209 M at the full width, and folding only the 1 498
+# distinct rows of 5 229 brings that to 34 M (at n = 91 125, 456 of 9 223
+# rows and 7.6 M).
 STREAM_ROWS = 1024
 # LAPACK block size.  ``geqrf`` and ``orgqr`` get workspace for blocks of it
 # (with their default workspace both fall back to unblocked, level-2 loops:
@@ -230,10 +238,13 @@ def _sparse_triangle(b, nb):
     weight = np.bincount(rows.indices, weights=np.repeat(1.0 / count, count), minlength=m)
     pos = np.empty(m, dtype=np.intp)
     pos[np.argsort(weight, kind="stable")] = np.arange(m)
-    # the nonzero rows of B^T by leading column under that order
     lead = np.minimum.reduceat(pos[rows.indices], start)
-    by_lead = np.argsort(lead, kind="stable")
-    lead, start, count = lead[by_lead], start[by_lead], count[by_lead]
+    # each distinct row once, the first of its copies, folded at sqrt(k)
+    keep, copies = _distinct_rows(rows, touched, start, count)
+    root = np.sqrt(copies)
+    # the kept rows by leading column under that order
+    by_lead = np.flatnonzero(keep)[np.argsort(lead[keep], kind="stable")]
+    lead, start, count, root = lead[by_lead], start[by_lead], count[by_lead], root[by_lead]
     # panel j takes the rows that lead in columns j to j + nb - 1; they are
     # zero left of j, so they change only R[j:, j:] (for j > 0 a strided
     # view, which tpqrt gets as a copy that is then written back)
@@ -253,10 +264,59 @@ def _sparse_triangle(b, nb):
             block = buf[:(m - j) * (e - s)]
             block.fill(0.0)
             block[(pos[rows.indices[src]] - j) * (e - s) + np.repeat(np.arange(e - s), k)] = \
-                rows.data[src]
+                rows.data[src] * np.repeat(root[s:e], k)
             r[j:, j:] = _fold(r[j:, j:], block.reshape(m - j, e - s).T, min(nb, m - j))
     # R of B^T with its columns in B's own row order: R^T R = B B^T
     return np.asfortranarray(r[:, pos])
+
+
+def _row_keys(rows):
+    """Two keys for each row of the CSR ``rows``, products with a fixed
+    probe: a CSR product sums each row in its stored order, so rows that
+    store the same columns and values in the same order share both keys
+    bit for bit."""
+    return rows @ np.random.default_rng(0).uniform(1.0, 2.0, (rows.shape[1], 2))
+
+
+def _distinct_rows(rows, touched, start, count):
+    """Which of the nonzero rows ``touched`` of the canonical CSR ``rows``
+    (``count`` entries from ``start`` each) to fold, as a mask over them,
+    and how many copies each stands for: a row equal to an earlier one in
+    every column and value is folded as part of that one.  Keys only pick
+    the candidates, so equal keys alone merge nothing."""
+    # the keys live only inside _candidates, so they are freed before the
+    # entries are gathered: kept alive here, they raise the traced peak of
+    # TestRepeatedRows' 1e5-unknown fold from 11.4 MB to 15.0 MB
+    cand, head = _candidates(rows, touched, count)
+    # their entries side by side, candidate against head, in start's dtype
+    # (4 bytes an entry for an int32 CSR)
+    k = count[cand]
+    ofs = np.cumsum(k, dtype=start.dtype) - k
+    at = np.repeat(start[cand] - ofs, k) + np.arange(k.sum(), dtype=start.dtype)
+    shift = np.repeat(start[head] - start[cand], k)
+    equal = rows.indices[at] == rows.indices[at + shift]
+    equal &= rows.data[at] == rows.data[at + shift]
+    equal = np.logical_and.reduceat(equal, ofs)
+    keep = np.ones(touched.size, dtype=bool)
+    keep[cand[equal]] = False
+    return keep, np.bincount(head[equal], minlength=touched.size) + 1
+
+
+def _candidates(rows, touched, count):
+    """(candidate, head) pairs among the nonzero rows ``touched`` of
+    ``rows``, ``count`` entries each: sorted stably by length and keys,
+    equal rows sit in runs of equal length and keys, and every row of a run
+    but its first, the earliest in B^T, is a candidate to merge into that
+    one."""
+    key = _row_keys(rows)[touched]
+    order = np.lexsort((key[:, 1], key[:, 0], count))
+    key, length = key[order], count[order]
+    run = np.arange(order.size)
+    run[1:][(length[1:] == length[:-1]) & (key[1:, 0] == key[:-1, 0])
+            & (key[1:, 1] == key[:-1, 1])] = 0
+    head = order[np.maximum.accumulate(run)]
+    cand = order != head
+    return order[cand], head[cand]
 
 
 def _empty(n, m, perm):

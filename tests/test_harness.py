@@ -628,6 +628,32 @@ class TestRunner:
         assert int(last[0]) == record.iterations
         assert float(last[1]) == record.relres_x
 
+    @pytest.mark.parametrize("solver, symmetric", [
+        ("opins", None), ("opins-j", False), ("opins-p", None), ("opins-ilu", False)])
+    def test_opins_record_takes_the_reports_metrics(self, solver, symmetric, monkeypatch,
+                                                    tmp_path):
+        # the record's relres_x and relres_full are those opins_solve
+        # reported, not formed again, so the last history row's relres_x is
+        # the record's, bit for bit
+        reports, solve = [], runner.opins_solve
+
+        def spy(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(runner, "opins_solve", spy)
+        monkeypatch.setattr(runner._Case, "relres_x", lambda *args: pytest.fail("recomputed"))
+        spec = ProblemSpec(name="random", source={"kind": "random", "seed": 2},
+                           a_symmetric=symmetric)
+        path = tmp_path / "h.csv"
+        record = run_case(spec, RunConfig(solver=solver, maxit=60, history_path=str(path)))
+        [report] = reports
+        assert record.relres_x == report.metrics["relres_x"]
+        assert record.relres_full == report.metrics["relres_full"]
+        last = path.read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == record.iterations > 5
+        assert float(last[1]) == record.relres_x
+
     @pytest.mark.parametrize("solver", runner.SOLVER_NAMES)
     def test_every_solver_factors_b_once(self, solver, monkeypatch):
         # the baselines take the rank, rows and x_p of the run's one QRCP

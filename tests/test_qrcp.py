@@ -459,7 +459,9 @@ def assert_folds_each_row_once(b, calls):
     m - j of its panel, whose start j is a multiple of the panel width;
     every row leads in the panel's first columns, panels run left to right
     and only a panel's last block is short, and together the calls fold
-    every nonzero row of B^T exactly once."""
+    every distinct nonzero row of B^T exactly once, a row stored k times
+    scaled by sqrt(k).  (Dense input folds every row as it is, so for it
+    this holds only without repeated rows.)"""
     m = b.shape[0]
     nb = panel_width(m)
     widths = [block.shape[1] for _, block in calls]
@@ -472,28 +474,33 @@ def assert_folds_each_row_once(b, calls):
         assert np.all(np.any(block[:, :t] != 0, axis=1))
         if k + 1 < len(calls) and widths[k + 1] == width:
             assert rows == qrcp_module.STREAM_ROWS
-    assert row_values(np.vstack([np.pad(block, ((0, 0), (m - block.shape[1], 0)))
-                                 for _, block in calls])) \
-        == row_values(b.T.toarray()[np.unique(b.indices)])
+    distinct, copies = np.unique(b.T.toarray()[np.unique(b.indices)], axis=0, return_counts=True)
+    assert row_values(folded_rows(m, calls)) == row_values(distinct * np.sqrt(copies)[:, None])
+
+
+def folded_rows(m, calls):
+    """The rows the tpqrt calls folded, each padded on the left to width m."""
+    return np.vstack([np.pad(block, ((0, 0), (m - block.shape[1], 0))) for _, block in calls])
+
+
+@pytest.fixture
+def tpqrt_calls(monkeypatch):
+    """(T-factor width, a copy of the block) of every tpqrt call."""
+    calls, tpqrt = [], qrcp_module.dtpqrt
+
+    def counted(*args, **kwargs):
+        calls.append((args[1], np.array(args[3])))
+        return tpqrt(*args, **kwargs)
+
+    monkeypatch.setattr(qrcp_module, "dtpqrt", counted)
+    return calls
 
 
 class TestStreamedFactor:
     """B^T, dense or sparse, is factored by folding row blocks into an m-by-m
     R (LAPACK tpqrt) and pivoting on that R.  Dense B^T is folded in row
-    order at the full width m; sparse B^T's nonzero rows are folded by
-    leading column, panel by panel, into the trailing triangle only."""
-
-    @pytest.fixture
-    def tpqrt_calls(self, monkeypatch):
-        """(T-factor width, a copy of the block) of every tpqrt call."""
-        calls, tpqrt = [], qrcp_module.dtpqrt
-
-        def counted(*args, **kwargs):
-            calls.append((args[1], np.array(args[3])))
-            return tpqrt(*args, **kwargs)
-
-        monkeypatch.setattr(qrcp_module, "dtpqrt", counted)
-        return calls
+    order at the full width m; sparse B^T's distinct nonzero rows are folded
+    by leading column, panel by panel, into the trailing triangle only."""
 
     @pytest.mark.parametrize("storage", ["dense", "dense-as-csr", "sparse"])
     def test_every_input_is_streamed(self, tpqrt_calls, storage):
@@ -541,18 +548,22 @@ class TestStreamedFactor:
     def test_row_touching_every_unknown(self, tpqrt_calls):
         # B's first row touches all 400 unknowns, so in B's own order every
         # row of B^T would lead in column 0 and fold at the full width.  That
-        # row weighs the most, so the pre-order puts it last: the 400 - 150
-        # rows of B^T it alone touches lead in the last column, and the
-        # others lead where the scattered rows put them
+        # row weighs the most, so the pre-order puts it last: the k >= 400 -
+        # 150 rows of B^T it alone touches are all (0, ..., 0, 0.5), and they
+        # fold once, as 0.5 sqrt(k) in the last column; the others lead
+        # where the scattered rows put them
         m = 30
         b = sp.vstack([sp.csr_matrix(np.full((1, 400), 0.5)),
                        scattered_b(8, n=400, m=m - 1, per_row=5, touched=150)]).tocsr()
         fact = qrcp_factor(b.T, RANK_TOL)
         assert fact.rank == m and fact.u is None
         assert_folds_each_row_once(b, tpqrt_calls)
+        k = 400 - np.unique(b.indices[b.indptr[1]:]).size
+        assert k >= 400 - 150
         last = m - (m - 1) // panel_width(m) * panel_width(m)
-        assert sum(block.shape[0] for _, block in tpqrt_calls
-                   if block.shape[1] == last) >= 400 - 150
+        alone = np.append(np.zeros(last - 1), 0.5 * np.sqrt(k))
+        assert sum(np.array_equal(row, alone) for _, block in tpqrt_calls
+                   if block.shape[1] == last for row in block) == 1
         assert_matches_dense_input(b, fact)
 
     def test_pre_order_reverses_the_rows_of_b(self, tpqrt_calls):
@@ -647,6 +658,113 @@ class TestStreamedFactor:
             tracemalloc.stop()
         assert fact.u is None and fact.rank == m
         assert np.unique(b.indices).size * m * 8 > 15e6
+        assert peak <= 8 * qrcp_module.STREAM_ROWS * m + 3 * 8 * m * m + 16 * (n + 1) \
+            + 64 * b.nnz
+
+
+def repeated_rows_b(seed, m=40, distinct=25, per_row=4):
+    """Sparse B whose B^T has ``distinct`` random rows, ``per_row`` entries
+    each, every one stored 2 to 50 times, in shuffled order; returns B and
+    the copies of each distinct row."""
+    rng = np.random.default_rng(seed)
+    cols = np.array([np.sort(rng.choice(m, per_row, replace=False)) for _ in range(distinct)])
+    vals = rng.standard_normal((distinct, per_row))
+    copies = rng.integers(2, 51, size=distinct)
+    which = rng.permutation(np.repeat(np.arange(distinct), copies))
+    bt = sp.csr_matrix((vals[which].ravel(), cols[which].ravel(),
+                        per_row * np.arange(which.size + 1)), shape=(which.size, m))
+    return bt.T.tocsr(), copies
+
+
+def block_averaging_b(n, m, width):
+    """Sparse m-by-n B whose row i averages the ``width`` unknowns from
+    i n / m on, wrapping around: with width between n / m and 2 n / m,
+    every unknown of a stretch shared by the same one or two rows has the
+    same row of B^T, so B^T holds 2 m distinct rows."""
+    cols = (np.arange(m)[:, None] * (n // m) + np.arange(width)) % n
+    return sp.csr_matrix((np.full(m * width, 1.0 / width), cols.ravel(),
+                          width * np.arange(m + 1)), shape=(m, n))
+
+
+def assert_gram(b):
+    """The sparse fold's R has R^T R = B B^T to rounding."""
+    r = qrcp_module._sparse_triangle(b, panel_width(b.shape[0]))
+    gram = (b @ b.T).toarray()
+    assert np.linalg.norm(r.T @ r - gram) <= 1e-14 * np.linalg.norm(gram)
+
+
+class TestRepeatedRows:
+    """A row that sparse B^T stores k times is folded once, scaled by
+    sqrt(k): k r^T r = (sqrt(k) r)^T (sqrt(k) r), so R^T R = B B^T still
+    holds.  Rows merge only when they are equal in every column and value."""
+
+    # a row of B^T (m = 12), one that differs from it in one value by one
+    # ulp, one that differs in one column, and an unrelated row
+    M = 12
+    ROW = np.zeros(M)
+    ROW[[1, 4, 7]] = [0.5, -1.25, 2.0]
+    ONE_VALUE = ROW.copy()
+    ONE_VALUE[4] = np.nextafter(ROW[4], 0.0)
+    ONE_COLUMN = np.zeros(M)
+    ONE_COLUMN[[1, 5, 7]] = [0.5, -1.25, 2.0]
+    OTHER = np.zeros(M)
+    OTHER[[0, 2, 9]] = [1.5, -0.75, 3.0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_distinct_row_folds_once_at_sqrt_k(self, tpqrt_calls, seed):
+        b, copies = repeated_rows_b(seed)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        assert fact.u is None and fact.rank == svd_rank(b.toarray()) == copies.size
+        assert sum(block.shape[0] for _, block in tpqrt_calls) == copies.size
+        assert_folds_each_row_once(b, tpqrt_calls)
+        assert_matches_dense_input(b, fact)
+        assert_gram(b)
+
+    def test_rows_that_differ_in_one_value_or_column_stay_apart(self, tpqrt_calls):
+        bt = np.array([self.ROW, self.ONE_VALUE, self.ROW, self.ONE_COLUMN, self.ROW,
+                       self.ONE_VALUE])
+        b = sp.csr_matrix(bt.T)
+        qrcp_factor(b.T, RANK_TOL)
+        # the row at sqrt(3), the one-ulp change at sqrt(2), the moved column once
+        assert sum(block.shape[0] for _, block in tpqrt_calls) == 3
+        assert_folds_each_row_once(b, tpqrt_calls)
+        assert_gram(b)
+
+    def test_equal_keys_merge_only_equal_rows(self, tpqrt_calls, monkeypatch):
+        # every row gets the same keys, so every row is a candidate; only
+        # the copies of the run's earliest row are equal to it and merge,
+        # and the other rows fold as they are, the two copies of OTHER too
+        monkeypatch.setattr(qrcp_module, "_row_keys", lambda rows: np.zeros((rows.shape[0], 2)))
+        bt = np.array([self.ROW, self.ONE_VALUE, self.OTHER, self.ROW, self.ONE_COLUMN,
+                       self.OTHER, self.ROW])
+        b = sp.csr_matrix(bt.T)
+        fact = qrcp_factor(b.T, RANK_TOL)
+        want = [np.sqrt(3) * self.ROW, self.ONE_VALUE, self.OTHER, self.ONE_COLUMN, self.OTHER]
+        assert row_values(folded_rows(self.M, tpqrt_calls)) == row_values(want)
+        assert fact.rank == qrcp_factor(bt, RANK_TOL).rank
+        assert_gram(b)
+
+    def test_fold_of_repeated_rows_holds_one_block(self, monkeypatch):
+        # n = 1e5 unknowns share 2 m = 400 distinct rows of B^T: they fold
+        # as 400 rows, and the merge stays within test_fold_holds_one_block's
+        # bound on the traced peak
+        n, m = 100_000, 200
+        b = block_averaging_b(n, m, width=750)
+        folded, tpqrt = [], qrcp_module.dtpqrt
+
+        def counted(*args, **kwargs):
+            folded.append(args[3].shape[0])
+            return tpqrt(*args, **kwargs)
+
+        monkeypatch.setattr(qrcp_module, "dtpqrt", counted)
+        tracemalloc.start()
+        try:
+            fact = qrcp_factor(b.T, RANK_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fact.u is None and fact.rank == m
+        assert sum(folded) == 2 * m
         assert peak <= 8 * qrcp_module.STREAM_ROWS * m + 3 * 8 * m * m + 16 * (n + 1) \
             + 64 * b.nnz
 
