@@ -5,7 +5,14 @@ equation, then recover the multipliers.
 The inner coefficient operator is the projected map v -> P(A(Pv)) with P the
 orthogonal projector onto null(B); it is applied, never assembled.  Inner
 solves always start from zero, which is what the uniqueness and minimum-norm
-results rely on.
+results rely on.  Without a preconditioner the Krylov solver applies
+v -> P(A v) instead: its space starts at the projected right-hand side and
+every step ends in P, so each vector it applies the operator to lies in
+null(B), where P A P v = P A v.  The true residual that certifies
+convergence applies P A P to the iterate on every path.  A preconditioned
+solve applies P A P at every step too: G^{-1} maps out of null(B), and P_G
+maps into it only to rounding amplified by the conditioning of its small
+block.
 
 Solver rule: MINRES when A is declared symmetric and either no
 preconditioner is applied or G is SPD (``InvertibleOperator.spd``) on a
@@ -219,7 +226,9 @@ class OpinsSetup:
     metrics and the multiplier recovery: the projector over the QRCP of B^T
     computed with ``rank_tol``, x_p, and, derived on construction, the
     projected right-hand side ``rhs`` = P(f - A x_p) and the projected
-    ``operator`` v -> P(A(Pv)).
+    ``operator`` v -> P(A(Pv)).  The operator is that of the true residual
+    rhs - P A P w; an unpreconditioned solve's Krylov steps apply P A, which
+    agrees with it on null(B) (module docstring).
     """
 
     system: SaddleSystem
@@ -375,11 +384,18 @@ def opins_solve(sys, opts=None):
             observer(it, w_k, relres)
 
     precond, g_spd = _build_precond(sys, opts, setup.fact)
+    operator = setup.operator
+    if precond is None:
+        # every Krylov vector lies in null(B), where P A P v = P A v; the true
+        # residual, which certifies convergence, keeps P A P
+        operator = LinearOperator(dim=sys.n, apply=lambda v: projector.complement(sys.a @ v))
+        if residual is None:
+            residual = lambda w: rhs - setup.operator(w)
     if sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular):
-        inner = krylov.minres(setup.operator, rhs, opts.solve_tol, maxit,
+        inner = krylov.minres(operator, rhs, opts.solve_tol, maxit,
                               precond=precond, callback=step, residual=residual)
     else:
-        inner = krylov.gmres(setup.operator, rhs, opts.restart, opts.solve_tol, maxit,
+        inner = krylov.gmres(operator, rhs, opts.restart, opts.solve_tol, maxit,
                              left_precond=precond, callback=step, residual=residual)
 
     x_n = projector.complement(inner.solution)

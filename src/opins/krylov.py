@@ -124,6 +124,9 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
     ``op`` is symmetric (caller-declared).  Started from zero and
     unpreconditioned, the iterates stay in range(op), so for ``b`` in
     range(op) a compatible singular solve returns the minimum-norm solution.
+    Unpreconditioned, both statements need hold only on a subspace that
+    holds ``b`` and that ``op`` maps into itself, where every Lanczos vector
+    then lies: the driver's P A, symmetric on null(B) as P A P.
     ``tol`` bounds both the recurrence and the true relative residual, and
     ``maxit`` the steps.  ``precond``, an approximate inverse applied once
     per step, enters through the preconditioned Lanczos recurrence and must
@@ -213,6 +216,9 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
     the last completed step is then returned.  For singular operators the
     caller asserts range(op) = range(op^T) and compatibility; started from
     zero and unpreconditioned the converged solution is then minimum-norm.
+    Unpreconditioned, these need hold only on a subspace that holds ``b``
+    and that ``op`` and ``residual`` map into, where every Arnoldi vector,
+    each restart's included, then lies: the driver's P A on null(B).
     ``left_precond`` is applied to the residuals, each restart's included,
     which ``residual`` (module docstring) computes; the first cycle starts
     at x = 0 from ``b`` itself, with no operator application.  A restart

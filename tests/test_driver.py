@@ -1,5 +1,7 @@
 """End-to-end driver behavior: uniqueness, min-norm, guards, equivalences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -52,6 +54,17 @@ def krylov_runs(monkeypatch):
             return _solve(*args, **kwargs)
         monkeypatch.setattr(krylov, name, spy)
     return ran
+
+
+def neumann_laplacian(side):
+    """7-point Laplacian on a side^3 grid with Neumann ends (CSR):
+    semidefinite, its kernel the constant vectors."""
+    t = sp.diags([-np.ones(side - 1), 2 * np.ones(side), -np.ones(side - 1)],
+                 [-1, 0, 1]).tolil()
+    t[0, 0] = t[-1, -1] = 1.0
+    i = sp.identity(side)
+    return (sp.kron(sp.kron(t, i), i) + sp.kron(sp.kron(i, t), i)
+            + sp.kron(sp.kron(i, i), t)).tocsr()
 
 
 def kkt_lu(system):
@@ -281,6 +294,152 @@ class TestObservation:
             observer(2, w.copy(), 0.5)
 
 
+def shifted_neumann_system(symmetric, side=6):
+    """Nonsingular sparse system: the Neumann Laplacian plus 0.1 I, and a
+    first-order skew part when not ``symmetric``; averaging B with two
+    repeated rows."""
+    a = neumann_laplacian(side) + 0.1 * sp.identity(side ** 3)
+    if not symmetric:
+        a = a + 0.3 * sp.diags([np.ones(side ** 3 - 1), -np.ones(side ** 3 - 1)], [1, -1])
+    rng = np.random.default_rng(4)
+    b = averaging_b(4, n=side ** 3, distinct=12, duplicates=2)
+    return SaddleSystem(a=a.tocsr(), b=b, f=rng.standard_normal(side ** 3),
+                        g=b @ rng.standard_normal(side ** 3), a_symmetric=symmetric)
+
+
+class TestStepBudget:
+    """Operator work per Krylov step.  Without a preconditioner every Krylov
+    vector lies in null(B), so a step applies P A: 1 A product and 1
+    projection.  With G^{-1} or P_G it applies P A P: 1 and 2.  The true
+    residual rhs - P A P w adds 1 and 2 wherever it runs: at every step when
+    observed (its P w is the x_n the callback reads), otherwise only at a
+    step whose recurrence residual meets the tolerance, and at the start of
+    every GMRES restart cycle after the first."""
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+    @pytest.mark.parametrize("precond, symmetric, solver, per_step", [
+        ("none", True, "minres", 1), ("none", False, "gmres", 1),
+        ("simple", True, "minres", 2), ("simple", False, "gmres", 2),
+        ("projected", True, "minres", 2), ("projected", False, "gmres", 2)])
+    def test_products_and_projections_per_step(self, precond, symmetric, solver, per_step,
+                                               observed, monkeypatch):
+        from opins.projection import Projector
+
+        counts = {"a": 0, "p": 0, "residual": 0}
+
+        class CountedCSR(sp.csr_matrix):
+            def _matmul_vector(self, other):
+                counts["a"] += 1
+                return super()._matmul_vector(other)
+
+        complement, residual = Projector.complement, krylov._Steps.residual
+
+        def counted_complement(projector, v):
+            counts["p"] += 1
+            return complement(projector, v)
+
+        def counted_residual(steps, x):
+            counts["residual"] += 1
+            return residual(steps, x)
+
+        inside = {}
+        for name in ("minres", "gmres"):
+            def spy(*args, _name=name, _solve=getattr(krylov, name), **kwargs):
+                before = dict(counts)
+                outcome = _solve(*args, **kwargs)
+                inside.update({key: counts[key] - before[key] for key in counts}, solver=_name)
+                return outcome
+            monkeypatch.setattr(krylov, name, spy)
+        monkeypatch.setattr(Projector, "complement", counted_complement)
+        monkeypatch.setattr(krylov._Steps, "residual", counted_residual)
+
+        system = shifted_neumann_system(symmetric)
+        system.a = CountedCSR(system.a)
+        restart = 8
+        report = opins_solve(system, OpinsOptions(
+            precond=precond, g_kind="identity" if precond == "none" else "jacobi",
+            restart=restart, inner_callback=(lambda *args: None) if observed else None))
+        steps, history = report.inner.iterations, report.inner.history
+        assert report.converged and inside.pop("solver") == solver
+        restarts = (steps - 1) // restart if solver == "gmres" else 0
+        if solver == "gmres":
+            assert restarts >= 2
+        checked = [rec for rec in history if rec.true_relres is not None]
+        if observed:
+            assert len(checked) == steps
+        else:
+            assert 1 <= len(checked) < steps
+            assert all(rec.relres <= OpinsOptions.solve_tol for rec in checked)
+        assert inside == {"a": steps + len(checked) + restarts,
+                          "p": per_step * steps + 2 * (len(checked) + restarts),
+                          "residual": len(checked) + restarts}
+
+
+class TestUnpreconditionedAtScale:
+    """The guarantees of the unpreconditioned solve, whose Krylov steps
+    apply P A, at n = 1728: a Neumann Laplacian (kernel: the constants) with
+    60 averaging rows of B and 4 repeats, projected through B_q and R_11;
+    and the same with the row b_0 + 1e-6 (e_k - e_l) appended, for columns
+    k, l that B does not touch, whose ill-conditioned R_11 forms U.  Both
+    systems are compatible and singular, constants in null(A) and null(B)."""
+
+    @pytest.fixture(scope="class", params=["b_q", "formed-u"])
+    def setup(self, request):
+        side = 12
+        n = side ** 3
+        a = neumann_laplacian(side)
+        b = averaging_b(7, n=n, distinct=60, duplicates=4)
+        if request.param == "formed-u":
+            k, l = np.setdiff1d(np.arange(n), b.indices)[:2]
+            row = b[0].toarray()
+            row[0, k] += 1e-6
+            row[0, l] -= 1e-6
+            b = sp.vstack([b, sp.csr_matrix(row)]).tocsr()
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal(n)
+        system = SaddleSystem(a=a, b=b, f=a @ x0 + b.T @ rng.standard_normal(b.shape[0]),
+                              g=b @ x0, a_symmetric=True)
+        setup = OpinsSetup.build(system, 1e-12)
+        assert (setup.fact.b_q is not None) == (request.param == "b_q")
+        return setup
+
+    def test_minres_keeps_purity_min_norm_and_the_reference_x(self, setup):
+        opts = OpinsOptions(declared_singular=True)
+        report = opins_solve(setup, opts)
+        parts = []
+        observed = opins_solve(setup, OpinsOptions(
+            declared_singular=True, inner_callback=lambda it, x_n, rr: parts.append(x_n)))
+        assert report.converged and len(parts) == report.inner.iterations > 20
+        assert np.array_equal(report.x, observed.x)
+        # ||B P w|| / (||B||_F ||w||), its maximum over every iterate
+        assert observed.metrics["null_space_purity_max"] <= 1e-14
+        b_norm = frobenius_norm(setup.system.b)
+        for x_n in parts:
+            assert np.linalg.norm(setup.system.b @ x_n) <= 1e-14 * b_norm * np.linalg.norm(x_n)
+        x, n = report.x, setup.system.n
+        # minimum norm: no component along the kernel's constants
+        assert abs(x.sum()) <= 1e-12 * np.sqrt(n) * np.linalg.norm(x)
+        # MINRES on P A P itself, every step projecting its vector twice
+        reference = krylov.minres(setup.operator, setup.rhs, opts.solve_tol,
+                                  opts.iteration_cap(n))
+        x_ref = setup.x_p + setup.projector.complement(reference.solution)
+        assert reference.iterations == report.inner.iterations
+        assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
+    def test_gmres_gives_the_same_x_observed_or_not(self, setup):
+        minres_x = opins_solve(setup, OpinsOptions(declared_singular=True)).x
+        system = dataclasses.replace(setup.system, a_symmetric=False)
+        nonsymmetric = OpinsSetup(system, setup.rank_tol, setup.projector, setup.x_p)
+        plain = opins_solve(nonsymmetric, OpinsOptions(declared_singular=True))
+        observed = opins_solve(nonsymmetric, OpinsOptions(
+            declared_singular=True, inner_callback=lambda *args: None))
+        assert plain.converged
+        assert np.linalg.norm(plain.x - minres_x) <= 1e-8 * np.linalg.norm(minres_x)
+        assert np.array_equal(plain.x, observed.x)
+        assert plain.inner.iterations == observed.inner.iterations
+        assert observed.metrics["null_space_purity_max"] <= 1e-14
+
+
 class TestSingularGuard:
     def test_simple_precond_rejected_when_singular(self):
         system = random_singular(0)
@@ -371,11 +530,7 @@ class TestScalingRobustness:
         """Neumann Laplacian on a side-8 grid (singular, constants in its null
         space) with 20 averaging rows of B, two of them duplicates;
         compatible right-hand side."""
-        t = sp.diags([-np.ones(7), 2 * np.ones(8), -np.ones(7)], [-1, 0, 1]).tolil()
-        t[0, 0] = t[-1, -1] = 1.0
-        i = sp.identity(8)
-        a = (sp.kron(sp.kron(t, i), i) + sp.kron(sp.kron(i, t), i)
-             + sp.kron(sp.kron(i, i), t)).tocsr()
+        a = neumann_laplacian(8)
         b = averaging_b(0, n=a.shape[0], distinct=18, duplicates=2)
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal(a.shape[0])

@@ -1,5 +1,6 @@
 """Harness layer: file ingestion, generators, metrics, runner, CLI."""
 
+import functools
 import json
 import re
 import sys
@@ -719,12 +720,12 @@ class TestRunner:
         assert record.status == "converged"
         assert record.relres_x <= 1e-10
 
-    def test_observed_step_budget(self, monkeypatch, tmp_path):
-        # an observed GMRES step makes 3 A products and 4 projections: one of
-        # each pair for the Arnoldi vector, one P w and one P(A x_n) for the
-        # true residual, and one A x for the history row, which reads that
-        # x_n; each restart cycle after the first adds the residual of its
-        # starting iterate, and the first starts from the right-hand side
+    def observed_counts(self, monkeypatch, tmp_path, solver, symmetric):
+        """Run ``solver`` with a history file on a diagonally dominant sparse
+        A (n = 200, symmetric or not) and count the products with A and the
+        projections inside its one Krylov call.  Checks that each history
+        row gets x_n = P w of the solver's own iterate w, as computed, and
+        returns the record and the counts."""
         import opins.harness.runner
         import opins.krylov
         from opins.projection import Projector
@@ -732,10 +733,10 @@ class TestRunner:
         rng = np.random.default_rng(9)
         n = 200
         dense = sp.random(n, n, density=0.03, random_state=rng).toarray()
-        dense -= dense.T.copy() * 0.5
+        dense += dense.T.copy() * (1.0 if symmetric else -0.5)
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 0.05)
         save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(dense))
-        spec = ProblemSpec(name="nonsym-sparse",
+        spec = ProblemSpec(name="sparse", a_symmetric=symmetric,
                            source={"path_a": str(tmp_path / "a.mtx"), "m": 5, "seed": 2})
 
         a_products, complements, iterates, rows = [], [], [], []
@@ -758,15 +759,15 @@ class TestRunner:
             complements.append(1)
             return complement(projector, v)
 
-        gmres, counts = opins.krylov.gmres, {}
+        counts = {}
 
-        def spy(*args, callback, **kwargs):
+        def spy(*args, _solve, callback, **kwargs):
             def seen(it, w, relres):
                 iterates.append(w)
                 callback(it, w, relres)
 
             before = len(a_products), len(complements)
-            outcome = gmres(*args, callback=seen, **kwargs)
+            outcome = _solve(*args, callback=seen, **kwargs)
             counts["a"], counts["p"] = (len(a_products) - before[0],
                                         len(complements) - before[1])
             return outcome
@@ -779,18 +780,38 @@ class TestRunner:
 
         monkeypatch.setattr(opins.harness.runner, "build_system", counted_build)
         monkeypatch.setattr(Projector, "complement", counted_complement)
-        monkeypatch.setattr(opins.krylov, "gmres", spy)
+        for name in ("minres", "gmres"):
+            monkeypatch.setattr(opins.krylov, name,
+                                functools.partial(spy, _solve=getattr(opins.krylov, name)))
         monkeypatch.setattr(opins.harness.runner._Case, "projected_row", recording)
-        record = run_case(spec, RunConfig(solver="opins-ilu",
+        record = run_case(spec, RunConfig(solver=solver,
                                           history_path=str(tmp_path / "h.csv")))
+        assert len(rows) == len(iterates) == record.iterations
+        for (projector, x_n_k), w_k in zip(rows, iterates):
+            assert np.array_equal(x_n_k, complement(projector, w_k))
+        return record, counts
+
+    def test_observed_step_budget(self, monkeypatch, tmp_path):
+        # an observed GMRES step makes 3 A products and 4 projections: one of
+        # each pair for the Arnoldi vector, one P w and one P(A x_n) for the
+        # true residual, and one A x for the history row, which reads that
+        # x_n; each restart cycle after the first adds the residual of its
+        # starting iterate, and the first starts from the right-hand side
+        record, counts = self.observed_counts(monkeypatch, tmp_path, "opins-ilu", False)
         steps = record.iterations
         assert record.status == "converged" and 5 < steps < RunConfig.restart
         # one restart cycle, which starts at x = 0 with no product
         assert counts == {"a": 3 * steps, "p": 4 * steps}
-        # the row gets x_n = P w of the solver's own iterate w, as computed
-        assert len(rows) == len(iterates) == steps
-        for (projector, x_n_k), w_k in zip(rows, iterates):
-            assert np.array_equal(x_n_k, complement(projector, w_k))
+
+    def test_observed_unpreconditioned_minres_step_budget(self, monkeypatch, tmp_path):
+        # without a preconditioner every Lanczos vector already lies in
+        # null(B), so the operator applies P A alone: an observed step makes
+        # 3 A products and 3 projections, the true residual's P w and
+        # P(A x_n) still among them
+        record, counts = self.observed_counts(monkeypatch, tmp_path, "opins", True)
+        steps = record.iterations
+        assert record.status == "converged" and steps > 5
+        assert counts == {"a": 3 * steps, "p": 3 * steps}
 
     @pytest.mark.parametrize("solver, kind", [
         ("opins-ilu", "random"), ("opins-p", "random"), ("pcg", "random-s")])
