@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgetrs, dtrtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
-__all__ = ["solve_triangular", "lu_solve"]
+__all__ = ["solve_triangular", "lu_factor", "lu_solve"]
 
 
 def _check_finite(a):
@@ -52,6 +52,20 @@ def solve_triangular(a, b, trans=False, check_finite=True, overwrite_b=False):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x
+
+
+def lu_factor(a, what):
+    """``scipy.linalg.lu_factor(a)`` of a square float64 ``a``, which is kept;
+    raises ``LinAlgError`` "``what`` is singular" when a pivot is at most
+    machine epsilon times the largest, a test independent of the scale of ``a``."""
+    _check_finite(a)
+    if not a.size:
+        return a.copy(), np.empty(0, dtype=np.int32)
+    lu, piv, _ = dgetrf(a)
+    pivots = np.abs(np.diagonal(lu))
+    if pivots.min() <= np.finfo(float).eps * pivots.max():
+        raise LinAlgError(f"{what} is singular")
+    return lu, piv
 
 
 def lu_solve(lu_and_piv, b, overwrite_b=False):

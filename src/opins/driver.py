@@ -24,10 +24,10 @@ on a system declared singular raises ``OpinsError``.  On a compatible
 singular system an unpreconditioned solve returns the minimum-norm x; the
 projected preconditioner returns a solution, but not in general that one.
 
-Observation: with ``OpinsOptions.inner_callback`` set, one ``InnerObserver``
-per solve computes x_n = P w once per inner step, inside the true residual
-the Krylov solver asks for, and the null-space purity and the callback read
-that x_n.
+Observation: one ``InnerObserver`` per solve forms every true residual the
+Krylov solver asks for, computing x_n = P w on the way; with
+``OpinsOptions.inner_callback`` set it does so at every inner step, and the
+null-space purity and the callback read that x_n.
 """
 
 from __future__ import annotations
@@ -77,17 +77,18 @@ def _real(name, values):
 
 def _check_matrix(name, mat):
     """Reject a block that is not a real, finite 2-d array or sparse
-    matrix."""
+    matrix; return it, an ``np.matrix`` (2-d products) as an ndarray."""
     if sp.issparse(mat):
         values = mat.data
     elif isinstance(mat, np.ndarray):
-        values = mat
+        values = mat = np.asarray(mat)
     else:
         raise OpinsError(f"{name} must be a numpy array or a scipy.sparse matrix, "
                          f"got {type(mat).__name__}")
     if mat.ndim != 2:
         raise OpinsError(f"{name} must be 2-d, got shape {mat.shape}")
     _real(name, values)
+    return mat
 
 
 @dataclass
@@ -98,9 +99,9 @@ class SaddleSystem:
     ``a_symmetric`` selects MINRES as the inner solver, by the rule of the
     module docstring; ``opins_solve`` probes it once and raises
     ``OpinsError`` when A is plainly nonsymmetric.
-    A and B must be numpy arrays or scipy.sparse matrices; a block of another
-    type, of the wrong shape, or with a complex, non-numeric or non-finite
-    entry raises ``OpinsError`` naming it.
+    A and B must be numpy arrays (an ``np.matrix`` is taken as its ndarray)
+    or scipy.sparse matrices; a block of another type or shape, or with a
+    complex, non-numeric or non-finite entry, raises ``OpinsError`` naming it.
     """
 
     a: object
@@ -110,8 +111,8 @@ class SaddleSystem:
     a_symmetric: bool = False
 
     def __post_init__(self):
-        _check_matrix("A", self.a)
-        _check_matrix("B", self.b)
+        self.a = _check_matrix("A", self.a)
+        self.b = _check_matrix("B", self.b)
         self.f = _real("f", self.f).astype(float, copy=False)
         self.g = _real("g", self.g).astype(float, copy=False)
         n_a, n_a2 = self.a.shape
@@ -223,7 +224,7 @@ class OpinsOptions:
 @dataclass(frozen=True, eq=False)
 class OpinsSetup:
     """The state before the first inner iteration, shared by the solve, its
-    metrics and the multiplier recovery: the projector over the QRCP of B^T
+    metrics and the recovery of (x, y): the projector over the QRCP of B^T
     computed with ``rank_tol``, x_p, and, derived on construction, the
     projected right-hand side ``rhs`` = P(f - A x_p) and the projected
     ``operator`` v -> P(A(Pv)).  The operator is that of the true residual
@@ -249,6 +250,12 @@ class OpinsSetup:
         """Factor B^T with ``rank_tol`` (rank 0 when m = 0) and derive the rest."""
         projector = Projector(qrcp_factor(system.b.T, rank_tol))
         return cls(system, rank_tol, projector, particular_solution(projector, system.g))
+
+    def recover(self, x_n):
+        """(x, y, A x) of a null-space part x_n: x = x_p + x_n, B^T y = f - A x."""
+        x = self.x_p + x_n
+        ax = self.system.a @ x
+        return x, recover_multipliers(self.projector, self.system.f - ax), ax
 
     @property
     def fact(self):
@@ -331,12 +338,17 @@ def _check_declared_symmetry(a):
 
 def _build_precond(sys, opts, fact):
     """The inner preconditioner, None for ``precond='none'``, and whether
-    its G is SPD."""
+    its G is SPD; a failed ILU(0) or a G of the wrong dim is an OpinsError."""
     if opts.precond == "none":
         return None, False
     g = opts.g_kind
     if isinstance(g, str):
-        g = build_g(sys.a, g)
+        try:
+            g = build_g(sys.a, g)
+        except ZeroDivisionError as exc:
+            raise OpinsError(str(exc)) from exc
+    if g.dim != sys.n:
+        raise OpinsError(f"G has dim {g.dim}, but A is {sys.n} x {sys.n}")
     apply = g.solve if opts.precond == "simple" else ProjectedPreconditioner(g, fact).apply
     return LinearOperator(dim=sys.n, apply=apply), g.spd
 
@@ -373,11 +385,9 @@ def opins_solve(sys, opts=None):
         return drift / denom if denom > 0 else 0.0
 
     purity = []
-    step = residual = None
+    step = None
+    observer = InnerObserver(setup, opts.inner_callback)
     if opts.inner_callback is not None:
-        observer = InnerObserver(setup, opts.inner_callback)
-        residual = observer.residual
-
         # step refers to the observer, not the reverse: no reference cycle
         def step(it, w_k, relres):
             purity.append(purity_of(observer.x_n, w_k))
@@ -389,21 +399,18 @@ def opins_solve(sys, opts=None):
         # every Krylov vector lies in null(B), where P A P v = P A v; the true
         # residual, which certifies convergence, keeps P A P
         operator = LinearOperator(dim=sys.n, apply=lambda v: projector.complement(sys.a @ v))
-        if residual is None:
-            residual = lambda w: rhs - setup.operator(w)
     if sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular):
         inner = krylov.minres(operator, rhs, opts.solve_tol, maxit,
-                              precond=precond, callback=step, residual=residual)
+                              precond=precond, callback=step, residual=observer.residual)
     else:
         inner = krylov.gmres(operator, rhs, opts.restart, opts.solve_tol, maxit,
-                             left_precond=precond, callback=step, residual=residual)
+                             left_precond=precond, callback=step,
+                             residual=observer.residual)
 
     x_n = projector.complement(inner.solution)
     if step is None:
         purity.append(purity_of(x_n, inner.solution))
-    x = setup.x_p + x_n
-    ax = sys.a @ x
-    y = recover_multipliers(projector, sys.f - ax)
+    x, y, ax = setup.recover(x_n)
 
     metrics = {
         "relres_x": setup.relres_x(x_n),

@@ -11,16 +11,17 @@ that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
 it is the constraint violation ||g - B x||.  Direct solvers emit a single
 summary row.  Every row but the projected-space rows of the opins family
 and pcg goes through ``_Case.row``, whose ``relres_x`` is that of
-P (x - x_p).  The final record of an opins variant takes ``relres_x`` and
-``relres_full`` from the report of its ``opins_solve``, whose ``relres_x``
-is that of its x_n = P w, as in the projected-space rows; for the other
-solvers the record computes both as ``_Case.row`` does.
+P (x - x_p); the others recover (x, y) by ``OpinsSetup.recover``.  An
+opins variant's record takes its five final metrics from the report of its
+``opins_solve``, whose ``relres_x`` is that of its x_n = P w, as in the
+projected-space rows; for the other solvers ``run_case`` builds the five
+in one dict, ``relres_x`` and ``relres_full`` as ``_Case.row`` does.
 
-Every solver reads the setup's one QRCP of B^T.  The two
-constraint-preconditioned baselines, pminres-ir* and pgmres, share
-``oracles.constraint_preconditioned`` and work on the rows of B that it
-keeps; the multipliers of the rows pivoted out are zero.  nullspace-oracle
-takes its rank.
+Every solver reads the run's one ``OpinsSetup.build`` and its QRCP of B^T.
+The constraint-preconditioned baselines, pminres-ir* and pgmres, share
+``oracles.constraint_preconditioned`` on the rows of B that it keeps; the
+multipliers of the rows pivoted out are zero.  nullspace-oracle takes its
+rank.
 
 CSV content depends only on (problem, config), so identical inputs give
 bit-identical files; wall time goes to the JSON report only.
@@ -39,8 +40,9 @@ import scipy.sparse as sp
 from .. import krylov, oracles
 from ..driver import InnerObserver, OpinsOptions, OpinsSetup, opins_solve, relres_full
 from ..preconditioners import jacobi_diagonal
-from ..projection import Projector, particular_solution, recover_multipliers
-from ..qrcp import qrcp_factor
+# only bench/tracing.py reads these; opins.driver calls them
+from ..projection import particular_solution, recover_multipliers  # noqa: F401
+from ..qrcp import qrcp_factor  # noqa: F401
 from .problems import build_system
 
 __all__ = ["MetricsRecord", "RunConfig", "run_case", "SOLVER_NAMES"]
@@ -147,8 +149,8 @@ class _Case:
 
     setup: OpinsSetup
     writer: _HistoryWriter
-    # relres_x and relres_full of the x the solver returns, when its own
-    # solve computed them (the opins family's report); empty otherwise
+    # the final metrics of the x the solver returns, when its own solve
+    # computed them (the opins family's report); empty otherwise
     final: dict = field(default_factory=dict)
 
     def relres_x(self, x):
@@ -161,14 +163,6 @@ class _Case:
         drift the solver reports."""
         self.writer.add(it, self.relres_x(x), relres_full(self.setup.system, x, y), bxn)
 
-    def recover(self, x_n):
-        """(x, y, A x) of a null-space part x_n: x = x_p + x_n and y from
-        B^T y = f - A x."""
-        setup, system = self.setup, self.setup.system
-        x = setup.x_p + x_n
-        ax = system.a @ x
-        return x, recover_multipliers(setup.projector, system.f - ax), ax
-
     def projected_row(self, it, x_n_k, relres):
         """History row for the null-space part x_n_k = P w_k of a
         projected-space iterate, as an ``InnerObserver`` hands it on.
@@ -176,7 +170,7 @@ class _Case:
         which is relres_x(x_n_k); A x_k is formed once, for the multipliers
         and the full residual both."""
         system = self.setup.system
-        x_k, y_k, ax_k = self.recover(x_n_k)
+        x_k, y_k, ax_k = self.setup.recover(x_n_k)
         self.writer.add(it, relres, relres_full(system, x_k, y_k, ax_k),
                         float(np.linalg.norm(system.b @ x_n_k)))
 
@@ -187,11 +181,7 @@ class _Case:
 
 
 def _make_case(system, config, writer):
-    # OpinsSetup.build's steps, through the names bench/tracing.py wraps here
-    projector = Projector(qrcp_factor(system.b.T, config.qrcp_tol))
-    setup = OpinsSetup(system, config.qrcp_tol, projector,
-                       particular_solution(projector, system.g))
-    return _Case(setup=setup, writer=writer)
+    return _Case(setup=OpinsSetup.build(system, config.qrcp_tol), writer=writer)
 
 
 def _independent_rows(setup):
@@ -247,12 +237,11 @@ def _pminres_case(case, spec, config):
 
 
 def _pcg_case(case, spec, config):
-    setup, system = case.setup, case.setup.system
-    observer = case.observer(InnerObserver(setup, case.projected_row))
-    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, _maxit(config, system.n),
-                        callback=observer,
-                        residual=None if observer is None else observer.residual)
-    x, y, _ = case.recover(setup.projector.complement(outcome.solution))
+    setup = case.setup
+    observer = InnerObserver(setup, case.projected_row)
+    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, _maxit(config, setup.system.n),
+                        callback=case.observer(observer), residual=observer.residual)
+    x, y, _ = setup.recover(setup.projector.complement(outcome.solution))
     return x, y, outcome.status, outcome.iterations
 
 
@@ -312,17 +301,16 @@ def run_case(spec, config):
     elapsed = time.perf_counter() - started
     writer.flush()
 
-    final = case.final or {"relres_x": case.relres_x(x), "relres_full": relres_full(system, x, y)}
-    record = MetricsRecord(
-        relres_x=final["relres_x"],
-        relres_full=final["relres_full"],
-        constraint_residual=float(np.linalg.norm(system.g - system.b @ x)),
-        norm_x=float(np.linalg.norm(x)),
-        norm_y=float(np.linalg.norm(y)),
-        iterations=iterations,
-        wall_time=elapsed,
-        status=status,
-    )
+    final = case.final or {
+        "relres_x": case.relres_x(x),
+        "relres_full": relres_full(system, x, y),
+        "constraint_residual": float(np.linalg.norm(system.g - system.b @ x)),
+        "norm_x": float(np.linalg.norm(x)),
+        "norm_y": float(np.linalg.norm(y)),
+    }
+    record = MetricsRecord(**{key: final[key] for key in (
+        "relres_x", "relres_full", "constraint_residual", "norm_x", "norm_y")},
+        iterations=iterations, wall_time=elapsed, status=status)
     if config.report_path is not None:
         payload = {
             "schema_version": SCHEMA_VERSION,

@@ -2,14 +2,16 @@
 
 All solvers start from the zero vector, which is what makes the minimum-norm
 results for compatible singular systems hold; a zero right-hand side is
-``converged`` after 0 steps.  Each completed step records the recurrence
-residual (preconditioned when a preconditioner is present).  The explicitly
-recomputed true residual costs one more operator application, so it is
-computed only where it is observed: at every step when a callback is given,
-otherwise only at a step whose recurrence residual meets the tolerance.  A
-run is reported ``converged`` only when both are at or below the tolerance,
-so a converged status always certifies the true relative residual, and a run
-stops at the same step with or without a callback.
+``converged`` after 0 steps, and a nonzero one whose norm underflows to 0
+``breakdown`` after 0 steps: no residual can be measured relative to it.
+Each completed step records the recurrence residual (preconditioned when a
+preconditioner is present).  The explicitly recomputed true residual costs
+one more operator application, so it is computed only where it is observed:
+at every step when a callback is given, otherwise only at a step whose
+recurrence residual meets the tolerance.  A run is reported ``converged``
+only when both are at or below the tolerance, so a converged status always
+certifies the true relative residual, and a run stops at the same step with
+or without a callback.
 
 Each solver takes an optional ``residual(x)`` that returns ``b - op(x)``,
 which is also what it computes without one.  A caller that observes the
@@ -140,7 +142,7 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
     steps = _Steps(op, b, tol, callback, residual)
     x = np.zeros(op.dim)
     if steps.normb == 0.0:
-        return steps.outcome(CONVERGED, x)
+        return steps.outcome(BREAKDOWN if steps.b.any() else CONVERGED, x)
 
     r1 = steps.b.copy()
     y = precond(r1) if precond is not None else r1
@@ -229,7 +231,7 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
     b, n = steps.b, op.dim
     x = np.zeros(n)
     if steps.normb == 0.0:
-        return steps.outcome(CONVERGED, x)
+        return steps.outcome(BREAKDOWN if steps.b.any() else CONVERGED, x)
     pb = left_precond(b) if left_precond is not None else b
     normpb = np.linalg.norm(pb)
     if normpb == 0.0:
@@ -328,7 +330,7 @@ def cg(op, b, tol, maxit, callback=None, residual=None):
     steps = _Steps(op, b, tol, callback, residual)
     x = np.zeros(op.dim)
     if steps.normb == 0.0:
-        return steps.outcome(CONVERGED, x)
+        return steps.outcome(BREAKDOWN if steps.b.any() else CONVERGED, x)
     r = steps.b.copy()
     p = r.copy()
     rr = float(r @ r)

@@ -10,13 +10,12 @@ so q is the same on both paths and B^T is factored once per run.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import krylov
+from ._lapack import lu_factor
 from .operators import LinearOperator
 
 __all__ = ["null_basis", "explicit_nullspace_solve", "tsvd_solve",
@@ -80,21 +79,16 @@ def constraint_preconditioned(sys, g_matrix, rows, ir_steps):
     With B_r = B[rows], ``op`` applies [[A, B_r^T], [B_r, 0]] and ``precond``
     solves with [[G, B_r^T], [B_r, 0]], LU-factored once, plus ``ir_steps``
     rounds of iterative refinement (residuals in working precision).  Raises
-    ``np.linalg.LinAlgError`` when the preconditioner matrix is singular,
-    as it is when B_r has dependent rows.
+    ``np.linalg.LinAlgError`` when the preconditioner matrix is singular by
+    the relative pivot test of ``_lapack.lu_factor``, as it is when B_r has
+    dependent rows.
     """
     b_red = _dense(sys.b)[rows]
     n, q = sys.n, len(rows)
     kmat = np.block([[_dense(sys.a), b_red.T], [b_red, np.zeros((q, q))]])
     mprec = kmat.copy()
     mprec[:n, :n] = np.asarray(g_matrix, dtype=float)
-    with warnings.catch_warnings():
-        # the pivot check below raises instead
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(mprec)
-    udiag = np.abs(np.diagonal(lu[0]))
-    if udiag.size and udiag.min() <= np.finfo(float).eps * max(udiag.max(), 1.0):
-        raise np.linalg.LinAlgError("constraint preconditioner matrix is singular")
+    lu = lu_factor(mprec, "constraint preconditioner matrix")
 
     def psolve(r):
         s = sla.lu_solve(lu, r)

@@ -15,16 +15,14 @@ last step is the G-solve s = G^{-1} (b - U t).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ._lapack import lu_solve
+from ._lapack import lu_factor, lu_solve
 from .qrcp import apply_q_block
 
 __all__ = ["InvertibleOperator", "build_g", "jacobi_diagonal", "ilu0_factor",
@@ -252,9 +250,9 @@ class ProjectedPreconditioner:
     S = U^T W, and s = r - W t, where W = G^{-1} U is filled by q G-solves
     at construction and kept (n-by-q, the size of U).  With B_q and R_11 in
     place of U, W is not kept and ``apply`` ends with the G-solve
-    s = G^{-1} (b - U t).  S is rejected as singular when a pivot of its LU
-    factorization is at most machine epsilon times the largest, a test that
-    does not depend on the scale of G.
+    s = G^{-1} (b - U t).  S is rejected as singular (``LinAlgError``) by
+    the relative pivot test of ``_lapack.lu_factor``, which does not depend
+    on the scale of G.
     """
 
     def __init__(self, g, fact):
@@ -274,12 +272,7 @@ class ProjectedPreconditioner:
                 coord[i] = 1.0
                 col = g.solve(apply_q_block(fact, coord))
                 schur[:, i] = apply_q_block(fact, col, transpose=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._schur_lu = sla.lu_factor(schur, check_finite=True)
-        udiag = np.abs(np.diagonal(self._schur_lu[0]))
-        if udiag.size and udiag.min() <= np.finfo(float).eps * udiag.max():
-            raise ValueError("projected preconditioner: singular U^T G^{-1} U block")
+        self._schur_lu = lu_factor(schur, "projected preconditioner: U^T G^{-1} U block")
 
     def apply(self, b):
         """Evaluate s = P_G b via the cached range-space solve."""

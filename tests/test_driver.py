@@ -1,6 +1,7 @@
 """End-to-end driver behavior: uniqueness, min-norm, guards, equivalences."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ class TestIngest:
         blocks.update(kwargs)
         with pytest.raises(OpinsError, match=f"^{block} "):
             SaddleSystem(**blocks)
+
+
+    @pytest.mark.parametrize("blocks", ["A", "B", "AB"])
+    def test_np_matrix_blocks_solve_as_ndarrays(self, blocks):
+        base = random_nonsymmetric(2)
+        with warnings.catch_warnings():
+            # numpy discourages the matrix class; the solve must not warn
+            warnings.simplefilter("ignore", PendingDeprecationWarning)
+            a = np.asmatrix(base.a) if "A" in blocks else base.a
+            b = np.asmatrix(base.b) if "B" in blocks else base.b
+        report = opins_solve(SaddleSystem(a=a, b=b, f=base.f, g=base.g))
+        plain = opins_solve(base)
+        assert plain.converged
+        assert np.array_equal(report.x, plain.x) and np.array_equal(report.y, plain.y)
 
 
 class TestDeclaredSymmetry:
@@ -554,6 +569,48 @@ class TestScalingRobustness:
             assert report.converged, f"sigma {sigma}"
             assert abs(report.inner.iterations - base.inner.iterations) <= 1, f"sigma {sigma}"
             assert np.linalg.norm(report.x - base.x) <= 1e-12 * np.linalg.norm(base.x)
+
+
+    @pytest.mark.parametrize("symmetric, sigma", [(True, 1e-300), (False, 1e-200),
+                                                  (False, 1e-300)])
+    def test_underflowing_rhs_is_not_converged(self, symmetric, sigma):
+        # ||P(f - A x_p)||^2 underflows, so the inner solver sees a zero
+        # norm; the x_p it would return is far from the solution
+        a = np.diag(np.arange(1.0, 21.0))
+        b = np.random.default_rng(0).standard_normal((5, 20))
+        rng = np.random.default_rng(1)
+        x0 = rng.standard_normal(20)
+        f, g = a @ x0 + b.T @ rng.standard_normal(5), b @ x0
+        assert opins_solve(SaddleSystem(a=a, b=b, f=f, g=g, a_symmetric=symmetric)).converged
+        report = opins_solve(SaddleSystem(a=sigma * a, b=b, f=sigma * f, g=g,
+                                          a_symmetric=symmetric))
+        assert report.inner.status == "breakdown" and report.inner.iterations == 0
+        assert np.linalg.norm(report.x - x0) > 1.0
+
+
+class TestPreconditionerInput:
+    @pytest.mark.parametrize("precond", ["simple", "projected"])
+    def test_ilu0_failure_raises_opins_error(self, precond):
+        n = 12
+        a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="lil")
+        a[3, 3] = 0.0
+        a = a.tocsr()
+        a.eliminate_zeros()
+        system = SaddleSystem(a=a, b=np.ones((1, n)), f=np.ones(n), g=np.ones(1))
+        with pytest.raises(OpinsError, match="missing diagonal entry in row 3") as info:
+            opins_solve(system, OpinsOptions(precond=precond, g_kind="ilu0"))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("solve", [lambda v: v, lambda v: v / np.arange(1.0, 4.0)],
+                             ids=["dim-ignored", "broadcast"])
+    def test_g_of_the_wrong_dim_raises_opins_error(self, solve):
+        # a G whose solve ignores its dim would converge, one that reads it
+        # would fail inside numpy: both are refused before the solve
+        g = InvertibleOperator(dim=3, solve=solve)
+        with pytest.raises(OpinsError, match="dim 3"):
+            opins_solve(random_nonsymmetric(1, n=20), OpinsOptions(precond="projected",
+                                                                    g_kind=g))
 
 
 class TestPreconditionedEquivalence:

@@ -361,3 +361,22 @@ class TestBreakdownBeforeARecord:
         plain = solve(op, b, None)
         assert plain.iterations == len(plain.history) == out.iterations
         assert np.array_equal(plain.solution, out.solution)
+
+
+class TestUnderflowingRhs:
+    """A nonzero b whose norm underflows to 0 gives no scale to measure a
+    residual against: 0 steps and ``breakdown``, never ``converged``."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda op, b: minres(op, b, 1e-10, 10),
+        lambda op, b: gmres(op, b, 3, 1e-10, 10),
+        lambda op, b: cg(op, b, 1e-10, 10),
+    ], ids=["minres", "gmres", "cg"])
+    def test_tiny_rhs_breaks_down_after_0_steps(self, solve):
+        b = 1e-300 * np.ones(4)
+        assert np.linalg.norm(b) == 0.0
+        out = solve(op_from(np.eye(4)), b)
+        assert out.status == "breakdown" and out.iterations == 0
+        np.testing.assert_array_equal(out.solution, np.zeros(4))
+        # an exactly zero b, signed zeros included, still converges
+        assert solve(op_from(np.eye(4)), -0.0 * b).status == "converged"

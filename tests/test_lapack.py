@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from opins._lapack import lu_solve, solve_triangular
+from opins._lapack import lu_factor, lu_solve, solve_triangular
 
 
 def triangle(n, order, seed=0):
@@ -55,6 +55,34 @@ class TestSolveTriangular:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_triangular(r, b)
         solve_triangular(r, b, check_finite=False)
+
+
+class TestLuFactor:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_identical_to_scipy_and_a_is_kept(self, order):
+        a = np.asarray(np.random.default_rng(3).standard_normal((9, 9)), order=order)
+        kept = a.copy()
+        lu, piv = lu_factor(a, "a")
+        expected = sla.lu_factor(a)
+        assert np.array_equal(lu, expected[0]) and np.array_equal(piv, expected[1])
+        assert np.array_equal(a, kept)
+
+    def test_empty(self):
+        lu = lu_factor(np.zeros((0, 0)), "a")
+        assert lu_solve(lu, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_singularity_test_is_relative(self, scale):
+        # pivots 1 and 1e-17 are singular at every scale, pivots 1 and 1e-10
+        # at none; a zero pivot raises without scipy's warning
+        lu_factor(scale * np.diag([1.0, 1e-10]), "a")
+        for diag in ([1.0, 1e-17], [1.0, 0.0]):
+            with pytest.raises(np.linalg.LinAlgError, match="^a is singular$"):
+                lu_factor(scale * np.diag(diag), "a")
+
+    def test_non_finite_raises(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]), "a")
 
 
 class TestLuSolve:
