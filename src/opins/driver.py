@@ -38,6 +38,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError
 
 from . import krylov
 from .operators import LinearOperator
@@ -338,7 +339,8 @@ def _check_declared_symmetry(a):
 
 def _build_precond(sys, opts, fact):
     """The inner preconditioner, None for ``precond='none'``, and whether
-    its G is SPD; a failed ILU(0) or a G of the wrong dim is an OpinsError."""
+    its G is SPD; a failed ILU(0), a G of the wrong dim or a singular
+    U^T G^{-1} U block is an OpinsError."""
     if opts.precond == "none":
         return None, False
     g = opts.g_kind
@@ -349,8 +351,13 @@ def _build_precond(sys, opts, fact):
             raise OpinsError(str(exc)) from exc
     if g.dim != sys.n:
         raise OpinsError(f"G has dim {g.dim}, but A is {sys.n} x {sys.n}")
-    apply = g.solve if opts.precond == "simple" else ProjectedPreconditioner(g, fact).apply
-    return LinearOperator(dim=sys.n, apply=apply), g.spd
+    if opts.precond == "simple":
+        return LinearOperator(dim=sys.n, apply=g.solve), g.spd
+    try:
+        projected = ProjectedPreconditioner(g, fact)
+    except LinAlgError as exc:
+        raise OpinsError(str(exc)) from exc
+    return LinearOperator(dim=sys.n, apply=projected.apply), g.spd
 
 
 def opins_solve(sys, opts=None):

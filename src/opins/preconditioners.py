@@ -8,15 +8,16 @@ turns such a G into the null-space-restricted operator
 
 evaluated without Z through the range-space sequence: solve G r = b, solve
 the small dense block (U^T G^{-1} U) t = U^T r, then take s = r - W t with
-W = G^{-1} U.  W is formed once at construction by q G-solves, so an
-application costs one G-solve; on the B_q path, where W is not kept, the
-last step is the G-solve s = G^{-1} (b - U t).
+W = G^{-1} U.  W is formed once at construction by one block solve of the
+n-by-q U (``InvertibleOperator.solve_columns``), so an application costs one
+G-solve; on the B_q path, where W is not kept, the last step is the G-solve
+s = G^{-1} (b - U t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +36,28 @@ class InvertibleOperator:
 
     ``spd`` declares G symmetric positive definite, which preconditioned
     MINRES needs; a G that does not declare it is preconditioned through
-    GMRES (the solver rule in ``opins.driver``).
+    GMRES (the solver rule in ``opins.driver``).  ``solve_block``, when
+    given, maps an n-by-k array V to G^{-1} V column by column: each column
+    of its result must have the bits ``solve`` gives that column of V.
+    ``build_g`` sets it for each of its kinds; without it ``solve_columns``
+    calls ``solve`` once per column, so a user's ``solve`` need not take a
+    2-d array (``lambda v: v / d`` would broadcast along the wrong axis).
     """
 
     dim: int
     solve: Callable[[np.ndarray], np.ndarray]
     spd: bool = False
+    solve_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def solve_columns(self, v):
+        """G^{-1} V for an n-by-k V, Fortran-ordered: one ``solve_block``
+        call, or one ``solve`` per column without it."""
+        if self.solve_block is not None:
+            return np.asfortranarray(self.solve_block(v))
+        w = np.empty(v.shape, order="F")
+        for i in range(v.shape[1]):
+            w[:, i] = self.solve(v[:, i])
+        return w
 
 
 def ilu0_factor(a):
@@ -59,11 +76,11 @@ def ilu0_factor(a):
     than the highest level among the rows of its strictly lower pattern, so
     the rows of one level depend only on finished rows; each strictly lower
     entry (i, k) is keyed by (level of row i, position within row i); and
-    every update a_ij -= l_ik u_kj with (k, j) in the pattern is listed as
-    (target position, source position) in one pass.  The numeric phase then
-    walks the groups of equal key, each one vectorized divide and one
-    gather-multiply-scatter: a group holds one entry per row, so its targets
-    are distinct.  Every entry receives the same updates in the same order
+    every update a_ij -= l_ik u_kj with (i, j) and (k, j) in the pattern is
+    listed as (target position, source position), in bounded chunks
+    (``_updates``).  The numeric phase then walks the groups of equal key,
+    each one vectorized divide and one gather-multiply-scatter: a group
+    holds one entry per row, so its targets are distinct.  Every entry receives the same updates in the same order
     as the row-by-row IKJ loop, so the factors are bit-identical to it.
     """
     if a.shape[0] != a.shape[1]:
@@ -86,34 +103,18 @@ def ilu0_factor(a):
     key *= nlower.max(initial=0)
     key += strict - indptr[lower_rows]
     del lower_rows
-    order = np.argsort(key, kind="stable")
+    order = _stable_argsort(key)
     elim = strict[order]
     group_ptr = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))
     del key, order
     pivot = diag_pos[indices[elim]]
 
-    # the updates of each eliminated entry, in the same order: the entry
-    # (i, k) at elim[e] subtracts data[elim[e]] * u_kj from every a_ij right
-    # of it whose (k, j) is in row k's pattern
-    lens = indptr[rows[elim] + 1] - elim - 1
-    target = _ranges(elim + 1, lens)
-    source = np.empty(0, dtype=indices.dtype)
-    if target.size:
-        # position + 1 of each stored entry, so that 0 reads "not stored"
-        where = sp.csr_matrix((np.arange(1, len(indices) + 1, dtype=indices.dtype),
-                               indices, indptr), shape=a.shape)
-        source = np.asarray(where[np.repeat(indices[elim], lens), indices[target]]).ravel()
-        del where
-    # the schedule kept for the numeric phase is intp: NumPy gathers and
-    # scatters through narrower index arrays cast them on every call
-    hit = np.flatnonzero(source)
-    target = target[hit]
-    source = source[hit].astype(np.intp)
-    source -= 1
-    owner = np.repeat(elim, lens)[hit]
-    # the first update of each group: the hits before its first candidate
-    update_ptr = np.searchsorted(hit, np.concatenate(([0], np.cumsum(lens)))[group_ptr])
-    del lens, hit
+    # the updates of each eliminated entry, in the same order
+    entry, target, source = _updates(a, rows, elim, pivot)
+    owner = elim[entry]
+    # where each group's updates start: at the first update of an entry in it
+    update_ptr = np.searchsorted(entry, group_ptr)
+    del entry
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start, stop, ustart, ustop in zip(group_ptr[:-1].tolist(), group_ptr[1:].tolist(),
@@ -138,6 +139,45 @@ def ilu0_factor(a):
     return lower, upper
 
 
+# how many candidate updates ilu0_factor's symbolic phase lists at a time; the
+# lookup keeps few of them, and chunking bounds their lists whatever A's size
+_CANDIDATE_CHUNK = 1 << 16
+
+
+def _updates(a, rows, elim, pivot):
+    """The updates of the strictly lower entries at ``elim``, as intp rows
+    (entry, target, source) in the order of ``elim``: the entry (i, k) at
+    elim[e] subtracts data[elim[e]] * data[source] (that is, l_ik u_kj) from
+    data[target] (a_ij) for every j > k with (k, j) and (i, j) both stored.
+
+    The candidates j, row k's strictly upper pattern, are listed a chunk of
+    entries at a time, about ``_CANDIDATE_CHUNK`` per chunk, and one sparse
+    lookup per chunk finds which (i, j) are stored.
+    """
+    indptr, indices = a.indptr, a.indices
+    lens = indptr[indices[elim] + 1] - pivot - 1
+    cuts = np.searchsorted(np.cumsum(lens), np.arange(_CANDIDATE_CHUNK, lens.sum(),
+                                                      _CANDIDATE_CHUNK), side="right")
+    # position + 1 of each stored entry, so that 0 reads "not stored"
+    where = sp.csr_matrix((np.arange(1, len(indices) + 1, dtype=indices.dtype),
+                           indices, indptr), shape=a.shape)
+    parts = [np.empty((3, 0), dtype=indices.dtype)]
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(elim)]):
+        chunk = slice(lo, hi)
+        source = _ranges(pivot[chunk] + 1, lens[chunk])
+        if not source.size:
+            continue
+        target = np.asarray(where[np.repeat(rows[elim[chunk]], lens[chunk]),
+                                  indices[source]]).ravel()
+        hit = np.flatnonzero(target)
+        parts.append(np.stack((np.repeat(np.arange(lo, hi), lens[chunk])[hit],
+                               target[hit] - 1, source[hit]), dtype=indices.dtype))
+    del where, lens
+    # the schedule is intp: NumPy gathers and scatters through narrower index
+    # arrays cast them on every call
+    return np.concatenate(parts, axis=1, dtype=np.intp)
+
+
 def _levels(lower_rows, lower_cols, nlower):
     """Each row's level: 0 for a row without strictly lower entries, else one
     more than the highest level among the rows k of its entries (i, k).
@@ -147,11 +187,12 @@ def _levels(lower_rows, lower_cols, nlower):
     """
     n = len(nlower)
     # rows that use row k in their strictly lower pattern, grouped by k
-    used_by = lower_rows[np.argsort(lower_cols, kind="stable")].astype(np.intp)
+    used_by = lower_rows[_stable_argsort(lower_cols)].astype(np.intp)
     used_ptr = np.concatenate(([0], np.cumsum(np.bincount(lower_cols, minlength=n))))
     used_lo, used_hi = used_ptr[:-1], used_ptr[1:]
     waiting = nlower.copy()
     level = np.empty(n, dtype=lower_rows.dtype)
+    slot = np.empty(n, dtype=np.intp)
     front = np.flatnonzero(waiting == 0)
     depth = 0
     while front.size:
@@ -161,12 +202,25 @@ def _levels(lower_rows, lower_cols, nlower):
         # this one, listed once each
         starts = used_lo[front]
         users = used_by[_ranges(starts, used_hi[front] - starts)]
-        times = 1
-        if users.size > 1:  # np.unique is the identity on fewer entries
-            users, times = np.unique(users, return_counts=True)
-        waiting[users] -= times
-        front = users[waiting[users] == 0]
+        if users.size > 1:
+            np.subtract.at(waiting, users, 1)
+            ready = users[waiting[users] == 0]
+            # a row listed more than once keeps the one copy whose index
+            # its slot holds, without sorting
+            slot[ready] = position = np.arange(ready.size)
+            front = ready[slot[ready] == position]
+        else:  # a chain: one user, counted and listed once
+            waiting[users] -= 1
+            front = users[waiting[users] == 0]
     return level
+
+
+def _stable_argsort(keys):
+    """``np.argsort(keys, kind="stable")`` of nonnegative integer keys, sorted
+    in the narrowest dtype that holds them: the order is the same, and NumPy
+    radix-sorts keys of up to 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0)), copy=False),
+                      kind="stable")
 
 
 def _ranges(starts, lens):
@@ -220,10 +274,14 @@ def build_g(a, kind):
     n = a.shape[0]
     if kind == "identity":
         ident = lambda v: np.asarray(v, dtype=float)
-        return InvertibleOperator(dim=n, solve=ident, spd=True)
+        # a copy: NumPy takes U^T @ U of one buffer to syrk, whose bits
+        # differ from the gemm of U^T @ W
+        return InvertibleOperator(dim=n, solve=ident, spd=True,
+                                  solve_block=lambda v: np.array(v, dtype=float))
     if kind == "jacobi":
         diag = jacobi_diagonal(a)
-        return InvertibleOperator(dim=n, solve=lambda v: v / diag, spd=True)
+        return InvertibleOperator(dim=n, solve=lambda v: v / diag, spd=True,
+                                  solve_block=lambda v: (v.T / diag).T)
     if kind == "ilu0":
         mat = a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
         lower, upper = ilu0_factor(mat)
@@ -237,9 +295,10 @@ def build_g(a, kind):
             for t in (lower, upper))
 
         def solve(v):
+            # SuperLU takes an n-by-k right-hand side too
             return upper_lu.solve(lower_lu.solve(v))
 
-        return InvertibleOperator(dim=n, solve=solve)
+        return InvertibleOperator(dim=n, solve=solve, solve_block=solve)
     raise ValueError(f"build_g: unknown kind {kind!r}")
 
 
@@ -247,12 +306,12 @@ class ProjectedPreconditioner:
     """P_G as an operator, built from G and the range-basis factorization.
 
     With a formed U, ``apply`` computes r = G^{-1} b, t = S^{-1} U^T r with
-    S = U^T W, and s = r - W t, where W = G^{-1} U is filled by q G-solves
-    at construction and kept (n-by-q, the size of U).  With B_q and R_11 in
-    place of U, W is not kept and ``apply`` ends with the G-solve
-    s = G^{-1} (b - U t).  S is rejected as singular (``LinAlgError``) by
-    the relative pivot test of ``_lapack.lu_factor``, which does not depend
-    on the scale of G.
+    S = U^T W, and s = r - W t, where W = G^{-1} U is filled by one
+    ``solve_columns`` call at construction and kept (n-by-q, the size of
+    U).  With B_q and R_11 in place of U, W is not kept, S is assembled by
+    q G-solves and ``apply`` ends with the G-solve s = G^{-1} (b - U t).
+    S is rejected as singular (``LinAlgError``) by the relative pivot test
+    of ``_lapack.lu_factor``, which does not depend on the scale of G.
     """
 
     def __init__(self, g, fact):
@@ -261,9 +320,7 @@ class ProjectedPreconditioner:
         q = fact.rank
         self._w = None
         if fact.u is not None:
-            self._w = np.empty((fact.nrows, q), order="F")
-            for i in range(q):
-                self._w[:, i] = g.solve(fact.u[:, i])
+            self._w = g.solve_columns(fact.u)
             schur = fact.u.T @ self._w
         else:
             schur = np.empty((q, q))

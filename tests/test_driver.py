@@ -612,6 +612,18 @@ class TestPreconditionerInput:
             opins_solve(random_nonsymmetric(1, n=20), OpinsOptions(precond="projected",
                                                                     g_kind=g))
 
+    def test_singular_schur_block_raises_opins_error(self):
+        # G^{-1} = 0 makes U^T G^{-1} U zero: the projected preconditioner
+        # cannot be built, and the solve says so as it does for ILU(0)
+        n = 20
+        rng = np.random.default_rng(0)
+        system = SaddleSystem(a=np.diag(np.arange(1.0, n + 1)), b=rng.standard_normal((5, n)),
+                              f=rng.standard_normal(n), g=rng.standard_normal(5))
+        g = InvertibleOperator(dim=n, solve=lambda v: 0.0 * v)
+        with pytest.raises(OpinsError, match="U\\^T G\\^\\{-1\\} U block is singular") as info:
+            opins_solve(system, OpinsOptions(precond="projected", g_kind=g))
+        assert isinstance(info.value.__cause__, sla.LinAlgError)
+
 
 class TestPreconditionedEquivalence:
     def test_projected_precond_matches_dense_reduced_iteration(self):
