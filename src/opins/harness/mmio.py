@@ -19,13 +19,24 @@ the rest), when:
 * an entry line holds anything but its indices and one decimal number, say a
   trailing token (``1 1 1.0 7``), a glued suffix (``1.0abc``), ``nan`` or
   ``inf``, or a non-integer value in an ``integer`` file;
-* a value overflows to infinity (``1e400``).
+* a value overflows to infinity (``1e400``);
+* a symmetric coordinate file holds an entry above the diagonal, or a
+  skew-symmetric one an entry on or above it: the format stores only the
+  lower (strictly lower) triangle, and scipy would add the entry to its
+  mirror or keep a nonzero diagonal.
 
 Comment lines are allowed only before the size line, as the format says.
+
+A file's bytes are parsed once per process.  The parsed matrices are kept in
+an LRU cache of four entries (one problem's A, B, f and g) keyed by the bytes
+themselves, not by path or mtime, so a hit is exact and a rewritten file is
+parsed anew.  Every call still reads the file and returns its own copy of the
+matrix; a malformed file raises on every call, naming that call's path.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 from collections import Counter
@@ -53,23 +64,50 @@ class MatrixMarketError(ValueError):
         self.lineno = lineno
 
 
+class _Malformed(Exception):
+    """A fault found by ``_parse``, which sees no path: (line number, message)."""
+
+
 def _lineno(data, pos):
     return data.count(b"\n", 0, pos) + 1
 
 
-def _scipy(path, read, data, lineno):
-    """Run a scipy.io reader on ``data``; its errors become MatrixMarketErrors."""
+def _entry_lineno(data, body, k):
+    """The line of the k-th entry (from 0) of the entry lines starting at ``body``."""
+    # skip the blank lines and the k entry lines before the k-th entry
+    before = re.compile(rb"\n(?:[ \t]*\n)*(?:[^\n]*\n(?:[ \t]*\n)*){%d}" % k).match(data, body)
+    return _lineno(data, before.end())
+
+
+def _scipy(read, data, lineno):
+    """Run a scipy.io reader on ``data``; its errors become ``_Malformed``."""
     try:
         return read(io.BytesIO(data))
     except (ValueError, OverflowError) as exc:
         numbered = _SCIPY_LINE.match(str(exc))
         if numbered:
-            raise MatrixMarketError(path, int(numbered[1]), numbered[2]) from None
-        raise MatrixMarketError(path, lineno, str(exc)) from None
+            raise _Malformed(int(numbered[1]), numbered[2]) from None
+        raise _Malformed(lineno, str(exc)) from None
 
 
 def load_matrix_market(path):
-    """Read a Matrix Market file into a validated CSR matrix."""
+    """Read a Matrix Market file into a validated CSR matrix.
+
+    The file's bytes are parsed once per process: a later call on the same
+    bytes, under any path, returns a copy of the matrix already built."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _parse(data).copy()
+    except _Malformed as exc:
+        raise MatrixMarketError(path, *exc.args) from None
+
+
+# keyed by the bytes themselves, so a hit is exact; four entries hold one
+# problem's A, B, f and g
+@functools.lru_cache(maxsize=4)
+def _parse(data):
+    """The validated CSR matrix a file's bytes hold (shared: copy before use)."""
     # imported here, not at module level: solves that read no file skip its memory
     import scipy.io
 
@@ -77,27 +115,25 @@ def load_matrix_market(path):
     # \n (a replace copies the file even when nothing matches, hence the
     # test), and the closing \n spares scipy's reader (1.17) a crash on a last
     # line that ends in a blank
-    with open(path, "rb") as fh:
-        data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     data = _PLUS_SIGN.sub(b"", data + b"\n")
     header_line = data.partition(b"\n")[0]
     header = header_line.lower().split()
     if len(header) != 5 or header[:2] != [b"%%matrixmarket", b"matrix"]:
-        raise MatrixMarketError(path, 1, "not a Matrix Market matrix header")
+        raise _Malformed(1, "not a Matrix Market matrix header")
     # mminfo's decode error would carry no line number
     if not header_line.isascii():
-        raise MatrixMarketError(path, 1, "non-ASCII byte in the header")
+        raise _Malformed(1, "non-ASCII byte in the header")
     preamble = _PREAMBLE.match(data)
     size_lineno = _lineno(data, preamble.start(1))
-    nrows, ncols, nnz, fmt, field, symmetry = _scipy(path, scipy.io.mminfo, data, size_lineno)
+    nrows, ncols, nnz, fmt, field, symmetry = _scipy(scipy.io.mminfo, data, size_lineno)
     if field not in ("real", "integer"):
-        raise MatrixMarketError(path, 1, f"unsupported field type {field!r}")
+        raise _Malformed(1, f"unsupported field type {field!r}")
     if symmetry not in ("general", "symmetric", "skew-symmetric"):
-        raise MatrixMarketError(path, 1, f"unsupported symmetry {symmetry!r}")
+        raise _Malformed(1, f"unsupported symmetry {symmetry!r}")
     if symmetry != "general" and nrows != ncols:
-        raise MatrixMarketError(path, size_lineno, f"{symmetry} matrix must be square")
+        raise _Malformed(size_lineno, f"{symmetry} matrix must be square")
 
     # every line after the size line is blank or one entry and nothing else:
     # scipy ignores what follows an entry's valid prefix, and crashes on a NUL.
@@ -110,7 +146,7 @@ def load_matrix_market(path):
     if not all(map(re.compile(rb"[ \t]*" + entry).fullmatch, shapes)):
         bad = re.compile(rb"\n(?![ \t]*" + entry + rb"(?:\n|\Z))").search(data, body)
         line = data[bad.start() + 1:].partition(b"\n")[0].decode(errors="backslashreplace")
-        raise MatrixMarketError(path, _lineno(data, bad.start() + 1), f"bad entry {line!r}")
+        raise _Malformed(_lineno(data, bad.start() + 1), f"bad entry {line!r}")
     if fmt == "coordinate":
         expected = nnz
     else:  # array storage of a symmetric matrix holds its lower triangle
@@ -119,10 +155,9 @@ def load_matrix_market(path):
     # each non-blank line is one entry
     found = sum(count for shape, count in shapes.items() if shape.strip(b" \t"))
     if found != expected:
-        raise MatrixMarketError(path, size_lineno,
-                                f"header promises {expected} entries, file has {found}")
+        raise _Malformed(size_lineno, f"header promises {expected} entries, file has {found}")
 
-    mat = _scipy(path, scipy.io.mmread, data, size_lineno)
+    mat = _scipy(scipy.io.mmread, data, size_lineno)
     # the values in file order: a coordinate file's come first, an array file's
     # are column-major (for symmetric storage, the lower triangle)
     if fmt == "coordinate":
@@ -133,9 +168,16 @@ def load_matrix_market(path):
         values = mat.T[np.triu_indices(nrows, int(symmetry == "skew-symmetric"))]
     if not np.isfinite(values).all():
         k = int(np.argmin(np.isfinite(values)))
-        # skip the blank lines and the k entry lines before the k-th entry
-        before = re.compile(rb"\n(?:[ \t]*\n)*(?:[^\n]*\n(?:[ \t]*\n)*){%d}" % k).match(data, body)
-        raise MatrixMarketError(path, _lineno(data, before.end()), "non-finite value")
+        raise _Malformed(_entry_lineno(data, body, k), "non-finite value")
+    if fmt == "coordinate" and symmetry != "general":
+        # the file's own entries come first; scipy appended their mirrors
+        skew = symmetry == "skew-symmetric"
+        outside = mat.row[:nnz] < mat.col[:nnz] + skew
+        if outside.any():
+            k = int(outside.argmax())
+            where = "above" if mat.row[k] < mat.col[k] else "on"
+            raise _Malformed(_entry_lineno(data, body, k),
+                             f"entry {where} the diagonal in {symmetry} storage")
     mat = sp.csr_matrix(mat, dtype=float)
     mat.sum_duplicates()
     mat.sort_indices()

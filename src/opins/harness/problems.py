@@ -128,7 +128,7 @@ def problem_from_files(path_a, path_b=None, path_f=None, path_g=None,
         b = rng.standard_normal((m, n)) / np.sqrt(n)
     if path_f is not None:
         f = load_vector(path_f)
-        g = load_vector(path_g) if path_g is not None else rng.standard_normal(b.shape[0])
+        g = load_vector(path_g) if path_g is not None else b @ rng.standard_normal(n)
     else:
         x0 = rng.standard_normal(n)
         y0 = rng.standard_normal(b.shape[0])

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import sys
 
@@ -11,11 +12,12 @@ import scipy.io
 import scipy.sparse as sp
 
 from opins.driver import OpinsSetup, SaddleSystem
-from opins.harness import relres_full, runner
+from opins.harness import mmio, relres_full, runner
 from opins.harness.cli import main as cli_main
 from opins.harness.mmio import (MatrixMarketError, load_matrix_market, load_vector,
                                 save_matrix_market)
-from opins.harness.problems import ProblemSpec, build_system, generate_problem
+from opins.harness.problems import (ProblemSpec, build_system, generate_problem,
+                                    problem_from_files)
 from opins.harness.runner import RunConfig, run_case
 from opins.projection import Projector, particular_solution
 from opins.qrcp import qrcp_factor
@@ -160,6 +162,20 @@ class TestMatrixMarket:
         mat = load_matrix_market(path)
         np.testing.assert_allclose(mat.toarray(), [[0.0, -3.0], [3.0, 0.0]])
 
+    @pytest.mark.parametrize("symmetry, entry, where", [
+        ("symmetric", "1 2 5.0", "above"),
+        ("skew-symmetric", "1 2 5.0", "above"),
+        ("skew-symmetric", "2 2 2.0", "on"),
+    ], ids=["symmetric-upper", "skew-upper", "skew-diagonal"])
+    def test_entry_outside_the_stored_triangle_rejected(self, symmetry, entry, where, tmp_path):
+        # the format stores the lower (skew: strictly lower) triangle only;
+        # scipy would sum 1 2 with its mirror 2 1, or keep a skew diagonal
+        path = tmp_path / "tri.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                        f"% comment\n3 3 3\n2 1 5.0\n\n{entry}\n3 1 1.0\n")
+        with pytest.raises(MatrixMarketError, match=rf"tri\.mtx:6: entry {where} the diagonal"):
+            load_matrix_market(path)
+
     def test_symmetric_array_format(self, tmp_path):
         path = tmp_path / "symarr.mtx"
         # column-major lower triangle of [[1, 2], [2, 5]]
@@ -295,6 +311,73 @@ class TestMatrixMarket:
         np.testing.assert_array_equal(load_matrix_market(path).toarray(), np.eye(2))
 
 
+class TestLoadCache:
+    """A file's bytes are parsed once per process; every call gets a copy."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        mmio._parse.cache_clear()
+        yield
+        mmio._parse.cache_clear()
+
+    def test_two_runs_on_one_file_parse_once(self, tmp_path):
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(dense))
+        spec = ProblemSpec(name="file", source={"path_a": str(tmp_path / "a.mtx"), "m": 4})
+        for name in ("h1.csv", "h2.csv"):
+            run_case(spec, RunConfig(solver="opins-ilu", history_path=str(tmp_path / name)))
+        info = mmio._parse.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert (tmp_path / "h1.csv").read_bytes() == (tmp_path / "h2.csv").read_bytes()
+
+    def test_same_size_rewrite_with_the_old_mtime_loads_the_new_matrix(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_text(COORD_HEADER + "2 2 1\n1 1 1.0\n")
+        stat = path.stat()
+        assert load_matrix_market(path)[0, 0] == 1.0
+        path.write_text(COORD_HEADER + "2 2 1\n1 1 7.0\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert load_matrix_market(path)[0, 0] == 7.0
+
+    def test_mutating_a_loaded_matrix_leaves_the_next_load_alone(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_text(SYMMETRIC_MM)
+        first = load_matrix_market(path)
+        expected = first.toarray()
+        first.data[:] = -99.0
+        first.indices[:] = 0
+        first.indptr[:] = 0
+        second = load_matrix_market(path)
+        assert mmio._parse.cache_info().hits == 1
+        np.testing.assert_array_equal(second.toarray(), expected)
+
+    def test_malformed_file_raises_on_every_call_naming_its_path(self, tmp_path):
+        text = COORD_HEADER + "2 2 1\n1 1 1.0 7\n"
+        paths = [tmp_path / "bad1.mtx", tmp_path / "bad2.mtx"]
+        for path in paths:
+            path.write_text(text)
+        for path in paths + paths:
+            with pytest.raises(MatrixMarketError) as err:
+                load_matrix_market(path)
+            assert str(err.value).startswith(f"{path}:3: bad entry")
+            assert (err.value.path, err.value.lineno) == (path, 3)
+        assert mmio._parse.cache_info().currsize == 0
+
+    def test_same_bytes_under_a_second_path_load_an_equal_matrix(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mat = sp.random(30, 20, density=0.2, random_state=rng, format="csr")
+        save_matrix_market(tmp_path / "one.mtx", mat)
+        (tmp_path / "two.mtx").write_bytes((tmp_path / "one.mtx").read_bytes())
+        one = load_matrix_market(tmp_path / "one.mtx")
+        two = load_matrix_market(tmp_path / "two.mtx")
+        assert mmio._parse.cache_info().hits == 1 and two is not one
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(two, name), getattr(one, name))
+
+
 class TestGenerators:
     def test_deterministic(self):
         s1 = generate_problem("random", seed=42)
@@ -373,6 +456,26 @@ class TestGenerators:
         spec = ProblemSpec(name=kind, source=source, a_symmetric=declared)
         expected = kind != "file" if declared is None else declared
         assert build_system(spec).a_symmetric is expected
+
+    def test_file_f_without_g_draws_a_compatible_g(self, tmp_path):
+        # B has 5 Gaussian rows and 2 repeats, so range(B) is 5 of 7
+        # dimensions; a g drawn as free noise would lie outside it
+        n = 60
+        a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csr")
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((5, n))
+        b = sp.csr_matrix(np.vstack([rows, rows[[1, 3]]]))
+        for name, mat in (("a", a), ("b", b), ("f", rng.standard_normal(n))):
+            save_matrix_market(tmp_path / f"{name}.mtx", mat)
+        source = {f"path_{name}": str(tmp_path / f"{name}.mtx") for name in "abf"}
+        system = problem_from_files(**source, seed=1)
+        dense_b = b.toarray()
+        in_range = dense_b @ np.linalg.lstsq(dense_b, system.g, rcond=None)[0]
+        assert np.linalg.norm(system.g - in_range) <= 1e-12 * np.linalg.norm(system.g)
+        record = run_case(ProblemSpec(name="f-file", source={**source, "seed": 1},
+                                      a_symmetric=True), RunConfig(solver="opins"))
+        assert record.status == "converged" and record.relres_full <= 1e-8
 
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unexpected"):
