@@ -312,31 +312,46 @@ class TestMatrixMarket:
 
 
 class TestLoadCache:
-    """A file's bytes are parsed once per process; every call gets a copy."""
+    """A content's first load keeps nothing, its second is kept, and later
+    loads of the same bytes copy the kept matrix."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
         mmio._parse.cache_clear()
+        mmio._loaded.clear()
         yield
         mmio._parse.cache_clear()
+        mmio._loaded.clear()
 
-    def test_two_runs_on_one_file_parse_once(self, tmp_path):
+    def test_one_load_keeps_no_copy(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_text(SYMMETRIC_MM)
+        load_matrix_market(path)
+        info = mmio._parse.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+
+    def test_repeated_runs_on_one_file_parse_twice_then_reuse(self, tmp_path):
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.2)
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
         save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(dense))
         spec = ProblemSpec(name="file", source={"path_a": str(tmp_path / "a.mtx"), "m": 4})
-        for name in ("h1.csv", "h2.csv"):
+        counts = []
+        for name in ("h1.csv", "h2.csv", "h3.csv"):
             run_case(spec, RunConfig(solver="opins-ilu", history_path=str(tmp_path / name)))
-        info = mmio._parse.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert (tmp_path / "h1.csv").read_bytes() == (tmp_path / "h2.csv").read_bytes()
+            info = mmio._parse.cache_info()
+            counts.append((info.misses, info.hits))
+        assert counts == [(0, 0), (1, 0), (1, 1)]
+        histories = {(tmp_path / name).read_bytes() for name in ("h1.csv", "h2.csv", "h3.csv")}
+        assert len(histories) == 1
 
     def test_same_size_rewrite_with_the_old_mtime_loads_the_new_matrix(self, tmp_path):
         path = tmp_path / "a.mtx"
         path.write_text(COORD_HEADER + "2 2 1\n1 1 1.0\n")
         stat = path.stat()
         assert load_matrix_market(path)[0, 0] == 1.0
+        assert load_matrix_market(path)[0, 0] == 1.0
+        assert mmio._parse.cache_info().currsize == 1
         path.write_text(COORD_HEADER + "2 2 1\n1 1 7.0\n")
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert path.stat().st_size == stat.st_size
@@ -345,14 +360,14 @@ class TestLoadCache:
     def test_mutating_a_loaded_matrix_leaves_the_next_load_alone(self, tmp_path):
         path = tmp_path / "a.mtx"
         path.write_text(SYMMETRIC_MM)
-        first = load_matrix_market(path)
-        expected = first.toarray()
-        first.data[:] = -99.0
-        first.indices[:] = 0
-        first.indptr[:] = 0
-        second = load_matrix_market(path)
+        expected = load_matrix_market(path).toarray()
+        kept = load_matrix_market(path)
+        kept.data[:] = -99.0
+        kept.indices[:] = 0
+        kept.indptr[:] = 0
+        third = load_matrix_market(path)
         assert mmio._parse.cache_info().hits == 1
-        np.testing.assert_array_equal(second.toarray(), expected)
+        np.testing.assert_array_equal(third.toarray(), expected)
 
     def test_malformed_file_raises_on_every_call_naming_its_path(self, tmp_path):
         text = COORD_HEADER + "2 2 1\n1 1 1.0 7\n"
@@ -373,9 +388,11 @@ class TestLoadCache:
         (tmp_path / "two.mtx").write_bytes((tmp_path / "one.mtx").read_bytes())
         one = load_matrix_market(tmp_path / "one.mtx")
         two = load_matrix_market(tmp_path / "two.mtx")
-        assert mmio._parse.cache_info().hits == 1 and two is not one
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(two, name), getattr(one, name))
+        again = load_matrix_market(tmp_path / "one.mtx")
+        assert mmio._parse.cache_info().hits == 1 and again is not two
+        for loaded in (two, again):
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(loaded, name), getattr(one, name))
 
 
 class TestGenerators:
