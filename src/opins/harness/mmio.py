@@ -211,7 +211,7 @@ def load_vector(path):
     return np.asarray(mat.todense()).ravel()
 
 
-def save_matrix_market(path, mat, comment=None):
+def save_matrix_market(path, mat):
     """Write a matrix or vector in coordinate (sparse) or array (dense) format."""
     # imported here, not at module level: solves that write no file skip its memory
     import scipy.io
@@ -222,5 +222,4 @@ def save_matrix_market(path, mat, comment=None):
             mat = mat.T
     # an open file, because mmwrite appends ".mtx" to a path without it
     with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, mat, comment=comment, field="real", precision=17,
-                         symmetry="general")
+        scipy.io.mmwrite(fh, mat, field="real", precision=17, symmetry="general")

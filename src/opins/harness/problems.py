@@ -137,12 +137,12 @@ def problem_from_files(path_a, path_b=None, path_f=None, path_g=None,
     return SaddleSystem(a=a, b=b, f=f, g=g, a_symmetric=a_symmetric)
 
 
-def build_system(spec, seed=0):
+def build_system(spec):
     """Realize a ProblemSpec into a SaddleSystem, passing on only the keys
-    its source holds (``seed`` stands in for a missing one), with the spec's
+    its source holds (seed 0 stands in for a missing one), with the spec's
     ``a_symmetric`` when it is not None."""
     src = dict(spec.source)
-    seed = src.pop("seed", seed)
+    seed = src.pop("seed", 0)
     if "path_a" in src:
         sys = problem_from_files(**src, seed=seed)
     else:

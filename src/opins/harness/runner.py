@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import krylov, oracles
 from ..driver import InnerObserver, OpinsOptions, OpinsSetup, opins_solve, relres_full
@@ -219,11 +218,7 @@ def _pminres_case(case, spec, config):
     n = system.n
     g_matrix = np.diag(jacobi_diagonal(system.a) if config.g_kind == "jacobi" else np.ones(n))
     rows = _independent_rows(case.setup)
-    # the baseline's own x_p solves B x = g by least squares; the setup's
-    # agrees to rounding on compatible or full-rank constraints, but whether
-    # the indefinite preconditioned recurrence converges hinges on that rounding
-    b = system.b.toarray() if sp.issparse(system.b) else np.asarray(system.b, dtype=float)
-    x_p = np.linalg.lstsq(b, system.g, rcond=None)[0]
+    x_p = case.setup.x_p
 
     def on_iter(it, z_k, relres):
         case.row(it, x_p + z_k[:n], _pad(system, rows, z_k[n:]),

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import krylov
-from ._lapack import lu_factor
+from ._lapack import lu_factor, lu_solve
 from .operators import LinearOperator
 
 __all__ = ["null_basis", "explicit_nullspace_solve", "tsvd_solve",
@@ -91,9 +91,9 @@ def constraint_preconditioned(sys, g_matrix, rows, ir_steps):
     lu = lu_factor(mprec, "constraint preconditioner matrix")
 
     def psolve(r):
-        s = sla.lu_solve(lu, r)
+        s = lu_solve(lu, r)
         for _ in range(ir_steps):
-            s = s + sla.lu_solve(lu, r - mprec @ s)
+            s = s + lu_solve(lu, r - mprec @ s)
         return s
 
     return (LinearOperator(dim=n + q, apply=lambda v: kmat @ v),

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ._lapack import lu_factor, lu_solve
-from .qrcp import apply_q_block
+from .qrcp import _ranges, apply_q_block
 
 __all__ = ["InvertibleOperator", "build_g", "jacobi_diagonal", "ilu0_factor",
            "ProjectedPreconditioner"]
@@ -221,11 +221,6 @@ def _stable_argsort(keys):
     radix-sorts keys of up to 16 bits."""
     return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0)), copy=False),
                       kind="stable")
-
-
-def _ranges(starts, lens):
-    """The concatenation of ``arange(s, s + l)`` over ``zip(starts, lens)``."""
-    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
 def _check_pivots(lower_cols, data, diag_pos):

@@ -2,29 +2,30 @@
 
 ``qrcp_factor`` computes ``B^T P = Q R`` in three steps:
 
-1. B^T's rows are folded ``STREAM_ROWS`` at a time into a running m-by-m
-   triangle R with ``R^T R = B B^T`` by LAPACK ``tpqrt`` (TSQR: Demmel,
-   Grigori, Hoemmen & Langou, SISC 34, 2012).  Dense B^T is folded in row
-   order at the full width m.  Sparse B^T is folded as in sparse QR by rows
-   (George & Heath, LAA 34, 1980), from one CSR of B^T:
+1. B^T's rows are folded into a running m-by-m triangle R with
+   ``R^T R = B B^T`` by LAPACK ``tpqrt`` (TSQR: Demmel, Grigori, Hoemmen &
+   Langou, SISC 34, 2012), in one loop over panels and, within a panel,
+   blocks of at most ``STREAM_ROWS`` rows: panel j holds rows that are zero
+   left of column j, so they are folded into the trailing triangle
+   ``R[j:, j:]`` alone, at width m - j.  Dense B^T is one panel, j = 0,
+   holding all its rows in order.  Sparse B^T is folded as in sparse QR by
+   rows (George & Heath, LAA 34, 1980), from one CSR of the rows to fold:
 
    * its columns (B's rows) are pre-ordered from the pattern alone, by the
      weight ``sum 1 / nnz(row i of B^T)`` over the rows i that store the
      column, repeated rows included, ascending and stable, so the columns
      that carry many short rows come last (equal weights, as for a dense B
-     stored as CSR, keep B's order);
-   * its nonzero rows that are equal in every column and value are folded
+     stored as CSR, keep B's order), and renumbered by that order;
+   * its nonzero rows that are equal in every column and value are kept
      once, as the first of the k copies scaled by sqrt(k), which adds the
      same ``k r^T r`` to ``R^T R`` (the repeated-row case of sparse QR by
      rows): rows whose lengths and two probe keys agree are compared
      entry by entry with the earliest of them, and only rows found equal
      merge;
-   * the rows kept, sorted stably by their leading column under that
-     order, are densified one block at a time and folded panel by panel,
-     nb columns to a panel (the ``tpqrt`` block size, a quarter of m, at
-     most 32): the rows leading in columns j to j + nb - 1 are zero left
-     of j, so they are folded into the trailing triangle ``R[j:, j:]``
-     alone, at width m - j;
+   * the rows kept are sorted stably by their leading column, and panel j
+     takes those that lead in columns j to j + nb - 1 (nb the ``tpqrt``
+     block size, a quarter of m, at most 32); each block is densified
+     from the CSR only as the loop reaches it;
    * R's columns are put back in B's row order before step 2, which keeps
      ``R^T R = B B^T``.
 2. LAPACK ``geqp3`` pivots on that R: greedily on the largest remaining
@@ -85,15 +86,12 @@ __all__ = ["RangeBasisFactorization", "qrcp_factor", "apply_q_block"]
 SEMINORMAL_MAX_COND = 1e4
 
 # Rows of B^T folded per ``tpqrt`` step: a block of at most 1024-by-m (1.6 MB
-# at m = 200), the only dense block the fold holds.  Sparse B^T's nonzero
-# rows are densified per block at the width m - j of their panel j, after
-# the pre-order by column weight, the merge of repeated rows and the sort by
-# leading column; blocks never straddle two panels.  On the benchmark's
-# averaging B (m = 200, n = 8000 and 91 125) 512 to 2048 rows took within
-# 20% of each other at the full width; at n = 8000 the panels fold 87 M rows
-# times width^2 against 209 M at the full width, and folding only the 1 498
-# distinct rows of 5 229 brings that to 34 M (at n = 91 125, 456 of 9 223
-# rows and 7.6 M).
+# at m = 200), the only dense block the fold holds; blocks never straddle
+# two panels.  On the benchmark's averaging B (m = 200, n = 8000 and
+# 91 125) 512 to 2048 rows took within 20% of each other at the full width;
+# at n = 8000 the panels fold 87 M rows times width^2 against 209 M at the
+# full width, and folding only the 1 498 distinct rows of 5 229 brings that
+# to 34 M (at n = 91 125, 456 of 9 223 rows and 7.6 M).
 STREAM_ROWS = 1024
 # LAPACK block size.  ``geqrf`` and ``orgqr`` get workspace for blocks of it
 # (with their default workspace both fall back to unblocked, level-2 loops:
@@ -169,13 +167,7 @@ def qrcp_factor(bt, rank_tol):
     n, m = bt.shape
     if min(n, m) == 0:
         return _empty(n, m, np.arange(m))
-    nb = max(1, min(_NB, m // 4))
-    if sparse:
-        r = _sparse_triangle(b, nb)
-    else:
-        r = np.zeros((m, m), order="F")
-        for start in range(0, n, STREAM_ROWS):
-            r = _fold(r, np.array(bt[start:start + STREAM_ROWS], order="F"), nb)
+    r = _triangle(b.T if sparse else bt, max(1, min(_NB, m // 4)))
     # geqp3 in place on R; q is the leading run of |R'_kk| above the
     # threshold (none for a zero matrix)
     (r, _), _, perm = sla.qr(r, mode="raw", pivoting=True, overwrite_a=True,
@@ -211,24 +203,45 @@ def qrcp_factor(bt, rank_tol):
                                    u=u, r_block=r_block)
 
 
-def _fold(r, block, nb):
-    """Fold ``block`` into the triangle ``r`` (LAPACK ``tpqrt`` with a T
-    factor ``nb`` wide, in ``r``'s memory when ``r`` is Fortran-contiguous,
-    otherwise in a copy): the R returned has
-    ``R^T R = r^T r + block^T block``."""
-    r, _, _, info = dtpqrt(0, nb, r, block, overwrite_a=1, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"tpqrt failed with info={info}")
-    return r
+def _triangle(bt, nb):
+    """The m-by-m R with ``R^T R = B B^T`` for the n-by-m ``bt`` (step 1 of
+    the module docstring): one loop folds panel by panel, each panel's rows
+    ``STREAM_ROWS`` at a time, into the trailing triangle; nothing in it is
+    n-by-m."""
+    m = bt.shape[1]
+    if sp.issparse(bt):
+        rows, pos, first = _rows_to_fold(bt, nb)
+        panels = zip(range(0, m, nb), first, np.append(first[1:], rows.shape[0]))
+    else:
+        rows, pos, panels = bt, None, [(0, 0, bt.shape[0])]
+    r = np.zeros((m, m), order="F")
+    for j, lo, hi in panels:
+        for s in range(lo, hi, STREAM_ROWS):
+            block = rows[s:min(s + STREAM_ROWS, hi), j:]
+            block = np.array(block, order="F") if pos is None else block.toarray(order="F")
+            # tpqrt replaces the trailing triangle S = R[j:, j:] by S' with
+            # S'^T S' = S^T S + block^T block; for j > 0 S is a strided view,
+            # which it gets as a copy, written back here, and at j = 0 it is
+            # R itself, folded in its own memory
+            folded, _, _, info = dtpqrt(0, min(nb, m - j), r[j:, j:], block,
+                                        overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"tpqrt failed with info={info}")
+            r[j:, j:] = folded
+    # R of B^T with its columns in B's own row order: R^T R = B B^T
+    return r if pos is None else np.asfortranarray(r[:, pos])
 
 
-def _sparse_triangle(b, nb):
-    """The m-by-m R with ``R^T R = B B^T`` for the m-by-n CSR ``b``, folded
-    panel by panel into the trailing triangle (step 1 of the module
-    docstring); nothing in it is n-by-m."""
-    m = b.shape[0]
+def _rows_to_fold(bt, nb):
+    """The rows of the sparse n-by-m ``bt`` to fold, as one CSR: each
+    distinct nonzero row once, scaled by sqrt(k), sorted by leading column,
+    with B's rows renumbered by the pre-order ``pos`` (column c of ``bt`` is
+    column pos[c] of the CSR).  Returns the CSR, ``pos`` and the first row
+    of each panel: panel j takes the rows that lead in columns j to
+    j + nb - 1, which are zero left of j."""
+    m = bt.shape[1]
     # CSR of B^T: a new copy, so summing its duplicates leaves B alone
-    rows = b.T.tocsr()
+    rows = bt.tocsr(copy=True)
     rows.sum_duplicates()
     count = np.diff(rows.indptr)
     touched = np.flatnonzero(count)
@@ -241,33 +254,11 @@ def _sparse_triangle(b, nb):
     lead = np.minimum.reduceat(pos[rows.indices], start)
     # each distinct row once, the first of its copies, folded at sqrt(k)
     keep, copies = _distinct_rows(rows, touched, start, count)
-    root = np.sqrt(copies)
-    # the kept rows by leading column under that order
     by_lead = np.flatnonzero(keep)[np.argsort(lead[keep], kind="stable")]
-    lead, start, count, root = lead[by_lead], start[by_lead], count[by_lead], root[by_lead]
-    # panel j takes the rows that lead in columns j to j + nb - 1; they are
-    # zero left of j, so they change only R[j:, j:] (for j > 0 a strided
-    # view, which tpqrt gets as a copy that is then written back)
-    r = np.zeros((m, m), order="F")
-    # every block is zeroed and scattered into this one buffer: a new
-    # array per block costs its page faults again
-    buf = np.empty(min(STREAM_ROWS, lead.size) * m)
-    first = np.searchsorted(lead, np.arange(0, m, nb))
-    for j, lo, hi in zip(range(0, m, nb), first, np.append(first[1:], lead.size)):
-        for s in range(lo, hi, STREAM_ROWS):
-            e = min(s + STREAM_ROWS, hi)
-            # the block's entries, gathered from the CSR and scattered once
-            # by flat index into a C-ordered (m - j)-by-rows array, whose
-            # transpose is the Fortran-ordered block tpqrt takes
-            k = count[s:e]
-            src = np.repeat(start[s:e] - np.cumsum(k) + k, k) + np.arange(k.sum())
-            block = buf[:(m - j) * (e - s)]
-            block.fill(0.0)
-            block[(pos[rows.indices[src]] - j) * (e - s) + np.repeat(np.arange(e - s), k)] = \
-                rows.data[src] * np.repeat(root[s:e], k)
-            r[j:, j:] = _fold(r[j:, j:], block.reshape(m - j, e - s).T, min(nb, m - j))
-    # R of B^T with its columns in B's own row order: R^T R = B B^T
-    return np.asfortranarray(r[:, pos])
+    kept = rows[touched[by_lead]]
+    kept = sp.csr_matrix((kept.data * np.repeat(np.sqrt(copies[by_lead]), count[by_lead]),
+                          pos[kept.indices], kept.indptr), shape=kept.shape)
+    return kept, pos, np.searchsorted(lead[by_lead], np.arange(0, m, nb))
 
 
 def _row_keys(rows):
@@ -291,12 +282,11 @@ def _distinct_rows(rows, touched, start, count):
     # their entries side by side, candidate against head, in start's dtype
     # (4 bytes an entry for an int32 CSR)
     k = count[cand]
-    ofs = np.cumsum(k, dtype=start.dtype) - k
-    at = np.repeat(start[cand] - ofs, k) + np.arange(k.sum(), dtype=start.dtype)
+    at = _ranges(start[cand], k)
     shift = np.repeat(start[head] - start[cand], k)
     equal = rows.indices[at] == rows.indices[at + shift]
     equal &= rows.data[at] == rows.data[at + shift]
-    equal = np.logical_and.reduceat(equal, ofs)
+    equal = np.logical_and.reduceat(equal, np.cumsum(k, dtype=start.dtype) - k)
     keep = np.ones(touched.size, dtype=bool)
     keep[cand[equal]] = False
     return keep, np.bincount(head[equal], minlength=touched.size) + 1
@@ -317,6 +307,13 @@ def _candidates(rows, touched, count):
     head = order[np.maximum.accumulate(run)]
     cand = order != head
     return order[cand], head[cand]
+
+
+def _ranges(starts, lens):
+    """The concatenation of ``arange(s, s + l)`` over ``zip(starts, lens)``,
+    in ``starts.dtype``."""
+    ofs = np.cumsum(lens, dtype=starts.dtype) - lens
+    return np.repeat(starts - ofs, lens) + np.arange(lens.sum(), dtype=starts.dtype)
 
 
 def _empty(n, m, perm):

@@ -1,6 +1,7 @@
 """End-to-end driver behavior: uniqueness, min-norm, guards, equivalences."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -214,6 +215,17 @@ class TestIngest:
             SaddleSystem(**blocks)
 
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(b=np.ones(2)), "B must be 2-d, got shape (2,)"),
+        (dict(a=np.ones((2, 3)), b=np.ones((1, 3))), "A must be square, got (2, 3)"),
+        (dict(g=np.zeros(2)), "g has shape (2,), expected (1,)"),
+    ], ids=["1-d-B", "non-square-A", "g-length"])
+    def test_bad_shape_raises_opins_error_with_its_message(self, kwargs, message):
+        blocks = dict(a=np.eye(2), b=np.ones((1, 2)), f=np.zeros(2), g=np.zeros(1))
+        blocks.update(kwargs)
+        with pytest.raises(OpinsError, match=re.escape(message)):
+            SaddleSystem(**blocks)
+
     @pytest.mark.parametrize("blocks", ["A", "B", "AB"])
     def test_np_matrix_blocks_solve_as_ndarrays(self, blocks):
         base = random_nonsymmetric(2)
@@ -240,6 +252,18 @@ class TestDeclaredSymmetry:
                               a_symmetric=True)
         with pytest.raises(OpinsError, match="declared symmetric"):
             opins_solve(system)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_empty_system_declared_symmetric(self, m):
+        # n = 0 leaves no probe vector to normalize; the probe returns
+        # without dividing by their zero norms, and there is nothing to solve
+        system = SaddleSystem(a=np.zeros((0, 0)), b=np.zeros((m, 0)), f=np.zeros(0),
+                              g=np.zeros(m), a_symmetric=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = opins_solve(system)
+        assert report.converged and report.inner.iterations == 0
+        assert report.x.shape == (0,) and report.y.shape == (m,)
 
     def test_rounding_level_asymmetry_accepted(self):
         system = random_singular(1)

@@ -494,6 +494,20 @@ class TestGenerators:
                                       a_symmetric=True), RunConfig(solver="opins"))
         assert record.status == "converged" and record.relres_full <= 1e-8
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("scaled", {"sigma": 2.0, "rank": 3}, "unexpected params ['rank']"),
+        ("random-s", {"b_rank": 0}, "b_rank must be in 1..m"),
+        ("random-s", {"m": 5, "b_rank": 6}, "b_rank must be in 1..m"),
+    ], ids=["scaled-extra", "b-rank-0", "b-rank-above-m"])
+    def test_bad_params_rejected_with_their_message(self, kind, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_problem(kind, seed=0, params=params)
+
+    def test_non_square_a_file_rejected(self, tmp_path):
+        save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(np.ones((2, 3))))
+        with pytest.raises(ValueError, match=re.escape("A must be square, got (2, 3)")):
+            problem_from_files(str(tmp_path / "a.mtx"))
+
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unexpected"):
             generate_problem("random", seed=0, params={"rank": 3})
@@ -545,6 +559,14 @@ class TestMetrics:
         assert relres_full(system, z[:system.n], z[system.n:]) <= 1e-13
         assert relres_full(system, np.zeros(system.n), np.zeros(system.m)) == \
             pytest.approx(1.0)
+
+    def test_relres_full_of_a_zero_rhs_is_absolute(self):
+        # f = 0 and g = 0 give no scale to divide by: the residual norm itself
+        system = SaddleSystem(a=2.0 * np.eye(3), b=np.array([[1.0, 0.0, 0.0]]),
+                              f=np.zeros(3), g=np.zeros(1), a_symmetric=True)
+        # A x + B^T y = (1, 0, 0) and B x = 1
+        assert relres_full(system, np.array([1.0, 0.0, 0.0]), np.array([-1.0])) == np.sqrt(2.0)
+        assert relres_full(system, np.zeros(3), np.zeros(1)) == 0.0
 
     def test_relres_x_infinite_flag(self):
         # projected right-hand side vanishes but the candidate does not
@@ -967,14 +989,19 @@ class TestRunner:
     @pytest.mark.parametrize("solver", ["opins", "opins-p", "pcg", "pminres-ir1", "pgmres"])
     def test_history_file_does_not_change_the_result(self, solver, tmp_path):
         # the per-iteration rows run only for a history file; they observe
-        # the solve without changing it
+        # the solve without changing it.  Whether the indefinite constraint
+        # preconditioner lets pminres-ir1 converge on this seed depends on
+        # rounding, which the BLAS thread count moves (at one thread it
+        # breaks down at step 50); the runs agree either way
         spec = ProblemSpec(name="random-s", source={"kind": "random-s", "seed": 8},
                            declared_singular=True, a_symmetric=True)
         plain = run_case(spec, RunConfig(solver=solver, maxit=300))
         path = tmp_path / "h.csv"
         logged = run_case(spec, RunConfig(solver=solver, maxit=300,
                                           history_path=str(path)))
-        assert plain.status == logged.status == "converged"
+        assert plain.status == logged.status
+        if solver != "pminres-ir1":
+            assert plain.status == "converged"
         assert plain.iterations == logged.iterations > 0
         for key in ("relres_x", "relres_full", "constraint_residual", "norm_x", "norm_y"):
             assert getattr(plain, key) == getattr(logged, key)

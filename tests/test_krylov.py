@@ -186,6 +186,31 @@ class TestGmres:
         assert out.converged
         assert np.linalg.norm(b - mat @ out.solution) <= 1e-11 * np.linalg.norm(b)
 
+    def test_restart_whose_explicit_residual_meets_tol_converges(self):
+        # the first cycle's recurrence residuals stay above the tolerance, so
+        # the caller's residual is first asked for at the restart; it meets
+        # the tolerance there, and the run ends with the cycle's iterate
+        a, b = np.diag(np.arange(1.0, 7.0)), np.ones(6)
+        asked = []
+
+        def residual(x):
+            asked.append(x.copy())
+            return np.zeros(6)
+
+        out = gmres(op_from(a), b, restart=2, tol=1e-10, maxit=50, residual=residual)
+        assert out.status == "converged" and out.iterations == 2
+        first_cycle = gmres(op_from(a), b, restart=2, tol=1e-10, maxit=2)
+        assert first_cycle.status == "max_iterations"
+        assert np.array_equal(out.solution, first_cycle.solution)
+        assert len(asked) == 1 and np.array_equal(asked[0], out.solution)
+
+    def test_left_preconditioner_null_on_b_breaks_down(self):
+        # M^{-1} b = 0 for a nonzero b: no preconditioned residual to start from
+        prec = LinearOperator(dim=4, apply=lambda v: 0.0 * v)
+        out = gmres(op_from(np.eye(4)), np.ones(4), 3, 1e-10, 10, left_precond=prec)
+        assert out.status == "breakdown" and out.iterations == 0
+        np.testing.assert_array_equal(out.solution, np.zeros(4))
+
     def test_orthogonality_kept_on_nonnormal_grcar(self):
         # Grcar matrix: -1 below the diagonal, 1 on it and on 3 above it; its
         # nonnormality makes the Arnoldi vectors lose orthogonality first
@@ -214,6 +239,15 @@ class TestCg:
         out = cg(op_from(np.diag([1.0, -1.0])),
                  np.array([1.0, 1.0]), 1e-10, 50)
         assert out.status == "breakdown"
+
+    def test_ten_steps_without_decrease_break_down(self):
+        # A = I + K with K skew: p^T A p = ||p||^2 > 0, so the curvature test
+        # never fires, but the residual grows from the first step on
+        a = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        out = cg(op_from(a), np.ones(2), 1e-10, 100)
+        assert out.status == "breakdown" and out.iterations == 11
+        rel = [rec.relres for rec in out.history]
+        assert min(rel[1:]) >= rel[0]
 
     def test_random_spd_matches_lu(self):
         rng = np.random.default_rng(10)

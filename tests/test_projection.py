@@ -1,5 +1,7 @@
 """Projector, particular solution, and multiplier recovery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,13 @@ class TestRecoverMultipliers:
         y2 = recover_multipliers(p, resid)
         # least-squares optimality: B (B^T y - resid) = 0
         assert np.linalg.norm(b @ (b.T @ y2 - resid)) <= 1e-10
+
+
+@pytest.mark.parametrize("solve, length, message", [
+    (particular_solution, 2, "particular_solution: expected length 1, got (2,)"),
+    (recover_multipliers, 3, "recover_multipliers: expected length 2, got (3,)"),
+], ids=["particular-solution", "recover-multipliers"])
+def test_wrong_length_rejected(solve, length, message):
+    p = make_projector([[1.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(p, np.zeros(length))

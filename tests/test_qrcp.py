@@ -688,7 +688,7 @@ def block_averaging_b(n, m, width):
 
 def assert_gram(b):
     """The sparse fold's R has R^T R = B B^T to rounding."""
-    r = qrcp_module._sparse_triangle(b, panel_width(b.shape[0]))
+    r = qrcp_module._triangle(b.T, panel_width(b.shape[0]))
     gram = (b @ b.T).toarray()
     assert np.linalg.norm(r.T @ r - gram) <= 1e-14 * np.linalg.norm(gram)
 
