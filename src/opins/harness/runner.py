@@ -9,13 +9,12 @@ particular and null-space parts (the opins family, pcg, and the
 constraint-preconditioned MINRES baseline) ``norm_Bxn`` is ||B x_n|| at
 that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
 it is the constraint violation ||g - B x||.  Direct solvers emit a single
-summary row.  Every row but the projected-space rows of the opins family
-and pcg goes through ``_Case.row``, whose ``relres_x`` is that of
-P (x - x_p); the others recover (x, y) by ``OpinsSetup.recover``.  An
-opins variant's record takes its five final metrics from the report of its
-``opins_solve``, whose ``relres_x`` is that of its x_n = P w, as in the
-projected-space rows; for the other solvers ``run_case`` builds the five
-in one dict, ``relres_x`` and ``relres_full`` as ``_Case.row`` does.
+summary row.  The opins family and pcg write ``_Case.projected_row``, which
+reads the solver's own true residual and makes one product with B; every
+other row is ``_Case.row`` of a whole-space (x, y), whose ``relres_x`` is
+that of P (x - x_p).  An opins variant's record takes its five final
+metrics from its ``opins_solve`` report; for the other solvers ``run_case``
+builds the five in one dict, as ``_Case.row`` does.
 
 Every solver reads the run's one ``OpinsSetup.build`` and its QRCP of B^T.
 The constraint-preconditioned baselines, pminres-ir* and pgmres, share
@@ -32,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -134,12 +134,9 @@ class _HistoryWriter:
         self.rows.append(f"{it},{rx:.17g},{rfull:.17g},{bxn:.17g}")
 
     def flush(self):
-        if self.path is None:
-            return
-        with open(self.path, "w") as fh:
-            fh.write(self.header + "\n")
-            for row in self.rows:
-                fh.write(row + "\n")
+        if self.path is not None:
+            with open(self.path, "w") as fh:
+                fh.writelines(f"{line}\n" for line in [self.header, *self.rows])
 
 
 @dataclass
@@ -148,8 +145,7 @@ class _Case:
 
     setup: OpinsSetup
     writer: _HistoryWriter
-    # the final metrics of the x the solver returns, when its own solve
-    # computed them (the opins family's report); empty otherwise
+    # the opins family's final metrics, from its own report; empty otherwise
     final: dict = field(default_factory=dict)
 
     def relres_x(self, x):
@@ -162,20 +158,27 @@ class _Case:
         drift the solver reports."""
         self.writer.add(it, self.relres_x(x), relres_full(self.setup.system, x, y), bxn)
 
+    @cached_property
+    def _row_terms(self):
+        system = self.setup.system
+        return (np.linalg.norm(self.setup.rhs), system.g - system.b @ self.setup.x_p,
+                np.linalg.norm(system.rhs_full()))
+
     def projected_row(self, it, x_n_k, relres):
         """History row for the null-space part x_n_k = P w_k of a
         projected-space iterate, as an ``InnerObserver`` hands it on.
-        ``relres`` is the solver's true residual ||rhs - P A x_n_k|| / ||rhs||,
-        which is relres_x(x_n_k); A x_k is formed once, for the multipliers
-        and the full residual both."""
-        system = self.setup.system
-        x_k, y_k, ax_k = self.setup.recover(x_n_k)
-        self.writer.add(it, relres, relres_full(system, x_k, y_k, ax_k),
-                        float(np.linalg.norm(system.b @ x_n_k)))
+        ``relres`` is the solver's true residual ||rhs - P A x_n_k|| / ||rhs||:
+        relres_x(x_n_k), and ||f - A x_k - B^T y_k|| / ||rhs|| for x_k = x_p +
+        x_n_k and the y_k of ``OpinsSetup.recover``.  So one B product gives
+        relres_full, hypot(relres ||rhs||, ||g - B x_k||) / ||[f; g]||."""
+        norm_rhs, g_res_p, norm_full = self._row_terms
+        b_xn = self.setup.system.b @ x_n_k
+        full = float(np.hypot(relres * norm_rhs, np.linalg.norm(g_res_p - b_xn)))
+        self.writer.add(it, relres, full / norm_full if norm_full else full,
+                        float(np.linalg.norm(b_xn)))
 
     def observer(self, callback):
-        """``callback`` when a history file will be written, else None: each
-        history row costs an A product, the multipliers and a full residual."""
+        """``callback`` when a history file will be written, else None."""
         return callback if self.writer.path is not None else None
 
 
@@ -194,10 +197,6 @@ def _pad(system, rows, y_rows):
     y = np.zeros(system.m)
     y[rows] = y_rows
     return y
-
-
-def _maxit(config, dim):
-    return _opins_options(config).iteration_cap(dim)
 
 
 def _opins_case(case, spec, config):
@@ -225,7 +224,7 @@ def _pminres_case(case, spec, config):
                  float(np.linalg.norm(system.b @ z_k[:n])))
 
     outcome = oracles.pminres_constraint(system, g_matrix, ir_steps, config.tol,
-                                         _maxit(config, n), rows, x_p,
+                                         _opins_options(config).iteration_cap(n), rows, x_p,
                                          callback=case.observer(on_iter))
     return (x_p + outcome.solution[:n], _pad(system, rows, outcome.solution[n:]),
             outcome.status, outcome.iterations)
@@ -234,7 +233,8 @@ def _pminres_case(case, spec, config):
 def _pcg_case(case, spec, config):
     setup = case.setup
     observer = InnerObserver(setup, case.projected_row)
-    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, _maxit(config, setup.system.n),
+    maxit = _opins_options(config).iteration_cap(setup.system.n)
+    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, maxit,
                         callback=case.observer(observer), residual=observer.residual)
     x, y, _ = setup.recover(setup.projector.complement(outcome.solution))
     return x, y, outcome.status, outcome.iterations
@@ -252,8 +252,8 @@ def _pgmres_case(case, spec, config):
                  float(np.linalg.norm(system.g - system.b @ x_k)))
 
     outcome = krylov.gmres(op, np.concatenate([system.f, system.g[rows]]), config.restart,
-                           config.tol, _maxit(config, op.dim), left_precond=prec,
-                           callback=case.observer(on_iter))
+                           config.tol, _opins_options(config).iteration_cap(op.dim),
+                           left_precond=prec, callback=case.observer(on_iter))
     return (outcome.solution[:n], _pad(system, rows, outcome.solution[n:]),
             outcome.status, outcome.iterations)
 

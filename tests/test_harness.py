@@ -867,7 +867,9 @@ class TestRunner:
         A (n = 200, symmetric or not) and count the products with A and the
         projections inside its one Krylov call.  Checks that each history
         row gets x_n = P w of the solver's own iterate w, as computed, and
-        returns the record and the counts."""
+        that the multipliers are recovered once, for the returned x, not per
+        row; returns the record and the counts."""
+        import opins.driver
         import opins.harness.runner
         import opins.krylov
         from opins.projection import Projector
@@ -881,7 +883,7 @@ class TestRunner:
         spec = ProblemSpec(name="sparse", a_symmetric=symmetric,
                            source={"path_a": str(tmp_path / "a.mtx"), "m": 5, "seed": 2})
 
-        a_products, complements, iterates, rows = [], [], [], []
+        a_products, complements, iterates, rows, multipliers = [], [], [], [], []
 
         class CountedCSR(sp.csr_matrix):
             def _matmul_vector(self, other):
@@ -920,8 +922,15 @@ class TestRunner:
             rows.append((case.setup.projector, x_n_k))
             row(case, it, x_n_k, relres)
 
+        recover = opins.driver.recover_multipliers
+
+        def counted_recover(projector, residual):
+            multipliers.append(1)
+            return recover(projector, residual)
+
         monkeypatch.setattr(opins.harness.runner, "build_system", counted_build)
         monkeypatch.setattr(Projector, "complement", counted_complement)
+        monkeypatch.setattr(opins.driver, "recover_multipliers", counted_recover)
         for name in ("minres", "gmres"):
             monkeypatch.setattr(opins.krylov, name,
                                 functools.partial(spy, _solve=getattr(opins.krylov, name)))
@@ -931,29 +940,80 @@ class TestRunner:
         assert len(rows) == len(iterates) == record.iterations
         for (projector, x_n_k), w_k in zip(rows, iterates):
             assert np.array_equal(x_n_k, complement(projector, w_k))
+        assert len(multipliers) == 1
         return record, counts
 
     def test_observed_step_budget(self, monkeypatch, tmp_path):
-        # an observed GMRES step makes 3 A products and 4 projections: one of
-        # each pair for the Arnoldi vector, one P w and one P(A x_n) for the
-        # true residual, and one A x for the history row, which reads that
-        # x_n; each restart cycle after the first adds the residual of its
-        # starting iterate, and the first starts from the right-hand side
+        # an observed GMRES step makes 2 A products and 4 projections: one of
+        # each pair for the Arnoldi vector, and one P w and one P(A x_n) for
+        # the true residual; the history row reads that residual and makes
+        # neither.  Each restart cycle after the first adds the residual of
+        # its starting iterate, and the first starts from the right-hand side
         record, counts = self.observed_counts(monkeypatch, tmp_path, "opins-ilu", False)
         steps = record.iterations
         assert record.status == "converged" and 5 < steps < RunConfig.restart
         # one restart cycle, which starts at x = 0 with no product
-        assert counts == {"a": 3 * steps, "p": 4 * steps}
+        assert counts == {"a": 2 * steps, "p": 4 * steps}
 
     def test_observed_unpreconditioned_minres_step_budget(self, monkeypatch, tmp_path):
         # without a preconditioner every Lanczos vector already lies in
         # null(B), so the operator applies P A alone: an observed step makes
-        # 3 A products and 3 projections, the true residual's P w and
+        # 2 A products and 3 projections, the true residual's P w and
         # P(A x_n) still among them
         record, counts = self.observed_counts(monkeypatch, tmp_path, "opins", True)
         steps = record.iterations
         assert record.status == "converged" and steps > 5
-        assert counts == {"a": 3 * steps, "p": 3 * steps}
+        assert counts == {"a": 2 * steps, "p": 3 * steps}
+
+    @pytest.mark.parametrize("problem", ["dense-b", "sparse-rank-deficient-b", "g-outside-range"])
+    @pytest.mark.parametrize("solver, symmetric", [
+        ("opins", True), ("opins-j", False), ("opins-p", True), ("opins-ilu", True),
+        ("pcg", True)], ids=["opins-minres", "opins-j-gmres", "opins-p", "opins-ilu", "pcg"])
+    def test_projected_rows_match_the_explicit_full_residual(self, solver, symmetric, problem,
+                                                             monkeypatch, tmp_path):
+        # a projected row's relres_full comes from the solver's own true
+        # residual and one B product; it agrees with relres_full of the
+        # (x_k, y_k) that setup.recover gives for the row's x_n_k
+        from test_qrcp import averaging_b
+
+        b = averaging_b(0)
+        n = b.shape[1]
+        a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csr")
+        save_matrix_market(tmp_path / "a.mtx", a)
+        source = {"path_a": str(tmp_path / "a.mtx"), "seed": 3}
+        if problem == "dense-b":
+            source["m"] = 8
+        else:
+            save_matrix_market(tmp_path / "b.mtx", b)
+            source["path_b"] = str(tmp_path / "b.mtx")
+        if problem == "g-outside-range":
+            # the last rows repeat earlier ones; their g entries differ by 1
+            g = b @ np.random.default_rng(3).standard_normal(n)
+            g[-1] += 1.0
+            save_matrix_market(tmp_path / "g.mtx", g)
+            source["path_g"] = str(tmp_path / "g.mtx")
+
+        cases, expected = [], []
+        row = runner._Case.projected_row
+
+        def recording(case, it, x_n_k, relres):
+            cases.append(case)
+            x_k, y_k, _ = case.setup.recover(x_n_k)
+            expected.append(relres_full(case.setup.system, x_k, y_k))
+            row(case, it, x_n_k, relres)
+
+        monkeypatch.setattr(runner._Case, "projected_row", recording)
+        path = tmp_path / "h.csv"
+        spec = ProblemSpec(name=problem, source=source, a_symmetric=symmetric)
+        run_case(spec, RunConfig(solver=solver, maxit=60, history_path=str(path)))
+        setup = cases[0].setup
+        assert (setup.fact.u is None) == (problem != "dense-b")
+        g_res_p = np.linalg.norm(setup.system.g - setup.system.b @ setup.x_p)
+        assert (g_res_p > 0.1) == (problem == "g-outside-range")
+        written = [float(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
+        assert len(written) == len(expected) > 5
+        assert np.max(np.abs(np.subtract(written, expected))) <= 1e-14
 
     @pytest.mark.parametrize("solver, kind", [
         ("opins-ilu", "random"), ("opins-p", "random"), ("pcg", "random-s")])
