@@ -2,17 +2,31 @@
 null-space part obtained from the projected, singular-but-compatible inner
 equation, then recover the multipliers.
 
-The inner coefficient operator is the projected map v -> P(A(Pv)) with P the
-orthogonal projector onto null(B); it is applied, never assembled.  Inner
-solves always start from zero, which is what the uniqueness and minimum-norm
-results rely on.  Without a preconditioner the Krylov solver applies
-v -> P(A v) instead: its space starts at the projected right-hand side and
-every step ends in P, so each vector it applies the operator to lies in
-null(B), where P A P v = P A v.  The true residual that certifies
-convergence applies P A P to the iterate on every path.  A preconditioned
-solve applies P A P at every step too: G^{-1} maps out of null(B), and P_G
-maps into it only to rounding amplified by the conditioning of its small
-block.
+The inner equation is P A P w = P(f - A x_p), with P the orthogonal
+projector onto null(B); the projected map v -> P(A(Pv)) is applied, never
+assembled.  Inner solves always start from zero, which is what the
+uniqueness and minimum-norm results rely on.  The true residual that
+certifies convergence applies P A P to the iterate on every path; the
+Krylov steps apply the cheapest operator that agrees with P A P on the
+vectors they apply it to:
+
+* no preconditioner: v -> P(A v).  The Krylov space starts at the projected
+  right-hand side and every step ends in P, so each vector lies in null(B),
+  where P A P v = P A v.
+* P_G with GMRES: v -> A v.  Left-preconditioned GMRES applies its operator
+  only to combinations of P_G outputs, which lie in null(B), and
+  P_G P = P_G, so P_G A and P_G P A P agree there.  They differ by the
+  rounding that leaves P_G's outputs out of null(B), which grows with the
+  conditioning of the small block U^T G^{-1} U, and which A and the
+  Arnoldi normalization can amplify: for a nearly diagonal A graded over
+  six orders of magnitude, with B's rows on its extreme entries, a solve
+  can end in ``stagnation`` where the steps on P A P converge.  The true
+  residual still certifies every ``converged``.
+* G^{-1} (``precond='simple'``): P A P, because G^{-1} maps out of null(B).
+* P_G with MINRES: P A P.  The preconditioned Lanczos recurrence carries
+  the unpreconditioned vectors A v themselves, not their P_G images; with
+  A v in their place the acceptance suite's indefinite problem
+  (criterion 9) stops unconverged at a full relative residual of 5e-7.
 
 Solver rule: MINRES when A is declared symmetric and either no
 preconditioner is applied or G is SPD (``InvertibleOperator.spd``) on a
@@ -27,7 +41,8 @@ projected preconditioner returns a solution, but not in general that one.
 Observation: one ``InnerObserver`` per solve forms every true residual the
 Krylov solver asks for, computing x_n = P w on the way; with
 ``OpinsOptions.inner_callback`` set it does so at every inner step, and the
-null-space purity and the callback read that x_n.
+null-space purity and the callback read that x_n, and one product B x_n
+(``OpinsSetup.b_product``).
 """
 
 from __future__ import annotations
@@ -229,8 +244,10 @@ class OpinsSetup:
     computed with ``rank_tol``, x_p, and, derived on construction, the
     projected right-hand side ``rhs`` = P(f - A x_p) and the projected
     ``operator`` v -> P(A(Pv)).  The operator is that of the true residual
-    rhs - P A P w; an unpreconditioned solve's Krylov steps apply P A, which
-    agrees with it on null(B) (module docstring).
+    rhs - P A P w, and the Krylov steps of a solve with G^{-1} or of
+    preconditioned MINRES apply it; an unpreconditioned solve's steps apply
+    P A and projected-preconditioned GMRES's apply A, which agree with it on
+    the vectors they are applied to (module docstring).
     """
 
     system: SaddleSystem
@@ -239,6 +256,8 @@ class OpinsSetup:
     x_p: np.ndarray
     rhs: np.ndarray = field(init=False, repr=False)
     operator: LinearOperator = field(init=False, repr=False)
+    # (x_n, B x_n) of the last ``b_product`` call
+    _b_memo: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self):
         a, p = self.system.a, self.projector
@@ -257,6 +276,18 @@ class OpinsSetup:
         x = self.x_p + x_n
         ax = self.system.a @ x
         return x, recover_multipliers(self.projector, self.system.f - ax), ax
+
+    def b_product(self, x_n):
+        """B x_n.  The product for the last ``x_n`` object asked about is
+        kept, so that an observed step's purity and its history row, which
+        read the same x_n, share one; ``x_n`` must not change in between.
+        The pair is read and replaced whole, so solves that share the setup
+        at most recompute a product."""
+        last, b_x_n = self._b_memo
+        if last is not x_n:
+            b_x_n = self.system.b @ x_n
+            object.__setattr__(self, "_b_memo", (x_n, b_x_n))
+        return b_x_n
 
     @property
     def fact(self):
@@ -388,7 +419,7 @@ def opins_solve(sys, opts=None):
 
     def purity_of(x_n_k, w_k):
         denom = b_norm_frob * np.linalg.norm(w_k)
-        drift = np.linalg.norm(sys.b @ x_n_k)
+        drift = np.linalg.norm(setup.b_product(x_n_k))
         return drift / denom if denom > 0 else 0.0
 
     purity = []
@@ -401,12 +432,18 @@ def opins_solve(sys, opts=None):
             observer(it, w_k, relres)
 
     precond, g_spd = _build_precond(sys, opts, setup.fact)
-    operator = setup.operator
+    use_minres = sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular)
+    # the Krylov steps' operator (module docstring); the true residual, which
+    # certifies convergence, applies P A P on every path
     if precond is None:
-        # every Krylov vector lies in null(B), where P A P v = P A v; the true
-        # residual, which certifies convergence, keeps P A P
+        # every Krylov vector lies in null(B), where P A P v = P A v
         operator = LinearOperator(dim=sys.n, apply=lambda v: projector.complement(sys.a @ v))
-    if sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular):
+    elif opts.precond == "projected" and not use_minres:
+        # every vector lies in range(P_G), within null(B), and P_G P = P_G
+        operator = LinearOperator(dim=sys.n, apply=lambda v: sys.a @ v)
+    else:
+        operator = setup.operator
+    if use_minres:
         inner = krylov.minres(operator, rhs, opts.solve_tol, maxit,
                               precond=precond, callback=step, residual=observer.residual)
     else:

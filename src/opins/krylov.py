@@ -210,8 +210,9 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
 def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual=None):
     """Restarted GMRES with classical Gram-Schmidt applied twice (CGS2).
 
-    The basis is kept as rows and each Arnoldi step orthogonalizes with two
-    unconditional BLAS-2 passes ("twice is enough").  A step is lucky when
+    The basis is kept as rows, in one array that every restart cycle
+    reuses, and each Arnoldi step orthogonalizes with two unconditional
+    BLAS-2 passes ("twice is enough") through one work vector.  A step is lucky when
     the orthogonalized vector is at rounding level of ``op`` applied to the
     basis vector, and breaks down (Brown & Walker 1997) when the rotated
     diagonal is at rounding level of its Hessenberg column; the iterate of
@@ -242,6 +243,10 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
         yk = solve_triangular(H[:j + 1, :j + 1], np.array(g[:j + 1]), overwrite_b=True)
         return x + yk @ V[:j + 1]
 
+    # the basis, reused by every restart cycle (a cycle reads only the rows
+    # it wrote), and the work vector of the Gram-Schmidt updates
+    V = np.empty((restart + 1, n))
+    update = np.empty(n)
     status = None
     prev_cycle = None
     while status is None:
@@ -258,11 +263,10 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
         if len(steps) >= maxit:
             status = MAX_ITERATIONS
             break
-        V = np.zeros((restart + 1, n))
         H = np.zeros((restart, restart))
         rotations = []
         g = [float(beta)]
-        V[0] = pr / beta
+        np.divide(pr, beta, out=V[0])
         xk = x
         # steps of this cycle: k is the current one, done the last whose
         # Givens update completed, formed the one whose iterate xk holds
@@ -274,16 +278,16 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
                 w = left_precond(w)
             norm_before = np.linalg.norm(w)
             h = V[:k + 1] @ w
-            w -= h @ V[:k + 1]
+            w -= np.matmul(h, V[:k + 1], out=update)
             h2 = V[:k + 1] @ w
-            w -= h2 @ V[:k + 1]
+            w -= np.matmul(h2, V[:k + 1], out=update)
             # Hessenberg column in Python floats; its norm is norm_before
             col = (h + h2).tolist() + [float(np.linalg.norm(w))]
             lucky = col[k + 1] <= _EPS * norm_before
             if lucky:
                 col[k + 1] = 0.0
             else:
-                V[k + 1] = w / col[k + 1]
+                np.divide(w, col[k + 1], out=V[k + 1])
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
             denom = float(np.hypot(col[k], col[k + 1]))

@@ -217,8 +217,8 @@ def _triangle(bt, nb):
     r = np.zeros((m, m), order="F")
     for j, lo, hi in panels:
         for s in range(lo, hi, STREAM_ROWS):
-            block = rows[s:min(s + STREAM_ROWS, hi), j:]
-            block = np.array(block, order="F") if pos is None else block.toarray(order="F")
+            e = min(s + STREAM_ROWS, hi)
+            block = np.array(rows[s:e], order="F") if pos is None else _dense_block(rows, s, e, j)
             # tpqrt replaces the trailing triangle S = R[j:, j:] by S' with
             # S'^T S' = S^T S + block^T block; for j > 0 S is a strided view,
             # which it gets as a copy, written back here, and at j = 0 it is
@@ -230,6 +230,17 @@ def _triangle(bt, nb):
             r[j:, j:] = folded
     # R of B^T with its columns in B's own row order: R^T R = B B^T
     return r if pos is None else np.asfortranarray(r[:, pos])
+
+
+def _dense_block(rows, s, e, j):
+    """Rows s to e - 1 of the CSR ``rows``, columns j on, as a zeroed
+    Fortran-ordered block with their entries scattered in; a panel's rows
+    store nothing left of column j, and no row stores a column twice."""
+    lo, hi = rows.indptr[s], rows.indptr[e]
+    block = np.zeros((e - s, rows.shape[1] - j), order="F")
+    block[np.repeat(np.arange(e - s), np.diff(rows.indptr[s:e + 1])),
+          rows.indices[lo:hi] - j] = rows.data[lo:hi]
+    return block
 
 
 def _rows_to_fold(bt, nb):

@@ -16,7 +16,7 @@ from opins.driver import (InnerObserver, OpinsError, OpinsOptions, OpinsSetup, S
 from opins.driver import _frobenius_norm as frobenius_norm
 from opins.harness.runner import RunConfig
 from opins.operators import LinearOperator
-from opins.preconditioners import InvertibleOperator
+from opins.preconditioners import InvertibleOperator, ProjectedPreconditioner, build_g
 from test_qrcp import averaging_b
 
 
@@ -349,17 +349,19 @@ def shifted_neumann_system(symmetric, side=6):
 class TestStepBudget:
     """Operator work per Krylov step.  Without a preconditioner every Krylov
     vector lies in null(B), so a step applies P A: 1 A product and 1
-    projection.  With G^{-1} or P_G it applies P A P: 1 and 2.  The true
-    residual rhs - P A P w adds 1 and 2 wherever it runs: at every step when
-    observed (its P w is the x_n the callback reads), otherwise only at a
-    step whose recurrence residual meets the tolerance, and at the start of
-    every GMRES restart cycle after the first."""
+    projection.  GMRES with P_G applies A alone to vectors in range(P_G),
+    where P_G P = P_G: 1 and 0.  With G^{-1}, and in MINRES with P_G, a step
+    applies P A P: 1 and 2.  The true residual rhs - P A P w adds 1 and 2
+    wherever it runs: at every step when observed (its P w is the x_n the
+    callback reads), otherwise only at a step whose recurrence residual
+    meets the tolerance, and at the start of every GMRES restart cycle after
+    the first."""
 
     @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
     @pytest.mark.parametrize("precond, symmetric, solver, per_step", [
         ("none", True, "minres", 1), ("none", False, "gmres", 1),
         ("simple", True, "minres", 2), ("simple", False, "gmres", 2),
-        ("projected", True, "minres", 2), ("projected", False, "gmres", 2)])
+        ("projected", True, "minres", 2), ("projected", False, "gmres", 0)])
     def test_products_and_projections_per_step(self, precond, symmetric, solver, per_step,
                                                observed, monkeypatch):
         from opins.projection import Projector
@@ -412,6 +414,112 @@ class TestStepBudget:
         assert inside == {"a": steps + len(checked) + restarts,
                           "p": per_step * steps + 2 * (len(checked) + restarts),
                           "residual": len(checked) + restarts}
+
+
+def graded_system(s, seed, n=200, m=12):
+    """Nonsymmetric A = diag(logspace(-s/2, s/2)) plus Gaussian noise at the
+    scale of its smallest entry, and a Gaussian B whose rows concentrate on
+    A's ten smallest and ten largest diagonal entries: with Jacobi G the
+    block U^T G^{-1} U has a condition number near 10^s."""
+    rng = np.random.default_rng(seed)
+    d = np.logspace(-s / 2, s / 2, n)
+    a = np.diag(d) + rng.standard_normal((n, n)) * (d[0] / np.sqrt(n))
+    ends = np.r_[:10, n - 10:n]
+    b = 1e-3 * rng.standard_normal((m, n))
+    b[:, ends] += rng.standard_normal((m, ends.size))
+    return SaddleSystem(a=a, b=b, f=rng.standard_normal(n), g=rng.standard_normal(m))
+
+
+def ilu_system(kind):
+    """A nonsymmetric sparse system for ILU(0): the shifted, skewed Neumann
+    Laplacian with averaging B, or a diagonally dominant random sparse A
+    with a Gaussian B."""
+    if kind == "neumann":
+        return shifted_neumann_system(False, side=8)
+    rng = np.random.default_rng(5)
+    n, m = 400, 10
+    a = sp.random(n, n, density=0.02, random_state=rng, format="csr")
+    a = a - 0.5 * a.T + sp.diags(abs(a).sum(axis=1).A1 + abs(a).sum(axis=0).A1 + 1.0)
+    b = rng.standard_normal((m, n)) / np.sqrt(n)
+    return SaddleSystem(a=a.tocsr(), b=b, f=rng.standard_normal(n), g=rng.standard_normal(m))
+
+
+class TestProjectedGmresSteps:
+    """GMRES with P_G applies A alone at each step.  Its Arnoldi vectors are
+    combinations of P_G outputs, in null(B), and P_G P = P_G, so P_G A and
+    P_G P A P agree on them: on problems graded over up to 10^4 the solve is
+    the GMRES run on P A P with the same P_G, to rounding."""
+
+    @pytest.mark.parametrize("problem, g_kind", [
+        (("ilu", "neumann"), "ilu0"), (("ilu", "random"), "ilu0"),
+        *[(("graded", s, seed), "jacobi") for s in (1, 4) for seed in range(4)]],
+        ids=["ilu-neumann", "ilu-random",
+             *[f"graded-s{s}-seed{seed}" for s in (1, 4) for seed in range(4)]])
+    def test_same_iteration_as_on_p_a_p(self, problem, g_kind, monkeypatch):
+        ran = krylov_runs(monkeypatch)
+        system = ilu_system(problem[1]) if problem[0] == "ilu" else graded_system(*problem[1:])
+        # restart cycles of 10 steps, so most runs restart
+        opts = OpinsOptions(precond="projected", g_kind=g_kind, restart=10)
+        setup = OpinsSetup.build(system, opts.rank_tol)
+        report = opins_solve(setup, opts)
+        assert ran == ["gmres"]
+
+        g = build_g(system.a, g_kind)
+        p_g = ProjectedPreconditioner(g, setup.fact)
+        reference = krylov.gmres(setup.operator, setup.rhs, opts.restart, opts.solve_tol,
+                                 opts.iteration_cap(system.n),
+                                 left_precond=LinearOperator(dim=system.n, apply=p_g.apply))
+        if problem[0] == "graded" and problem[1] == 4:
+            schur = setup.fact.u.T @ g.solve_columns(setup.fact.u)
+            assert np.linalg.cond(schur) > 1e3
+        assert (report.inner.status, report.inner.iterations) == \
+            (reference.status, reference.iterations)
+        x_ref = setup.x_p + setup.projector.complement(reference.solution)
+        assert np.linalg.norm(report.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert report.converged
+        assert setup.relres_x(setup.projector.complement(report.inner.solution)) \
+            <= opts.solve_tol
+
+    @pytest.mark.parametrize("s", [6, 8])
+    def test_status_certifies_where_the_steps_part(self, s):
+        # graded over 10^6 and more, P_G's rounding out of null(B), which A
+        # amplifies, parts the two iterations (there GMRES on P A P converges
+        # in 9 to 51 steps): whatever the steps do, a solve reads converged
+        # only with a true residual at the tolerance
+        for seed in range(4):
+            system = graded_system(s, seed)
+            report = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi"))
+            setup = OpinsSetup.build(system, OpinsOptions.rank_tol)
+            relres = setup.relres_x(report.x_n)
+            assert report.converged == (relres <= OpinsOptions.solve_tol)
+
+    @pytest.mark.parametrize("precond, symmetric, solver, applies", [
+        ("none", True, "minres", "P A"), ("none", False, "gmres", "P A"),
+        ("simple", True, "minres", "P A P"), ("simple", False, "gmres", "P A P"),
+        ("projected", True, "minres", "P A P"), ("projected", False, "gmres", "A")])
+    def test_operator_each_path_applies(self, precond, symmetric, solver, applies,
+                                        monkeypatch):
+        # the operator handed to the Krylov solver, applied to a vector
+        # outside null(B), where the three candidates differ
+        handed = {}
+        for name in ("minres", "gmres"):
+            def spy(op, *args, _name=name, _solve=getattr(krylov, name), **kwargs):
+                handed[_name] = op
+                return _solve(op, *args, **kwargs)
+            monkeypatch.setattr(krylov, name, spy)
+        system = shifted_neumann_system(symmetric)
+        opts = OpinsOptions(precond=precond,
+                            g_kind="identity" if precond == "none" else "jacobi")
+        setup = OpinsSetup.build(system, opts.rank_tol)
+        assert opins_solve(setup, opts).converged
+        assert list(handed) == [solver]
+
+        a, p = system.a, setup.projector.complement
+        v = np.random.default_rng(0).standard_normal(system.n)
+        candidates = {"A": a @ v, "P A": p(a @ v), "P A P": p(a @ p(v))}
+        assert np.array_equal(handed[solver](v), candidates[applies])
+        assert all(not np.allclose(candidates[applies], other)
+                   for key, other in candidates.items() if key != applies)
 
 
 class TestUnpreconditionedAtScale:
