@@ -19,9 +19,12 @@ vectors they apply it to:
   rounding that leaves P_G's outputs out of null(B), which grows with the
   conditioning of the small block U^T G^{-1} U, and which A and the
   Arnoldi normalization can amplify: for a nearly diagonal A graded over
-  six orders of magnitude, with B's rows on its extreme entries, a solve
-  can end in ``stagnation`` where the steps on P A P converge.  The true
-  residual still certifies every ``converged``.
+  six orders of magnitude, with B's rows on its extreme entries, the steps
+  on A stagnate where those on P A P converge.  So a run on A that ends in
+  ``stagnation`` with steps left is run again from zero on P A P with the
+  steps left; the report counts both runs' steps.  (Going on from the
+  stalled iterate instead fails: its residual there is 10^3 to 10^12
+  times ||rhs||.)
 * G^{-1} (``precond='simple'``): P A P, because G^{-1} maps out of null(B).
 * P_G with MINRES: P A P.  The preconditioned Lanczos recurrence carries
   the unpreconditioned vectors A v themselves, not their P_G images; with
@@ -41,8 +44,7 @@ projected preconditioner returns a solution, but not in general that one.
 Observation: one ``InnerObserver`` per solve forms every true residual the
 Krylov solver asks for, computing x_n = P w on the way; with
 ``OpinsOptions.inner_callback`` set it does so at every inner step, and the
-null-space purity and the callback read that x_n, and one product B x_n
-(``OpinsSetup.b_product``).
+null-space purity and the callback read that x_n.
 """
 
 from __future__ import annotations
@@ -256,8 +258,6 @@ class OpinsSetup:
     x_p: np.ndarray
     rhs: np.ndarray = field(init=False, repr=False)
     operator: LinearOperator = field(init=False, repr=False)
-    # (x_n, B x_n) of the last ``b_product`` call
-    _b_memo: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self):
         a, p = self.system.a, self.projector
@@ -276,18 +276,6 @@ class OpinsSetup:
         x = self.x_p + x_n
         ax = self.system.a @ x
         return x, recover_multipliers(self.projector, self.system.f - ax), ax
-
-    def b_product(self, x_n):
-        """B x_n.  The product for the last ``x_n`` object asked about is
-        kept, so that an observed step's purity and its history row, which
-        read the same x_n, share one; ``x_n`` must not change in between.
-        The pair is read and replaced whole, so solves that share the setup
-        at most recompute a product."""
-        last, b_x_n = self._b_memo
-        if last is not x_n:
-            b_x_n = self.system.b @ x_n
-            object.__setattr__(self, "_b_memo", (x_n, b_x_n))
-        return b_x_n
 
     @property
     def fact(self):
@@ -391,6 +379,20 @@ def _build_precond(sys, opts, fact):
     return LinearOperator(dim=sys.n, apply=projected.apply), g.spd
 
 
+def _rerun_on_p_a_p(setup, opts, precond, maxit, first, observer, step):
+    """GMRES on P A P from zero, with the steps that ``first``, a run on A
+    that stagnated, left; its steps are numbered on from those of
+    ``first``, and the outcome counts both runs'."""
+    done = first.iterations
+    callback = None if step is None else lambda it, w_k, relres: step(done + it, w_k, relres)
+    rerun = krylov.gmres(setup.operator, setup.rhs, opts.restart, opts.solve_tol, maxit - done,
+                         left_precond=precond, callback=callback, residual=observer.residual)
+    for record in rerun.history:
+        record.iter += done
+    return krylov.SolveOutcome(rerun.solution, rerun.status, done + rerun.iterations,
+                               first.history + rerun.history)
+
+
 def opins_solve(sys, opts=None):
     """Solve the saddle-point system for x and y.
 
@@ -419,7 +421,7 @@ def opins_solve(sys, opts=None):
 
     def purity_of(x_n_k, w_k):
         denom = b_norm_frob * np.linalg.norm(w_k)
-        drift = np.linalg.norm(setup.b_product(x_n_k))
+        drift = np.linalg.norm(sys.b @ x_n_k)
         return drift / denom if denom > 0 else 0.0
 
     purity = []
@@ -433,12 +435,13 @@ def opins_solve(sys, opts=None):
 
     precond, g_spd = _build_precond(sys, opts, setup.fact)
     use_minres = sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular)
+    on_a = opts.precond == "projected" and not use_minres
     # the Krylov steps' operator (module docstring); the true residual, which
     # certifies convergence, applies P A P on every path
     if precond is None:
         # every Krylov vector lies in null(B), where P A P v = P A v
         operator = LinearOperator(dim=sys.n, apply=lambda v: projector.complement(sys.a @ v))
-    elif opts.precond == "projected" and not use_minres:
+    elif on_a:
         # every vector lies in range(P_G), within null(B), and P_G P = P_G
         operator = LinearOperator(dim=sys.n, apply=lambda v: sys.a @ v)
     else:
@@ -450,6 +453,8 @@ def opins_solve(sys, opts=None):
         inner = krylov.gmres(operator, rhs, opts.restart, opts.solve_tol, maxit,
                              left_precond=precond, callback=step,
                              residual=observer.residual)
+        if on_a and inner.status == krylov.STAGNATION and inner.iterations < maxit:
+            inner = _rerun_on_p_a_p(setup, opts, precond, maxit, inner, observer, step)
 
     x_n = projector.complement(inner.solution)
     if step is None:

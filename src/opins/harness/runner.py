@@ -10,10 +10,9 @@ constraint-preconditioned MINRES baseline) ``norm_Bxn`` is ||B x_n|| at
 that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
 it is the constraint violation ||g - B x||.  Direct solvers emit a single
 summary row.  The opins family and pcg write ``_Case.projected_row``, which
-reads the solver's own true residual and the step's one product with B,
-shared with the driver's purity (``OpinsSetup.b_product``); every other
-row is ``_Case.row`` of a whole-space (x, y), whose ``relres_x`` is that of
-P (x - x_p).  An opins variant's record takes its five final
+reads the solver's own true residual and makes one product with B; every
+other row is ``_Case.row`` of a whole-space (x, y), whose ``relres_x`` is
+that of P (x - x_p).  An opins variant's record takes its five final
 metrics from its ``opins_solve`` report; for the other solvers ``run_case``
 builds the five in one dict, as ``_Case.row`` does.
 
@@ -170,10 +169,10 @@ class _Case:
         projected-space iterate, as an ``InnerObserver`` hands it on.
         ``relres`` is the solver's true residual ||rhs - P A x_n_k|| / ||rhs||:
         relres_x(x_n_k), and ||f - A x_k - B^T y_k|| / ||rhs|| for x_k = x_p +
-        x_n_k and the y_k of ``OpinsSetup.recover``.  So the step's B x_n_k
-        gives relres_full, hypot(relres ||rhs||, ||g - B x_k||) / ||[f; g]||."""
+        x_n_k and the y_k of ``OpinsSetup.recover``.  So one B product gives
+        relres_full, hypot(relres ||rhs||, ||g - B x_k||) / ||[f; g]||."""
         norm_rhs, g_res_p, norm_full = self._row_terms
-        b_xn = self.setup.b_product(x_n_k)
+        b_xn = self.setup.system.b @ x_n_k
         full = float(np.hypot(relres * norm_rhs, np.linalg.norm(g_res_p - b_xn)))
         self.writer.add(it, relres, full / norm_full if norm_full else full,
                         float(np.linalg.norm(b_xn)))

@@ -481,45 +481,60 @@ class TestProjectedGmresSteps:
             <= opts.solve_tol
 
     @pytest.mark.parametrize("s", [6, 8])
-    def test_status_certifies_where_the_steps_part(self, s):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stalled_steps_on_a_rerun_on_p_a_p(self, s, seed, monkeypatch):
         # graded over 10^6 and more, P_G's rounding out of null(B), which A
-        # amplifies, parts the two iterations (there GMRES on P A P converges
-        # in 9 to 51 steps): whatever the steps do, a solve reads converged
-        # only with a true residual at the tolerance
-        for seed in range(4):
-            system = graded_system(s, seed)
-            report = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi"))
-            setup = OpinsSetup.build(system, OpinsOptions.rank_tol)
-            relres = setup.relres_x(report.x_n)
-            assert report.converged == (relres <= OpinsOptions.solve_tol)
-
-    @pytest.mark.parametrize("precond, symmetric, solver, applies", [
-        ("none", True, "minres", "P A"), ("none", False, "gmres", "P A"),
-        ("simple", True, "minres", "P A P"), ("simple", False, "gmres", "P A P"),
-        ("projected", True, "minres", "P A P"), ("projected", False, "gmres", "A")])
-    def test_operator_each_path_applies(self, precond, symmetric, solver, applies,
-                                        monkeypatch):
-        # the operator handed to the Krylov solver, applied to a vector
-        # outside null(B), where the three candidates differ
-        handed = {}
+        # amplifies, stalls the steps on A; the solve then runs GMRES on
+        # P A P from zero with the steps left, the run that converges
+        calls = []
         for name in ("minres", "gmres"):
-            def spy(op, *args, _name=name, _solve=getattr(krylov, name), **kwargs):
-                handed[_name] = op
-                return _solve(op, *args, **kwargs)
+            def spy(op, b, *args, _solve=getattr(krylov, name), **kwargs):
+                outcome = _solve(op, b, *args, **kwargs)
+                calls.append((op, outcome))
+                return outcome
             monkeypatch.setattr(krylov, name, spy)
-        system = shifted_neumann_system(symmetric)
-        opts = OpinsOptions(precond=precond,
-                            g_kind="identity" if precond == "none" else "jacobi")
+        system = graded_system(s, seed)
+        opts = OpinsOptions(precond="projected", g_kind="jacobi")
         setup = OpinsSetup.build(system, opts.rank_tol)
-        assert opins_solve(setup, opts).converged
-        assert list(handed) == [solver]
+        report = opins_solve(setup, opts)
+        assert report.converged
+        assert setup.relres_x(report.x_n) <= opts.solve_tol
+        (on_a, stalled), (on_pap, rerun) = calls
+        assert on_a is not setup.operator and on_pap is setup.operator
+        assert stalled.status == krylov.STAGNATION
 
-        a, p = system.a, setup.projector.complement
-        v = np.random.default_rng(0).standard_normal(system.n)
-        candidates = {"A": a @ v, "P A": p(a @ v), "P A P": p(a @ p(v))}
-        assert np.array_equal(handed[solver](v), candidates[applies])
-        assert all(not np.allclose(candidates[applies], other)
-                   for key, other in candidates.items() if key != applies)
+        g = build_g(system.a, "jacobi")
+        reference = krylov.gmres(setup.operator, setup.rhs, opts.restart, opts.solve_tol,
+                                 opts.iteration_cap(system.n),
+                                 left_precond=LinearOperator(
+                                     dim=system.n, apply=ProjectedPreconditioner(g, setup.fact).apply))
+        assert reference.converged
+        assert np.array_equal(rerun.solution, reference.solution)
+        assert report.inner.iterations == stalled.iterations + reference.iterations
+        assert [r.iter for r in report.inner.history] == \
+            list(range(1, report.inner.iterations + 1))
+
+    def test_rerun_observed_and_within_the_cap(self):
+        # an observed solve numbers its steps on across the two runs and
+        # stops where the unobserved one does; the rerun gets only the steps
+        # the stalled run left, so a cap just past the stall ends unconverged
+        system = graded_system(6, 0)
+        seen = []
+        opts = OpinsOptions(precond="projected", g_kind="jacobi",
+                            inner_callback=lambda it, x_n, relres: seen.append(it))
+        observed = opins_solve(system, opts)
+        plain = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi"))
+        assert observed.converged and plain.converged
+        assert observed.inner.iterations == plain.inner.iterations
+        assert seen == list(range(1, observed.inner.iterations + 1))
+        assert np.array_equal(observed.x, plain.x)
+
+        stalled = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
+                                                   maxit=100))
+        assert (stalled.inner.status, stalled.inner.iterations) == (krylov.STAGNATION, 100)
+        capped = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
+                                                  maxit=103))
+        assert (capped.inner.status, capped.inner.iterations) == (krylov.MAX_ITERATIONS, 103)
 
 
 class TestUnpreconditionedAtScale:

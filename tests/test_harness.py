@@ -965,55 +965,6 @@ class TestRunner:
         assert record.status == "converged" and steps > 5
         assert counts == {"a": 2 * steps, "p": 3 * steps}
 
-    @pytest.mark.parametrize("solver, symmetric", [
-        ("opins-p", True), ("opins-p", False), ("opins-ilu", True), ("pcg", True)],
-        ids=["opins-p-minres", "opins-p-gmres", "opins-ilu", "pcg"])
-    def test_one_b_product_per_observed_step(self, solver, symmetric, monkeypatch, tmp_path):
-        # an observed step's purity (opins_solve) and its history row read
-        # one B x_n_k between them; the only other product with B inside
-        # the Krylov call is the run's g - B x_p, formed with the first row
-        import opins.krylov
-        from test_qrcp import averaging_b
-
-        b = averaging_b(0)
-        n = b.shape[1]
-        a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
-                     format="csr")
-        if not symmetric:
-            a = a + sp.diags([0.5 * np.ones(n - 1)], [1], format="csr")
-        save_matrix_market(tmp_path / "a.mtx", a)
-        save_matrix_market(tmp_path / "b.mtx", b)
-        spec = ProblemSpec(name="sparse", a_symmetric=symmetric, source={
-            "path_a": str(tmp_path / "a.mtx"), "path_b": str(tmp_path / "b.mtx"), "seed": 3})
-
-        products, inside = [], []
-
-        class CountedCSR(sp.csr_matrix):
-            def _matmul_vector(self, other):
-                products.append(1)
-                return super()._matmul_vector(other)
-
-        build = runner.build_system
-
-        def counted_build(spec):
-            system = build(spec)
-            system.b = CountedCSR(system.b)
-            return system
-
-        def spy(*args, _solve, **kwargs):
-            before = len(products)
-            outcome = _solve(*args, **kwargs)
-            inside.append(len(products) - before)
-            return outcome
-
-        monkeypatch.setattr(runner, "build_system", counted_build)
-        for name in ("minres", "gmres", "cg"):
-            monkeypatch.setattr(opins.krylov, name,
-                                functools.partial(spy, _solve=getattr(opins.krylov, name)))
-        record = run_case(spec, RunConfig(solver=solver, history_path=str(tmp_path / "h.csv")))
-        assert record.status == "converged" and record.iterations > 5
-        assert inside == [record.iterations + 1]
-
     @pytest.mark.parametrize("problem", ["dense-b", "sparse-rank-deficient-b", "g-outside-range"])
     @pytest.mark.parametrize("solver, symmetric", [
         ("opins", True), ("opins-j", False), ("opins-p", True), ("opins-ilu", True),
