@@ -32,6 +32,24 @@ Preconditioning contract:
 * ``cg`` takes no preconditioner; it reports indefinite breakdown
   (non-positive curvature, or a residual that stops decreasing) as an
   outcome, not an exception.
+
+Vector work: ``minres`` updates vectors it allocates once per solve, in
+place, with BLAS level-1 (``daxpy``, ``ddot``) and NumPy multiplications
+into those vectors, in the order of the textbook recurrences.  Two rules
+keep that safe for any operator:
+
+* what ``op`` or ``precond`` returns is only read, never written into or
+  kept across a call, so an operator may hand back its argument, a view, a
+  buffer of its own that it reuses, or another dtype;
+* an iterate handed to ``residual`` or to the callback is never written
+  again: the step after an observed one updates a fresh copy, with the same
+  ``daxpy`` as in place, so an observed run and an unobserved one give the
+  same x bit for bit.
+
+``gmres`` orthogonalizes in the operator's (or left preconditioner's)
+output, so it copies that output first when it shares memory with its
+basis.  ``daxpy`` rounds once (FMA) where ``y + a * x`` rounds twice, so the
+bits of x hold per BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -40,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from ._lapack import solve_triangular
 
@@ -140,13 +159,14 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
     together leaves the steps unchanged.
     """
     steps = _Steps(op, b, tol, callback, residual)
-    x = np.zeros(op.dim)
+    n = op.dim
+    x = np.zeros(n)
     if steps.normb == 0.0:
         return steps.outcome(BREAKDOWN if steps.b.any() else CONVERGED, x)
 
     r1 = steps.b.copy()
     y = precond(r1) if precond is not None else r1
-    beta1 = float(r1 @ y)
+    beta1 = ddot(r1, y)
     if beta1 <= 0.0:
         # b is nonzero, so rᵀM⁻¹r <= 0 only where the preconditioner is not
         # positive definite on it, or where rᵀr underflows
@@ -157,22 +177,28 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
     # tnorm: a running estimate of ||T_k||, the scale of the floor on gamma
     dbar, epsln, phibar, tnorm = 0.0, 0.0, beta1, 0.0
     cs, sn = -1.0, 0.0
-    w = np.zeros(op.dim)
-    w2 = np.zeros(op.dim)
-    r2 = r1
+    # the solver's own vectors, updated in place; r2 starts as r1 itself,
+    # and each step's residual goes to the buffer of the r1 it retires
+    v, w, w1, w2 = np.empty(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    r2, r1 = r1, np.empty(n)
+    shared = False
     status = MAX_ITERATIONS
     while len(steps) < maxit:
-        v = y / beta
+        np.multiply(y, 1.0 / beta, out=v)
         y = op(v)
+        # r1 <- y - (beta / oldb) r1, read from op's output, never written
+        # into it
         if len(steps) >= 1:
-            y = y - (beta / oldb) * r1
-        alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+            np.multiply(r1, -(beta / oldb), out=r1)
+            r1 = daxpy(y, r1, a=1.0)
+        else:
+            np.copyto(r1, y)
+        alfa = ddot(v, r1)
+        r1 = daxpy(r2, r1, a=-(alfa / beta))
+        r1, r2 = r2, r1
         y = precond(r2) if precond is not None else r2
         oldb = beta
-        beta = float(r2 @ y)
+        beta = ddot(r2, y)
         if beta < 0.0:
             status = BREAKDOWN
             break
@@ -190,12 +216,18 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w <- (v - oldeps w1 - delta w2) / gamma, after w1 <- w2 <- w, into
+        # the buffer of the w1 it retires
+        w1, w2, w = w2, w, w1
+        np.copyto(w, v)
+        w = daxpy(w1, w, a=-oldeps)
+        w = daxpy(w2, w, a=-delta)
+        np.multiply(w, 1.0 / gamma, out=w)
+        x = daxpy(w, x.copy() if shared else x, a=phi)
 
-        if steps.record(phibar / beta1, x):
+        relres = phibar / beta1
+        shared = steps.observed(relres)
+        if steps.record(relres, x):
             status = CONVERGED
             break
         if beta <= _EPS * beta1:
@@ -276,6 +308,10 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
             w = op(V[k])
             if left_precond is not None:
                 w = left_precond(w)
+            if np.may_share_memory(w, V):
+                # an op or preconditioner that hands back its argument: the
+                # updates below go in place, and must not reach the basis
+                w = w.copy()
             norm_before = np.linalg.norm(w)
             h = V[:k + 1] @ w
             w -= np.matmul(h, V[:k + 1], out=update)

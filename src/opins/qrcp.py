@@ -46,7 +46,10 @@
      ``U = B_q^T R_11^{-1}`` holds exactly, so U^T v is ``R_11^{-T} (B_q v)``
      and U c is ``B_q^T (R_11^{-1} c)``: O(nnz(B_q) + q^2) per product
      instead of O(n q), and U is never formed.  This is the projector of
-     the seminormal equations (Bjorck, LAA 88/89, 1987).
+     the seminormal equations (Bjorck, LAA 88/89, 1987).  R_11 is stored
+     Fortran-ordered, so each projection's two triangular solves call
+     LAPACK ``trtrs`` on R_11 itself (the gate's ``trcon`` reads the
+     C-ordered triangle, as R_11^T).
    * otherwise U itself, so applying U or U^T is one n-by-q matrix-vector
      product.  U and R_11 come from one unpivoted Householder QR (LAPACK
      ``geqrf``, then ``orgqr`` on its reflectors) of the n-by-q block of the
@@ -184,8 +187,10 @@ def qrcp_factor(bt, rank_tol):
         # Fortran-ordered as it stands and so reaches LAPACK without a copy
         if (b_q.nnz + rank * rank < n * rank
                 and dtrcon(r_block.T, norm="I", uplo="L")[0] >= 1.0 / SEMINORMAL_MAX_COND):
+            # kept Fortran-ordered, so each projection's two triangular
+            # solves reach trtrs on R_11 itself, not on its transpose
             return RangeBasisFactorization(nrows=n, ncols=m, permutation=perm, rank=rank,
-                                           u=None, r_block=r_block, b_q=b_q)
+                                           u=None, r_block=np.asfortranarray(r_block), b_q=b_q)
         a = b_q.T.toarray(order="F")
     else:
         a = np.empty((n, rank), order="F")

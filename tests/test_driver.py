@@ -735,6 +735,36 @@ class TestScalingRobustness:
         assert np.linalg.norm(report.x - x0) > 1.0
 
 
+class TestSymmetryProbeScale:
+    """The declared-symmetry probe is relative to ||A||_F, which BLAS dnrm2
+    measures without underflow or overflow however A is scaled."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-300])
+    def test_tiny_symmetric_a_is_accepted(self, sigma, sparse):
+        a = sigma * np.diag(np.arange(1.0, 21.0))
+        assert np.linalg.norm(a) == 0.0
+        rng = np.random.default_rng(1)
+        system = SaddleSystem(a=sp.csr_matrix(a) if sparse else a,
+                              b=np.random.default_rng(0).standard_normal((5, 20)),
+                              f=sigma * rng.standard_normal(20), g=rng.standard_normal(5),
+                              a_symmetric=True)
+        # the projected right-hand side underflows too: no steps to take
+        report = opins_solve(system)
+        assert report.inner.status == "breakdown" and report.inner.iterations == 0
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("sigma", [1e-250, 1e160])
+    def test_scaled_nonsymmetric_a_still_raises(self, sigma, sparse):
+        rng = np.random.default_rng(11)
+        a = sigma * (rng.standard_normal((30, 30)) + 30 * np.eye(30))
+        system = SaddleSystem(a=sp.csr_matrix(a) if sparse else a,
+                              b=rng.standard_normal((5, 30)), f=rng.standard_normal(30),
+                              g=rng.standard_normal(5), a_symmetric=True)
+        with pytest.raises(OpinsError, match="declared symmetric"):
+            opins_solve(system)
+
+
 class TestPreconditionerInput:
     @pytest.mark.parametrize("precond", ["simple", "projected"])
     def test_ilu0_failure_raises_opins_error(self, precond):

@@ -4,8 +4,84 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from opins.krylov import cg, gmres, minres
+from opins.driver import OpinsSetup, SaddleSystem
+from opins.krylov import (_EPS, BREAKDOWN, CONVERGED, MAX_ITERATIONS, _Steps, cg, gmres,
+                          minres)
 from opins.operators import LinearOperator
+from test_driver import neumann_laplacian
+from test_qrcp import averaging_b
+
+
+def reference_minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
+    """MINRES as NumPy expressions on fresh vectors: the loop the in-place
+    BLAS loop of ``minres`` replaced, kept as the reference it must follow
+    step for step."""
+    steps = _Steps(op, b, tol, callback, residual)
+    x = np.zeros(op.dim)
+    if steps.normb == 0.0:
+        return steps.outcome(BREAKDOWN if steps.b.any() else CONVERGED, x)
+
+    r1 = steps.b.copy()
+    y = precond(r1) if precond is not None else r1
+    beta1 = float(r1 @ y)
+    if beta1 <= 0.0:
+        # b is nonzero, so rᵀM⁻¹r <= 0 only where the preconditioner is not
+        # positive definite on it, or where rᵀr underflows
+        return steps.outcome(BREAKDOWN, x)
+    beta1 = np.sqrt(beta1)
+
+    oldb, beta = 0.0, beta1
+    # tnorm: a running estimate of ||T_k||, the scale of the floor on gamma
+    dbar, epsln, phibar, tnorm = 0.0, 0.0, beta1, 0.0
+    cs, sn = -1.0, 0.0
+    w = np.zeros(op.dim)
+    w2 = np.zeros(op.dim)
+    r2 = r1
+    status = MAX_ITERATIONS
+    while len(steps) < maxit:
+        v = y / beta
+        y = op(v)
+        if len(steps) >= 1:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = precond(r2) if precond is not None else r2
+        oldb = beta
+        beta = float(r2 @ y)
+        if beta < 0.0:
+            status = BREAKDOWN
+            break
+        beta = np.sqrt(beta)
+
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        tnorm = max(tnorm, np.hypot(np.hypot(alfa, beta), oldb))
+        gamma = max(np.hypot(gbar, beta), _EPS * tnorm)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+
+        if steps.record(phibar / beta1, x):
+            status = CONVERGED
+            break
+        if beta <= _EPS * beta1:
+            # Lanczos space exhausted without reaching the tolerance: stop at
+            # the least-squares point (incompatible right-hand side) instead
+            # of dividing by the vanishing beta next iteration
+            status = BREAKDOWN
+            break
+    return steps.outcome(status, x)
 
 
 def op_from(mat):
@@ -414,3 +490,150 @@ class TestUnderflowingRhs:
         np.testing.assert_array_equal(out.solution, np.zeros(4))
         # an exactly zero b, signed zeros included, still converges
         assert solve(op_from(np.eye(4)), -0.0 * b).status == "converged"
+
+
+def _projected_laplacian(side=8, seed=0):
+    """A singular-wide-style inner problem: v -> P(A v) for a Neumann
+    Laplacian A and an averaging B whose projector keeps B_q and R_11, and
+    the projected right-hand side of a compatible system."""
+    a = neumann_laplacian(side)
+    n = a.shape[0]
+    b = averaging_b(seed, n=n)
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.standard_normal(n), rng.standard_normal(b.shape[0])
+    setup = OpinsSetup.build(SaddleSystem(a, b, a @ x0 + b.T @ y0, b @ x0, a_symmetric=True),
+                             1e-12)
+    assert setup.fact.u is None
+    p = setup.projector
+    return LinearOperator(dim=n, apply=lambda v: p.complement(a @ v)), setup.rhs
+
+
+def _sym_indefinite_conditioned(seed, n=100):
+    """Q diag(lambda) Q^T with half the lambda in [1, 2], half in [-2, -1]:
+    indefinite and nonsingular with kappa = 2, so MINRES meets 1e-10 in 42
+    steps, well before the Krylov space is exhausted, and rounding moves x
+    by about eps kappa."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    lam = np.concatenate([np.linspace(1.0, 2.0, n // 2), -np.linspace(1.0, 2.0, n - n // 2)])
+    return (q * lam) @ q.T
+
+
+def _singular_psd(seed=1):
+    c = np.random.default_rng(seed).standard_normal((12, 7))
+    return c @ c.T  # rank 7
+
+
+_DIAG = np.arange(1.0, 6.0)
+_SHIFTED = _sym_indefinite(5, 16) + 8 * np.eye(16)
+_SPD_DIAG = np.diag(_spd(5, 16))
+
+
+def _diag_into_one_buffer():
+    """v -> d * v, written every call into the same array it returns."""
+    out = np.empty(5)
+    return LinearOperator(5, lambda v: np.multiply(_DIAG, v, out=out))
+
+
+# (name, factory, kwargs): factory() gives (op, b), built only when a test
+# runs; minres and reference_minres must take the same steps on each
+_REFERENCE_RUNS = [
+    ("projected-laplacian", _projected_laplacian, dict(tol=1e-10, maxit=500)),
+    ("indefinite", lambda: (op_from(_sym_indefinite_conditioned(2)),
+                            np.random.default_rng(2).standard_normal(100)),
+     dict(tol=1e-10, maxit=300)),
+    ("singular-compatible",
+     lambda: (op_from(_singular_psd()),
+              _singular_psd() @ np.random.default_rng(3).standard_normal(12)),
+     dict(tol=1e-12, maxit=200)),
+    ("jacobi", lambda: (op_from(_SHIFTED), np.random.default_rng(5).standard_normal(16)),
+     dict(tol=1e-11, maxit=300,
+          precond=LinearOperator(dim=16, apply=lambda v: v / np.abs(np.diag(_SHIFTED))))),
+    ("incompatible", lambda: (op_from(np.diag([1.0, 0.0])), np.array([1.0, 1.0])),
+     dict(tol=1e-12, maxit=50)),
+    # operators and preconditioners whose outputs the solver must only read
+    ("strided-op", lambda: (LinearOperator(5, lambda v: np.repeat(_DIAG * v, 2)[::2]), _DIAG),
+     dict(tol=1e-10, maxit=20)),
+    ("float32-op", lambda: (LinearOperator(5, lambda v: (_DIAG * v).astype(np.float32)), _DIAG),
+     dict(tol=1e-6, maxit=20)),
+    ("op-returns-argument", lambda: (LinearOperator(5, lambda v: v), _DIAG),
+     dict(tol=1e-10, maxit=20)),
+    ("op-reuses-its-output", lambda: (_diag_into_one_buffer(), _DIAG), dict(tol=1e-10, maxit=20)),
+    ("precond-returns-argument", lambda: (op_from(np.diag(_DIAG)), _DIAG),
+     dict(tol=1e-10, maxit=20, precond=LinearOperator(5, lambda v: v))),
+]
+
+
+class TestAgainstReference:
+    """The in-place BLAS loop of ``minres`` takes the steps of its NumPy
+    reference, with x equal up to rounding (BLAS ``daxpy`` rounds once
+    where NumPy's ``y + a * x`` rounds twice)."""
+
+    @pytest.mark.parametrize("name, factory, kwargs", _REFERENCE_RUNS,
+                             ids=[run[0] for run in _REFERENCE_RUNS])
+    def test_same_steps_and_solution(self, name, factory, kwargs):
+        op, b = factory()
+        out, ref = minres(op, b, **kwargs), reference_minres(op, b, **kwargs)
+        assert out.status == ref.status
+        assert out.iterations == ref.iterations
+        # a float32 op rounds its outputs, and so the two runs apart, at 6e-8
+        rtol = 1e-6 if "float32" in name else 1e-12
+        assert np.linalg.norm(out.solution - ref.solution) <= rtol * np.linalg.norm(ref.solution)
+
+    def test_runs_reach_the_statuses_they_name(self):
+        statuses = {name: minres(*factory(), **kwargs).status
+                    for name, factory, kwargs in _REFERENCE_RUNS}
+        assert statuses.pop("incompatible") == BREAKDOWN
+        assert set(statuses.values()) == {CONVERGED}
+
+    def test_singular_compatible_solution_has_minimum_norm(self):
+        name, factory, kwargs = _REFERENCE_RUNS[2]
+        assert name == "singular-compatible"
+        op, b = factory()
+        x = minres(op, b, **kwargs).solution
+        # no part in the 5-dimensional kernel of the rank-7 A
+        kernel = sla.null_space(_singular_psd())
+        assert kernel.shape[1] == 5
+        assert np.linalg.norm(kernel.T @ x) <= 1e-10 * np.linalg.norm(x)
+
+
+class TestIteratesHandedOut:
+    """An iterate handed to a callback or to the caller's residual is never
+    written again: MINRES updates a fresh copy after an observed step."""
+
+    @pytest.mark.parametrize("precond", [None, LinearOperator(16, lambda v: v / _SPD_DIAG)],
+                             ids=["plain", "precond"])
+    def test_callback_iterates_stay_as_seen(self, precond):
+        kept = []
+        out = minres(op_from(_spd(5, 16)), np.random.default_rng(5).standard_normal(16), 1e-11,
+                     300, precond=precond, callback=lambda it, x, rr: kept.append((x, x.copy())))
+        assert out.converged and len(kept) == out.iterations > 1
+        assert all(np.array_equal(x, seen) for x, seen in kept)
+        assert len({id(x) for x, _ in kept}) == len(kept)
+        assert np.array_equal(out.solution, kept[-1][1])
+
+    def test_residual_iterates_stay_as_seen(self):
+        # a residual that never meets the tolerance: every step after the
+        # recurrence meets it is observed, and the run goes on
+        kept = []
+
+        def residual(x):
+            kept.append((x, x.copy()))
+            return np.ones(20)
+
+        out = minres(op_from(_spd(10)), np.random.default_rng(10).standard_normal(20),
+                     1e-6, 30, residual=residual)
+        assert not out.converged and len(kept) > 1
+        assert all(np.array_equal(x, seen) for x, seen in kept)
+
+
+class TestOperatorReturnsItsArgument:
+    """GMRES orthogonalizes in place in the operator's output, which must not
+    be a row of its basis."""
+
+    @pytest.mark.parametrize("left_precond", [None, LinearOperator(5, lambda v: v)],
+                             ids=["plain", "left-precond"])
+    def test_identity_op_converges_in_one_step(self, left_precond):
+        b = np.arange(1.0, 6.0)
+        out = gmres(LinearOperator(5, lambda v: v), b, 10, 1e-10, 20, left_precond=left_precond)
+        assert out.converged and out.iterations == 1
+        np.testing.assert_allclose(out.solution, b, rtol=1e-15)
