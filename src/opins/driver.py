@@ -54,7 +54,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dnrm2
 
@@ -78,9 +77,18 @@ _SYMMETRY_TOL = np.sqrt(np.finfo(float).eps)
 
 
 def _frobenius_norm(mat):
+    """||mat||_F by BLAS dnrm2 over the stored entries (0.0 for none), which
+    scales as it sums: no overflow or underflow unless the norm itself does.
+    A non-canonical sparse ``mat`` has its duplicates summed on a copy."""
     if sp.issparse(mat):
-        return float(spla.norm(mat))
-    return float(np.linalg.norm(np.asarray(mat)))
+        csr = mat.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        entries = csr.data
+    else:
+        entries = np.asarray(mat).ravel(order="K")
+    return float(dnrm2(entries)) if entries.size else 0.0
 
 
 def _real(name, values):
@@ -245,12 +253,14 @@ class OpinsSetup:
     """The state before the first inner iteration, shared by the solve, its
     metrics and the recovery of (x, y): the projector over the QRCP of B^T
     computed with ``rank_tol``, x_p, and, derived on construction, the
-    projected right-hand side ``rhs`` = P(f - A x_p) and the projected
-    ``operator`` v -> P(A(Pv)).  The operator is that of the true residual
-    rhs - P A P w, and the Krylov steps of a solve with G^{-1} or of
-    preconditioned MINRES apply it; an unpreconditioned solve's steps apply
-    P A and projected-preconditioned GMRES's apply A, which agree with it on
-    the vectors they are applied to (module docstring).
+    projected right-hand side ``rhs`` = P(f - A x_p), the projected
+    ``operator`` v -> P(A(Pv)) and ``b_norm`` = ||B||_F.  The operator is
+    that of the true residual rhs - P A P w, and the Krylov steps of a solve
+    with G^{-1} or of preconditioned MINRES apply it; an unpreconditioned
+    solve's steps apply P A and projected-preconditioned GMRES's apply A,
+    which agree with it on the vectors they are applied to (module
+    docstring).  ``purity`` and ``final_metrics`` form what a solve reports,
+    for ``opins_solve`` and the harness alike.
     """
 
     system: SaddleSystem
@@ -259,12 +269,14 @@ class OpinsSetup:
     x_p: np.ndarray
     rhs: np.ndarray = field(init=False, repr=False)
     operator: LinearOperator = field(init=False, repr=False)
+    b_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a, p = self.system.a, self.projector
         object.__setattr__(self, "rhs", p.complement(self.system.f - a @ self.x_p))
         object.__setattr__(self, "operator", LinearOperator(
             dim=self.system.n, apply=lambda v: p.complement(a @ p.complement(v))))
+        object.__setattr__(self, "b_norm", _frobenius_norm(self.system.b))
 
     @classmethod
     def build(cls, system, rank_tol):
@@ -291,6 +303,23 @@ class OpinsSetup:
         if denom == 0.0:
             return 0.0 if num == 0.0 else np.inf
         return float(num / denom)
+
+    def purity(self, x_n, w):
+        """Null-space purity ||B x_n|| / (||B||_F ||w||) of an inner iterate
+        w with x_n = P w; 0.0 for a zero w or B."""
+        denom = self.b_norm * np.linalg.norm(w)
+        return np.linalg.norm(self.system.b @ x_n) / denom if denom > 0 else 0.0
+
+    def final_metrics(self, x, y, x_n=None, ax=None):
+        """The final metrics of a whole-space (x, y): ``relres_x`` of x_n,
+        by default P(x - x_p); ``relres_full``, from the caller's A x when
+        ``ax`` is given; ||g - B x||, ||x|| and ||y||."""
+        system = self.system
+        if x_n is None:
+            x_n = self.projector.complement(x - self.x_p)
+        return dict(relres_x=self.relres_x(x_n), relres_full=relres_full(system, x, y, ax),
+                    constraint_residual=float(np.linalg.norm(system.g - system.b @ x)),
+                    norm_x=float(np.linalg.norm(x)), norm_y=float(np.linalg.norm(y)))
 
 
 class InnerObserver:
@@ -322,10 +351,10 @@ class InnerObserver:
 class OpinsReport:
     """Solution and diagnostics: x = x_p + x_n with x_n the projected inner w.
 
-    ``metrics["null_space_purity_max"]`` is ||B P w|| / (||B||_F ||w||) for
-    an inner iterate w: its maximum over every iterate when
-    ``OpinsOptions.inner_callback`` is set, otherwise its value at the final
-    iterate (0 for a zero w).
+    ``metrics`` holds ``OpinsSetup.final_metrics`` of (x, y) and, as
+    ``null_space_purity_max``, the maximum ``OpinsSetup.purity`` over every
+    inner iterate when ``OpinsOptions.inner_callback`` is set, otherwise the
+    final iterate's (0 for a zero w).
     """
 
     x: np.ndarray
@@ -345,7 +374,7 @@ def _check_declared_symmetry(a):
     """Two-probe check that a declared symmetric A is symmetric: compare
     u^T A v with v^T A u for fixed-seed unit vectors, relative to ||A||_F.
     The probes are drawn uniform in [-1, 1), four times cheaper than normal
-    draws."""
+    draws.  A is only read, never written."""
     n = a.shape[0]
     if n == 0:
         return
@@ -353,16 +382,7 @@ def _check_declared_symmetry(a):
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
     gap = abs(float(u @ (a @ v)) - float(v @ (a @ u)))
-    if sp.issparse(a):
-        entries = a.tocsr()
-        entries.sum_duplicates()
-        entries = entries.data
-    else:
-        entries = a.ravel()
-    # BLAS dnrm2 scales as it sums, so ||A||_F neither underflows nor
-    # overflows where A's entries do not
-    norm = dnrm2(entries)
-    if gap > _SYMMETRY_TOL * norm:
+    if gap > _SYMMETRY_TOL * _frobenius_norm(a):
         raise OpinsError(
             f"A was declared symmetric but |u^T A v - v^T A u| = {gap:.3e} "
             f"exceeds {_SYMMETRY_TOL:.1e} * ||A||_F; pass a_symmetric=False")
@@ -429,20 +449,13 @@ def opins_solve(sys, opts=None):
         setup = OpinsSetup.build(sys, opts.rank_tol)
     projector, rhs = setup.projector, setup.rhs
 
-    b_norm_frob = _frobenius_norm(sys.b)
-
-    def purity_of(x_n_k, w_k):
-        denom = b_norm_frob * np.linalg.norm(w_k)
-        drift = np.linalg.norm(sys.b @ x_n_k)
-        return drift / denom if denom > 0 else 0.0
-
     purity = []
     step = None
     observer = InnerObserver(setup, opts.inner_callback)
     if opts.inner_callback is not None:
         # step refers to the observer, not the reverse: no reference cycle
         def step(it, w_k, relres):
-            purity.append(purity_of(observer.x_n, w_k))
+            purity.append(setup.purity(observer.x_n, w_k))
             observer(it, w_k, relres)
 
     precond, g_spd = _build_precond(sys, opts, setup.fact)
@@ -470,16 +483,9 @@ def opins_solve(sys, opts=None):
 
     x_n = projector.complement(inner.solution)
     if step is None:
-        purity.append(purity_of(x_n, inner.solution))
+        purity.append(setup.purity(x_n, inner.solution))
     x, y, ax = setup.recover(x_n)
-
-    metrics = {
-        "relres_x": setup.relres_x(x_n),
-        "constraint_residual": float(np.linalg.norm(sys.g - sys.b @ x)),
-        "norm_x": float(np.linalg.norm(x)),
-        "null_space_purity_max": float(max(purity)) if purity else 0.0,
-        "relres_full": relres_full(sys, x, y, ax),
-        "norm_y": float(np.linalg.norm(y)),
-    }
+    metrics = setup.final_metrics(x, y, x_n=x_n, ax=ax)
+    metrics["null_space_purity_max"] = float(max(purity)) if purity else 0.0
     return OpinsReport(x=x, y=y, x_p=setup.x_p, x_n=x_n, rank_b=setup.fact.rank,
                        inner=inner, metrics=metrics)

@@ -13,8 +13,9 @@ summary row.  The opins family and pcg write ``_Case.projected_row``, which
 reads the solver's own true residual and makes one product with B; every
 other row is ``_Case.row`` of a whole-space (x, y), whose ``relres_x`` is
 that of P (x - x_p).  An opins variant's record takes its five final
-metrics from its ``opins_solve`` report; for the other solvers ``run_case``
-builds the five in one dict, as ``_Case.row`` does.
+metrics from its ``opins_solve`` report, every other solver's from
+``OpinsSetup.final_metrics`` of its (x, y), whose ``relres_x`` is also that
+of P (x - x_p).
 
 Every solver reads the run's one ``OpinsSetup.build`` and its QRCP of B^T.
 The constraint-preconditioned baselines, pminres-ir* and pgmres, share
@@ -182,10 +183,6 @@ class _Case:
         return callback if self.writer.path is not None else None
 
 
-def _make_case(system, config, writer):
-    return _Case(setup=OpinsSetup.build(system, config.qrcp_tol), writer=writer)
-
-
 def _independent_rows(setup):
     """B's rows that the QRCP of B^T kept, in their original order."""
     return np.sort(setup.fact.permutation[:setup.fact.rank])
@@ -290,19 +287,13 @@ def run_case(spec, config):
     if _CASES[config.solver] in (_pcg_case, _pminres_case) and not system.a_symmetric:
         raise ValueError(f"solver {config.solver!r} requires a symmetric system")
     writer = _HistoryWriter(config.history_path)
-    case = _make_case(system, config, writer)
+    case = _Case(setup=OpinsSetup.build(system, config.qrcp_tol), writer=writer)
     started = time.perf_counter()
     x, y, status, iterations = _CASES[config.solver](case, spec, config)
     elapsed = time.perf_counter() - started
     writer.flush()
 
-    final = case.final or {
-        "relres_x": case.relres_x(x),
-        "relres_full": relres_full(system, x, y),
-        "constraint_residual": float(np.linalg.norm(system.g - system.b @ x)),
-        "norm_x": float(np.linalg.norm(x)),
-        "norm_y": float(np.linalg.norm(y)),
-    }
+    final = case.final or case.setup.final_metrics(x, y)
     record = MetricsRecord(**{key: final[key] for key in (
         "relres_x", "relres_full", "constraint_residual", "norm_x", "norm_y")},
         iterations=iterations, wall_time=elapsed, status=status)

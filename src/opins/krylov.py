@@ -46,10 +46,10 @@ keep that safe for any operator:
   ``daxpy`` as in place, so an observed run and an unobserved one give the
   same x bit for bit.
 
-``gmres`` orthogonalizes in the operator's (or left preconditioner's)
-output, so it copies that output first when it shares memory with its
-basis.  ``daxpy`` rounds once (FMA) where ``y + a * x`` rounds twice, so the
-bits of x hold per BLAS build and thread count.
+``gmres`` orthogonalizes in the output of the operator (or left
+preconditioner), first copied to float64 when it shares memory with the
+basis or has another dtype.  ``daxpy`` rounds once (FMA) where ``y + a * x``
+rounds twice, so the bits of x hold per BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -308,10 +308,10 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
             w = op(V[k])
             if left_precond is not None:
                 w = left_precond(w)
-            if np.may_share_memory(w, V):
-                # an op or preconditioner that hands back its argument: the
-                # updates below go in place, and must not reach the basis
-                w = w.copy()
+            if np.may_share_memory(w, V) or w.dtype != np.float64:
+                # an output that is its argument, or of another dtype: the
+                # in-place float64 updates below must not reach the basis
+                w = np.array(w, dtype=float)
             norm_before = np.linalg.norm(w)
             h = V[:k + 1] @ w
             w -= np.matmul(h, V[:k + 1], out=update)

@@ -265,6 +265,31 @@ class TestDeclaredSymmetry:
         assert report.converged and report.inner.iterations == 0
         assert report.x.shape == (0,) and report.y.shape == (m,)
 
+    def test_sparse_zero_a_ends_as_the_dense_one(self):
+        # a sparse A with no stored entries has ||A||_F = 0 like a dense zero
+        # A, and the solve ends in the same status, not a traceback
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((2, 6))
+        f, g = b.T @ rng.standard_normal(2), b @ rng.standard_normal(6)
+        dense, sparse = (
+            opins_solve(SaddleSystem(a=a, b=b, f=f, g=g, a_symmetric=True),
+                        OpinsOptions(declared_singular=True))
+            for a in (np.zeros((6, 6)), sp.csr_matrix((6, 6))))
+        assert sparse.inner.status == dense.inner.status
+        assert sparse.inner.iterations == dense.inner.iterations
+
+    def test_sparse_a_with_unsummed_duplicates_is_only_read(self):
+        # [[2, 1], [1, 3]] stored as 6 entries, duplicates unsummed
+        a = sp.csr_matrix(([1.0, 1.0, 1.0, 0.5, 0.5, 3.0], [0, 0, 1, 0, 0, 1], [0, 3, 6]),
+                          shape=(2, 2))
+        indices, data = a.indices.copy(), a.data.copy()
+        report = opins_solve(SaddleSystem(a=a, b=np.array([[1.0, 1.0]]), f=np.array([1.0, 2.0]),
+                                          g=np.array([1.0]), a_symmetric=True))
+        assert report.converged
+        assert a.nnz == 6
+        np.testing.assert_array_equal(a.indices, indices)
+        np.testing.assert_array_equal(a.data, data)
+
     def test_rounding_level_asymmetry_accepted(self):
         system = random_singular(1)
         rng = np.random.default_rng(12)
@@ -735,6 +760,29 @@ class TestScalingRobustness:
         assert np.linalg.norm(report.x - x0) > 1.0
 
 
+class TestPurityScale:
+    """||B||_F comes from dnrm2, so the purity of a B scaled by 2^520, whose
+    squared entries overflow, is the unscaled B's."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_purity_and_x_of_scaled_b_are_the_unscaled_ones(self, sparse):
+        rng = np.random.default_rng(4)
+        a = np.diag(np.arange(1.0, 21.0))
+        b = rng.standard_normal((5, 20))
+        f = rng.standard_normal(20)
+
+        def solve(scale):
+            system = SaddleSystem(a=a, b=sp.csr_matrix(scale * b) if sparse else scale * b,
+                                  f=f, g=np.zeros(5), a_symmetric=True)
+            return opins_solve(system, OpinsOptions(inner_callback=lambda it, x_n, relres: None))
+
+        base, scaled = solve(1.0), solve(2.0**520)
+        assert base.converged and scaled.converged
+        assert base.metrics["null_space_purity_max"] > 0.0
+        assert scaled.metrics["null_space_purity_max"] == base.metrics["null_space_purity_max"]
+        np.testing.assert_array_equal(scaled.x, base.x)
+
+
 class TestSymmetryProbeScale:
     """The declared-symmetry probe is relative to ||A||_F, which BLAS dnrm2
     measures without underflow or overflow however A is scaled."""
@@ -925,15 +973,39 @@ class TestFrobeniusNorm:
         assert frobenius_norm(sp.csr_matrix((4, 4))) == 0.0
         assert frobenius_norm(sp.csr_matrix(np.zeros((2, 2)))) == 0.0
 
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_random_sparse_matches_dense(self, transpose):
-        # the transpose of a CSR matrix is stored as CSC
+    @pytest.mark.parametrize("transpose, scale", [
+        (False, 1.0), (True, 1.0), (False, 2.0**600), (False, 2.0**-600),
+        (True, 2.0**600), (True, 2.0**-600),
+    ], ids=["False", "True", "False-2^600", "False-2^-600", "True-2^600", "True-2^-600"])
+    def test_random_sparse_matches_dense(self, transpose, scale):
+        # the transpose of a CSR matrix is stored as CSC; dnrm2 scales as it
+        # sums, so 2^+-600 neither overflows nor underflows, and scales the
+        # norm exactly
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((10, 10)) * (rng.random((10, 10)) < 0.3)
         mat = sp.csr_matrix(dense)
         if transpose:
             mat, dense = mat.T, dense.T
         assert frobenius_norm(mat) == pytest.approx(np.linalg.norm(dense), rel=1e-14)
+        assert frobenius_norm(scale * mat) == scale * frobenius_norm(mat)
+        assert frobenius_norm(scale * dense) == scale * frobenius_norm(dense)
+
+    def test_no_stored_entries(self):
+        # BLAS dnrm2 rejects an empty array, so no entries must give 0.0
+        # without calling it
+        assert frobenius_norm(np.zeros((0, 3))) == 0.0
+        assert frobenius_norm(np.zeros((3, 0))) == 0.0
+        assert frobenius_norm(sp.coo_matrix((3, 5))) == 0.0
+
+    def test_non_canonical_matrix_is_left_unchanged(self):
+        # tocsr() of a CSR matrix is the matrix itself: its duplicates are
+        # summed on a copy
+        mat = sp.csr_matrix(([3.0, 4.0, 1.0], [0, 0, 1], [0, 3, 3]), shape=(2, 2))
+        indices, data = mat.indices.copy(), mat.data.copy()
+        assert frobenius_norm(mat) == pytest.approx(np.hypot(7.0, 1.0), rel=1e-15)
+        assert mat.nnz == 3
+        np.testing.assert_array_equal(mat.indices, indices)
+        np.testing.assert_array_equal(mat.data, data)
 
     def test_frobenius_norm_matches_numpy(self):
         rng = np.random.default_rng(2)

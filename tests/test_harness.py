@@ -826,7 +826,8 @@ class TestRunner:
         assert record.status == "converged"
         assert record.relres_full <= 1e-8
         # the record has no y; the runner's own case gives it
-        case = runner._make_case(build_system(spec), config, runner._HistoryWriter(None))
+        case = runner._Case(OpinsSetup.build(build_system(spec), config.qrcp_tol),
+                            runner._HistoryWriter(None))
         _, y, _, _ = runner._pgmres_case(case, spec, config)
         fact = case.setup.fact
         assert fact.rank == 6

@@ -637,3 +637,31 @@ class TestOperatorReturnsItsArgument:
         out = gmres(LinearOperator(5, lambda v: v), b, 10, 1e-10, 20, left_precond=left_precond)
         assert out.converged and out.iterations == 1
         np.testing.assert_allclose(out.solution, b, rtol=1e-15)
+
+
+class TestOutputOfAnotherDtype:
+    """GMRES orthogonalizes in float64 whatever dtype the operator or its
+    left preconditioner returns."""
+
+    def test_float32_op_converges(self):
+        # orthogonalized in float32, this run ended in breakdown after 11 steps
+        d = np.arange(1.0, 6.0)
+        out = gmres(LinearOperator(5, lambda v: (d * v).astype(np.float32)), d, 10, 1e-10, 20)
+        assert out.converged and out.iterations == 5
+
+    @pytest.mark.parametrize("restart", [3, 10])
+    def test_float32_left_precond_keeps_float64_range(self, restart):
+        # the preconditioner scales by 2^66, so its float32 outputs square
+        # past float32's range but not float64's: in float64 the run is the
+        # unscaled one's, scaled by powers of 2 bit for bit
+        d = np.arange(1.0, 21.0)
+        op = LinearOperator(20, lambda v: d * v)
+
+        def run(scale):
+            return gmres(op, d / 2.0**60 if scale else d, restart, 1e-10, 300,
+                         left_precond=lambda v: (2.0**scale * v).astype(np.float32))
+
+        base, scaled = run(0), run(66)
+        assert base.converged and scaled.converged
+        assert scaled.iterations == base.iterations
+        np.testing.assert_array_equal(scaled.solution * 2.0**60, base.solution)
