@@ -43,8 +43,8 @@ projected preconditioner returns a solution, but not in general that one.
 
 Observation: one ``InnerObserver`` per solve forms every true residual the
 Krylov solver asks for, computing x_n = P w on the way; with
-``OpinsOptions.inner_callback`` set it does so at every inner step, and the
-null-space purity and the callback read that x_n.
+``OpinsOptions.inner_callback`` set it is every run's callback too, and it
+alone numbers the inner steps and keeps their maximum null-space purity.
 """
 
 from __future__ import annotations
@@ -328,13 +328,15 @@ class InnerObserver:
     Passed to a Krylov solver as its ``residual``, ``residual(w)`` computes
     x_n = P w, keeps it, and returns ``rhs - P(A x_n)``: the operations of
     ``rhs - operator(w)``, so the same bits.  Passed as its callback, which
-    runs right after the residual of the same iterate, the observer calls
-    ``callback(it, x_n, true_relres)`` with that x_n.
+    runs right after the residual of the same iterate, the observer folds
+    the purity of that x_n into ``purity_max`` and calls ``callback(done +
+    it, x_n, true_relres)``, ``done`` being the steps of earlier runs.
     """
 
     def __init__(self, setup, callback):
         self.setup, self.callback = setup, callback
         self.w = self.x_n = None
+        self.done, self.purity_max = 0, 0.0
 
     def residual(self, w):
         projector = self.setup.projector
@@ -344,7 +346,8 @@ class InnerObserver:
     def __call__(self, it, w, relres):
         if w is not self.w:
             raise RuntimeError("an inner step was observed without its residual")
-        self.callback(it, self.x_n, relres)
+        self.purity_max = max(self.purity_max, self.setup.purity(self.x_n, w))
+        self.callback(self.done + it, self.x_n, relres)
 
 
 @dataclass
@@ -352,9 +355,9 @@ class OpinsReport:
     """Solution and diagnostics: x = x_p + x_n with x_n the projected inner w.
 
     ``metrics`` holds ``OpinsSetup.final_metrics`` of (x, y) and, as
-    ``null_space_purity_max``, the maximum ``OpinsSetup.purity`` over every
-    inner iterate when ``OpinsOptions.inner_callback`` is set, otherwise the
-    final iterate's (0 for a zero w).
+    ``null_space_purity_max``, the observer's ``purity_max`` when
+    ``OpinsOptions.inner_callback`` is set, otherwise the final iterate's
+    ``OpinsSetup.purity`` (0 for a zero w).
     """
 
     x: np.ndarray
@@ -411,12 +414,11 @@ def _build_precond(sys, opts, fact):
     return LinearOperator(dim=sys.n, apply=projected.apply), g.spd
 
 
-def _rerun_on_p_a_p(setup, opts, precond, maxit, first, observer, step):
+def _rerun_on_p_a_p(setup, opts, precond, maxit, first, observer, callback):
     """GMRES on P A P from zero, with the steps that ``first``, a run on A
     that stagnated, left; its steps are numbered on from those of
     ``first``, and the outcome counts both runs'."""
-    done = first.iterations
-    callback = None if step is None else lambda it, w_k, relres: step(done + it, w_k, relres)
+    observer.done = done = first.iterations
     rerun = krylov.gmres(setup.operator, setup.rhs, opts.restart, opts.solve_tol, maxit - done,
                          left_precond=precond, callback=callback, residual=observer.residual)
     for record in rerun.history:
@@ -449,15 +451,8 @@ def opins_solve(sys, opts=None):
         setup = OpinsSetup.build(sys, opts.rank_tol)
     projector, rhs = setup.projector, setup.rhs
 
-    purity = []
-    step = None
     observer = InnerObserver(setup, opts.inner_callback)
-    if opts.inner_callback is not None:
-        # step refers to the observer, not the reverse: no reference cycle
-        def step(it, w_k, relres):
-            purity.append(setup.purity(observer.x_n, w_k))
-            observer(it, w_k, relres)
-
+    callback = None if opts.inner_callback is None else observer
     precond, g_spd = _build_precond(sys, opts, setup.fact)
     use_minres = sys.a_symmetric and (precond is None or g_spd and not opts.declared_singular)
     on_a = opts.precond == "projected" and not use_minres
@@ -473,19 +468,18 @@ def opins_solve(sys, opts=None):
         operator = setup.operator
     if use_minres:
         inner = krylov.minres(operator, rhs, opts.solve_tol, maxit,
-                              precond=precond, callback=step, residual=observer.residual)
+                              precond=precond, callback=callback, residual=observer.residual)
     else:
         inner = krylov.gmres(operator, rhs, opts.restart, opts.solve_tol, maxit,
-                             left_precond=precond, callback=step,
+                             left_precond=precond, callback=callback,
                              residual=observer.residual)
         if on_a and inner.status == krylov.STAGNATION and inner.iterations < maxit:
-            inner = _rerun_on_p_a_p(setup, opts, precond, maxit, inner, observer, step)
+            inner = _rerun_on_p_a_p(setup, opts, precond, maxit, inner, observer, callback)
 
     x_n = projector.complement(inner.solution)
-    if step is None:
-        purity.append(setup.purity(x_n, inner.solution))
     x, y, ax = setup.recover(x_n)
     metrics = setup.final_metrics(x, y, x_n=x_n, ax=ax)
-    metrics["null_space_purity_max"] = float(max(purity)) if purity else 0.0
+    metrics["null_space_purity_max"] = float(
+        observer.purity_max if callback is not None else setup.purity(x_n, inner.solution))
     return OpinsReport(x=x, y=y, x_p=setup.x_p, x_n=x_n, rank_b=setup.fact.rank,
                        inner=inner, metrics=metrics)

@@ -8,14 +8,15 @@ and the final metrics are the same.  For solvers that split x into
 particular and null-space parts (the opins family, pcg, and the
 constraint-preconditioned MINRES baseline) ``norm_Bxn`` is ||B x_n|| at
 that iteration; for whole-system solvers (pgmres, tsvd, nullspace-oracle)
-it is the constraint violation ||g - B x||.  Direct solvers emit a single
-summary row.  The opins family and pcg write ``_Case.projected_row``, which
-reads the solver's own true residual and makes one product with B; every
-other row is ``_Case.row`` of a whole-space (x, y), whose ``relres_x`` is
-that of P (x - x_p).  An opins variant's record takes its five final
-metrics from its ``opins_solve`` report, every other solver's from
-``OpinsSetup.final_metrics`` of its (x, y), whose ``relres_x`` is also that
-of P (x - x_p).
+it is the constraint violation ||g - B x||.  A direct solver writes its
+one row; ``run_case`` writes the summary row of any run that recorded no
+step, so a history has max(iterations, 1) rows.  The opins family and pcg
+write ``_Case.projected_row``, which reads the solver's own true residual
+and makes one product with B; every other row is ``_Case.row`` of a
+whole-space (x, y), whose ``relres_x`` is that of P (x - x_p).  An opins
+variant's record takes its five final metrics from its ``opins_solve``
+report, every other solver's from ``OpinsSetup.final_metrics`` of its
+(x, y), whose ``relres_x`` is also that of P (x - x_p).
 
 Every solver reads the run's one ``OpinsSetup.build`` and its QRCP of B^T.
 The constraint-preconditioned baselines, pminres-ir* and pgmres, share
@@ -197,13 +198,9 @@ def _pad(system, rows, y_rows):
 
 
 def _opins_case(case, spec, config):
-    system = case.setup.system
-    callback = case.observer(case.projected_row)
     report = opins_solve(case.setup, _opins_options(
-        config, declared_singular=spec.declared_singular, inner_callback=callback))
-    if callback is not None and not report.inner.history and report.converged:
-        # projected right-hand side was zero: single summary row
-        case.row(0, report.x, report.y, float(np.linalg.norm(system.b @ report.x_n)))
+        config, declared_singular=spec.declared_singular,
+        inner_callback=case.observer(case.projected_row)))
     case.final = report.metrics
     return report.x, report.y, report.inner.status, report.inner.iterations
 
@@ -229,10 +226,11 @@ def _pminres_case(case, spec, config):
 
 def _pcg_case(case, spec, config):
     setup = case.setup
-    observer = InnerObserver(setup, case.projected_row)
+    observer = InnerObserver(setup, None)  # not cg's callback: pcg reports no purity
     maxit = _opins_options(config).iteration_cap(setup.system.n)
-    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, maxit,
-                        callback=case.observer(observer), residual=observer.residual)
+    row = case.observer(lambda it, w_k, relres: case.projected_row(it, observer.x_n, relres))
+    outcome = krylov.cg(setup.operator, setup.rhs, config.tol, maxit, callback=row,
+                        residual=observer.residual)
     x, y, _ = setup.recover(setup.projector.complement(outcome.solution))
     return x, y, outcome.status, outcome.iterations
 
@@ -291,6 +289,10 @@ def run_case(spec, config):
     started = time.perf_counter()
     x, y, status, iterations = _CASES[config.solver](case, spec, config)
     elapsed = time.perf_counter() - started
+    if writer.path is not None and not writer.rows:  # a run that recorded no step
+        drift = (system.g - system.b @ x if _CASES[config.solver] is _pgmres_case
+                 else system.b @ (x - case.setup.x_p))
+        case.row(0, x, y, float(np.linalg.norm(drift)))
     writer.flush()
 
     final = case.final or case.setup.final_metrics(x, y)

@@ -589,10 +589,10 @@ def count_qrcp_calls(monkeypatch):
 
 
 class TestRunner:
-    def trivial_spec(self, tmp_path):
+    def trivial_spec(self, tmp_path, f0=5.0):
         save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix(np.eye(3)))
         save_matrix_market(tmp_path / "b.mtx", sp.csr_matrix(np.array([[1.0, 0.0, 0.0]])))
-        save_matrix_market(tmp_path / "f.mtx", np.array([5.0, 0.0, 0.0]))
+        save_matrix_market(tmp_path / "f.mtx", np.array([f0, 0.0, 0.0]))
         save_matrix_market(tmp_path / "g.mtx", np.array([2.0]))
         return ProblemSpec(name="trivial",
                            source={"path_a": str(tmp_path / "a.mtx"),
@@ -606,6 +606,40 @@ class TestRunner:
         assert record.status == "converged" and record.iterations == 0
         assert record.relres_full <= 1e-13
         assert record.norm_x == pytest.approx(2.0)
+        # x_p solves the null-space equation, so most solvers take no step
+        # (pminres-ir* breaks down at f = (5, 0, 0)); every history has
+        # max(iterations, 1) rows, and a 0-step row carries the record's
+        # relres_full and the solver's drift at x: 0.0 at x = x_p, or
+        # ||g - B x|| for the whole-system solvers
+        history = tmp_path / "h.csv"
+        for f0 in (5.0, 2.0):
+            spec = self.trivial_spec(tmp_path, f0)
+            for solver in runner.SOLVER_NAMES:
+                record = run_case(spec, RunConfig(solver=solver, history_path=str(history)))
+                rows = [[float(value) for value in line.split(",")]
+                        for line in history.read_text().splitlines()[1:]]
+                assert len(rows) == max(record.iterations, 1), (f0, solver)
+                if record.iterations == 0:
+                    whole = solver in ("pgmres", "tsvd", "nullspace-oracle")
+                    assert rows[0][0] == 0 and rows[0][2] == record.relres_full, (f0, solver)
+                    assert rows[0][3] == (record.constraint_residual if whole else 0.0)
+
+    @pytest.mark.parametrize("solver", ["opins-p", "pcg"])
+    def test_zero_a_writes_a_summary_row(self, solver, tmp_path):
+        # an A with no entries, declared symmetric and singular, ends
+        # ``breakdown`` after 0 steps; its history still has the one
+        # summary row of a run that recorded no step
+        save_matrix_market(tmp_path / "a.mtx", sp.csr_matrix((6, 6)))
+        spec = ProblemSpec(name="zero", source={"path_a": str(tmp_path / "a.mtx"), "m": 2,
+                                                "seed": 2},
+                           a_symmetric=True, declared_singular=True)
+        history = tmp_path / "h.csv"
+        record = run_case(spec, RunConfig(solver=solver, history_path=str(history)))
+        assert record.status == "breakdown" and record.iterations == 0
+        rows = [[float(value) for value in line.split(",")]
+                for line in history.read_text().splitlines()[1:]]
+        assert len(rows) == 1
+        assert rows[0][0] == 0 and rows[0][2] == record.relres_full and rows[0][3] == 0.0
 
     def test_csv_and_json_outputs(self, tmp_path):
         spec = ProblemSpec(name="random", source={"kind": "random", "seed": 0},
