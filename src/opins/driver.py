@@ -21,10 +21,11 @@ vectors they apply it to:
   Arnoldi normalization can amplify: for a nearly diagonal A graded over
   six orders of magnitude, with B's rows on its extreme entries, the steps
   on A stagnate where those on P A P converge.  So a run on A that ends in
-  ``stagnation`` with steps left is run again from zero on P A P with the
-  steps left; the report counts both runs' steps.  (Going on from the
-  stalled iterate instead fails: its residual there is 10^3 to 10^12
-  times ||rhs||.)
+  ``stagnation`` with steps left (after a full restart cycle or, in a cycle
+  longer than 50 steps, a stall window: ``krylov.gmres``) is run again from
+  zero on P A P with the steps left; the report counts both runs' steps.
+  (Going on from the stalled iterate instead fails: its residual there is
+  10^3 to 10^12 times ||rhs||.)
 * G^{-1} (``precond='simple'``): P A P, because G^{-1} maps out of null(B).
 * P_G with MINRES: P A P.  The preconditioned Lanczos recurrence carries
   the unpreconditioned vectors A v themselves, not their P_G images; with
@@ -201,7 +202,11 @@ class OpinsOptions:
     solve runs MINRES or GMRES follows from these and
     ``SaddleSystem.a_symmetric`` (module docstring).  Both tolerances must
     be positive and finite, ``maxit`` at least 0 (0 means 10 * n) and
-    ``restart`` (read by GMRES only) at least 1.  ``rank_tol`` is the numerical-rank threshold of the
+    ``restart`` (read by GMRES only) None or at least 1.  None, the default,
+    runs cycles as long as a 32 MiB basis allows, at least 50 steps and at
+    most the iteration cap (``krylov.gmres_restart``): the whole solve in
+    one cycle on a problem of a few thousand unknowns, and 50 from about
+    82000 on.  ``rank_tol`` is the numerical-rank threshold of the
     QRCP of B^T; when ``opins_solve`` is given an ``OpinsSetup`` the
     factorization comes from it, and its ``rank_tol`` must equal this one.
 
@@ -219,7 +224,7 @@ class OpinsOptions:
     rank_tol: float = 1e-12
     solve_tol: float = 1e-10
     maxit: int = 0
-    restart: int = 50
+    restart: Optional[int] = None
     precond: str = "none"
     g_kind: Union[str, InvertibleOperator] = "identity"
     declared_singular: bool = False
@@ -230,7 +235,7 @@ class OpinsOptions:
             raise OpinsError("tolerances must be positive and finite")
         if self.maxit < 0:
             raise OpinsError(f"maxit must be at least 0 (0 means 10 n), got {self.maxit}")
-        if self.restart < 1:
+        if self.restart is not None and self.restart < 1:
             raise OpinsError(f"restart must be at least 1, got {self.restart}")
         if self.precond not in ("none", "simple", "projected"):
             raise OpinsError(f"unknown precond {self.precond!r}")

@@ -63,7 +63,8 @@ def build_parser():
     run.add_argument("--maxit", type=int, default=SUPPRESS,
                      help=f"iteration cap (default {RunConfig.maxit}: 10 n)")
     run.add_argument("--restart", type=int, default=SUPPRESS,
-                     help=f"GMRES restart length (default {RunConfig.restart})")
+                     help="GMRES restart length (default: as long as a 32 MiB basis "
+                          "allows, at least 50 and at most the iteration cap)")
     run.add_argument("--g-kind", default=SUPPRESS,
                      help="identity, jacobi or ilu0: the G of opins-j, -p, -ilu or pminres-ir*")
 

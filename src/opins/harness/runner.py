@@ -82,10 +82,12 @@ class RunConfig:
 
     ``tol``, ``qrcp_tol``, ``maxit`` and ``restart`` are ``OpinsOptions``'
     ``solve_tol``, ``rank_tol``, ``maxit`` and ``restart``, defaults
-    included; construction checks them through the ``OpinsOptions`` of the
-    run, before any problem is loaded, and raises ``ValueError`` on a
-    setting that ``_UNREAD`` lists for the solver.  ``g_kind`` is read by
-    opins-j, opins-p, opins-ilu and pminres-ir* (identity or jacobi there).
+    included (``restart=None``: the basis-budget cycle of
+    ``krylov.gmres_restart``, which pgmres runs too); construction checks
+    them through the ``OpinsOptions`` of the run, before any problem is
+    loaded, and raises ``ValueError`` on a setting that ``_UNREAD`` lists
+    for the solver.  ``g_kind`` is read by opins-j, opins-p, opins-ilu and
+    pminres-ir* (identity or jacobi there).
     An opins variant reads ``restart`` only when the loaded system takes
     GMRES, so that one is not checked.
     """
@@ -94,7 +96,7 @@ class RunConfig:
     tol: float = OpinsOptions.solve_tol
     qrcp_tol: float = OpinsOptions.rank_tol
     maxit: int = OpinsOptions.maxit
-    restart: int = OpinsOptions.restart
+    restart: Optional[int] = OpinsOptions.restart
     g_kind: Optional[str] = None
     history_path: Optional[str] = None
     report_path: Optional[str] = None

@@ -62,16 +62,24 @@ from scipy.linalg.blas import daxpy, ddot
 
 from ._lapack import solve_triangular
 
-__all__ = ["IterationRecord", "SolveOutcome", "minres", "gmres", "cg"]
+__all__ = ["IterationRecord", "SolveOutcome", "minres", "gmres", "gmres_restart", "cg"]
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 BREAKDOWN = "breakdown"
 STAGNATION = "stagnation"
 
-# relative improvement over one full restart cycle below which GMRES gives up
+# relative improvement over one full restart cycle, or over a stall window,
+# below which GMRES gives up
 _STAGNATION_FACTOR = 1e-3
 _EPS = np.finfo(float).eps
+# the default GMRES cycle: as long as a basis of this many bytes allows, at
+# least _MIN_RESTART steps and at most the iteration cap and the dimension
+_BASIS_BUDGET = 32 * 2**20
+_MIN_RESTART = 50
+# steps with the recurrence residual at the tolerance that must improve the
+# true residual, once it has failed to meet the tolerance there
+_STALL_WINDOW = 50
 
 
 @dataclass
@@ -239,12 +247,25 @@ def minres(op, b, tol, maxit, precond=None, callback=None, residual=None):
     return steps.outcome(status, x)
 
 
+def gmres_restart(restart, dim, maxit):
+    """The cycle length of a GMRES solve: ``restart`` itself, or for None
+    the longest cycle whose basis of ``dim``-vectors fits ``_BASIS_BUDGET``
+    (32 MiB), capped by ``maxit`` and ``dim`` but never below 50.  At
+    ``dim`` = 3312 that is the iteration cap up to 1265 steps; from ``dim``
+    = 82242 on it is 50."""
+    if restart is not None:
+        return restart
+    return max(_MIN_RESTART, min(maxit, dim, _BASIS_BUDGET // (8 * dim) - 1))
+
+
 def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual=None):
     """Restarted GMRES with classical Gram-Schmidt applied twice (CGS2).
 
+    ``restart`` is the cycle length, None for ``gmres_restart``'s default.
     The basis is kept as rows, in one array that every restart cycle
-    reuses, and each Arnoldi step orthogonalizes with two unconditional
-    BLAS-2 passes ("twice is enough") through one work vector.  A step is lucky when
+    reuses, beside one Hessenberg triangle, and each Arnoldi step
+    orthogonalizes with two unconditional BLAS-2 passes ("twice is enough")
+    through one work vector.  A step is lucky when
     the orthogonalized vector is at rounding level of ``op`` applied to the
     basis vector, and breaks down (Brown & Walker 1997) when the rotated
     diagonal is at rounding level of its Hessenberg column; the iterate of
@@ -258,7 +279,14 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
     which ``residual`` (module docstring) computes; the first cycle starts
     at x = 0 from ``b`` itself, with no operator application.  A restart
     cycle that improves the (preconditioned) residual by less than a factor
-    of ``1 - 1e-3`` reports ``stagnation``.
+    of ``1 - 1e-3`` reports ``stagnation``.  So does a stall window, which
+    a long cycle needs in place of that test: once a step's recurrence
+    residual meets ``tol`` but its true residual does not, every 50 further
+    steps with the recurrence still at ``tol`` must improve the true
+    residual by that factor, and the window closes whenever the recurrence
+    rises above ``tol``.  (Rounding that leaves the Arnoldi vectors, as
+    P_G's on a graded A, keeps the recurrence at ``tol`` while the true
+    residual stalls.)
     """
     steps = _Steps(op, b, tol, callback, residual)
     b, n = steps.b, op.dim
@@ -275,12 +303,18 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
         yk = solve_triangular(H[:j + 1, :j + 1], np.array(g[:j + 1]), overwrite_b=True)
         return x + yk @ V[:j + 1]
 
-    # the basis, reused by every restart cycle (a cycle reads only the rows
-    # it wrote), and the work vector of the Gram-Schmidt updates
+    # the basis and the Hessenberg triangle, reused by every restart cycle
+    # (a cycle reads only the rows of V and the upper triangles of the
+    # columns of H that it wrote; H's lower triangle stays zero), and the
+    # work vector of the Gram-Schmidt updates
+    restart = gmres_restart(restart, n, maxit)
     V = np.empty((restart + 1, n))
+    H = np.zeros((restart, restart))
     update = np.empty(n)
     status = None
     prev_cycle = None
+    # the stall window: the step that opened it and its true residual
+    stall_step = stall_res = None
     while status is None:
         if len(steps):
             r = steps.residual(x)
@@ -295,7 +329,6 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
         if len(steps) >= maxit:
             status = MAX_ITERATIONS
             break
-        H = np.zeros((restart, restart))
         rotations = []
         g = [float(beta)]
         np.divide(pr, beta, out=V[0])
@@ -346,6 +379,14 @@ def gmres(op, b, restart, tol, maxit, left_precond=None, callback=None, residual
             elif lucky:
                 # invariant subspace reached without meeting the tolerance
                 status = BREAKDOWN
+            elif not relres <= tol:
+                stall_step = None
+            elif stall_step is None:
+                stall_step, stall_res = len(steps), steps.history[-1].true_relres
+            elif len(steps) - stall_step == _STALL_WINDOW:
+                if steps.history[-1].true_relres > (1.0 - _STAGNATION_FACTOR) * stall_res:
+                    status = STAGNATION
+                stall_step, stall_res = len(steps), steps.history[-1].true_relres
         # the triangle and g[:done + 1] are final once step done completes,
         # so forming the iterate here gives the same x as forming it then
         x = xk if formed == done else solution_at(done)

@@ -539,27 +539,93 @@ class TestProjectedGmresSteps:
         assert [r.iter for r in report.inner.history] == \
             list(range(1, report.inner.iterations + 1))
 
-    def test_rerun_observed_and_within_the_cap(self):
+    @staticmethod
+    def check_rerun_observed_and_within_the_cap(restart, stall):
         # an observed solve numbers its steps on across the two runs and
         # stops where the unobserved one does; the rerun gets only the steps
         # the stalled run left, so a cap just past the stall ends unconverged
         system = graded_system(6, 0)
         seen = []
-        opts = OpinsOptions(precond="projected", g_kind="jacobi",
+        opts = OpinsOptions(precond="projected", g_kind="jacobi", restart=restart,
                             inner_callback=lambda it, x_n, relres: seen.append(it))
         observed = opins_solve(system, opts)
-        plain = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi"))
+        plain = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
+                                                 restart=restart))
         assert observed.converged and plain.converged
         assert observed.inner.iterations == plain.inner.iterations
         assert seen == list(range(1, observed.inner.iterations + 1))
         assert np.array_equal(observed.x, plain.x)
 
         stalled = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
-                                                   maxit=100))
-        assert (stalled.inner.status, stalled.inner.iterations) == (krylov.STAGNATION, 100)
+                                                   restart=restart, maxit=stall))
+        assert (stalled.inner.status, stalled.inner.iterations) == (krylov.STAGNATION, stall)
         capped = opins_solve(system, OpinsOptions(precond="projected", g_kind="jacobi",
-                                                  maxit=103))
-        assert (capped.inner.status, capped.inner.iterations) == (krylov.MAX_ITERATIONS, 103)
+                                                  restart=restart, maxit=stall + 3))
+        assert (capped.inner.status, capped.inner.iterations) == \
+            (krylov.MAX_ITERATIONS, stall + 3)
+
+    def test_rerun_observed_and_within_the_cap(self):
+        # cycles of 50 steps: the second full cycle stalls, at step 100
+        self.check_rerun_observed_and_within_the_cap(50, 100)
+
+    def test_rerun_observed_and_within_the_cap_in_one_long_cycle(self):
+        # the default cycle holds the whole solve: the recurrence meets the
+        # tolerance at step 9 and the stall window ends 50 steps later
+        self.check_rerun_observed_and_within_the_cap(None, 59)
+
+    @staticmethod
+    def graded_runs(monkeypatch, s, seed, **options):
+        """The (operator, outcome) of every GMRES run of the projected
+        Jacobi solve of ``graded_system(s, seed)``, its setup and report."""
+        calls = []
+
+        def spy(op, b, *args, _solve=krylov.gmres, **kwargs):
+            outcome = _solve(op, b, *args, **kwargs)
+            calls.append((op, outcome))
+            return outcome
+        monkeypatch.setattr(krylov, "gmres", spy)
+        opts = OpinsOptions(precond="projected", g_kind="jacobi", **options)
+        setup = OpinsSetup.build(graded_system(s, seed), opts.rank_tol)
+        return calls, setup, opins_solve(setup, opts)
+
+    @pytest.mark.parametrize("restart", [None, 200])
+    @pytest.mark.parametrize("s", [6, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_cycles_stall_in_the_window_and_rerun(self, restart, s, seed, monkeypatch):
+        # a cycle as long as the solve never restarts, so the cycle test
+        # cannot stop the run on A; the recurrence meets the tolerance within
+        # 25 steps while the true residual, with P_G's rounding amplified,
+        # grows, and the stall window ends the run 50 steps later
+        calls, setup, report = self.graded_runs(monkeypatch, s, seed, restart=restart)
+        assert report.converged
+        assert setup.relres_x(report.x_n) <= OpinsOptions().solve_tol
+        (on_a, stalled), (on_pap, rerun) = calls
+        assert on_a is not setup.operator and on_pap is setup.operator
+        assert stalled.status == krylov.STAGNATION
+        at_tol = [rec.iter for rec in stalled.history if rec.relres <= 1e-10]
+        assert at_tol[0] <= 25
+        assert at_tol == list(range(at_tol[0], stalled.iterations + 1))
+        assert stalled.iterations == at_tol[0] + 50
+
+    @pytest.mark.parametrize("s", [6, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_explicit_restart_50_keeps_its_stops(self, s, seed, monkeypatch):
+        # at GMRES(50) the cycle test stops the run on A after its second
+        # full cycle, before any stall window ends, as it did before the
+        # window; the rerun is GMRES(50) on P A P from zero with the steps left
+        calls, setup, report = self.graded_runs(monkeypatch, s, seed, restart=50)
+        assert report.converged
+        (_, stalled), (_, rerun) = calls
+        assert (stalled.status, stalled.iterations) == (krylov.STAGNATION, 100)
+        assert rerun.iterations == {6: [9, 9, 10, 9], 8: [51, 51, 51, 51]}[s][seed]
+        p_g = ProjectedPreconditioner(build_g(setup.system.a, "jacobi"), setup.fact)
+        reference = krylov.gmres(setup.operator, setup.rhs, 50, OpinsOptions().solve_tol,
+                                 10 * setup.system.n - 100,
+                                 left_precond=LinearOperator(dim=setup.system.n,
+                                                             apply=p_g.apply))
+        assert np.array_equal(rerun.solution, reference.solution)
+        assert np.array_equal(report.x, setup.recover(setup.projector.complement(
+            reference.solution))[0])
 
 
 class TestUnpreconditionedAtScale:

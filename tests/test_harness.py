@@ -986,7 +986,7 @@ class TestRunner:
         # its starting iterate, and the first starts from the right-hand side
         record, counts = self.observed_counts(monkeypatch, tmp_path, "opins-ilu", False)
         steps = record.iterations
-        assert record.status == "converged" and 5 < steps < RunConfig.restart
+        assert record.status == "converged" and 5 < steps < 50
         # one restart cycle, which starts at x = 0 with no product
         assert counts == {"a": 2 * steps, "p": 4 * steps}
 
@@ -1260,16 +1260,18 @@ class TestCli:
         assert rc == 2
         assert "takes no tol, maxit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("symmetric, krylov_name, exit_code", [
-        ("yes", "minres", 0),
+    @pytest.mark.parametrize("symmetric, krylov_name, exit_code, restart", [
+        ("yes", "minres", 0, []),
         # GMRES(50) stalls on the indefinite problem and ends at max_iterations
-        ("no", "gmres", 1),
-    ])
+        ("no", "gmres", 1, ["--restart", "50"]),
+        # the default cycle, as long as the solve here, converges in 80 steps
+        ("no", "gmres", 0, []),
+    ], ids=["yes-minres-0", "no-gmres-1", "no-gmres-0"])
     def test_symmetric_flag_picks_the_solver_of_a_generated_problem(
-            self, symmetric, krylov_name, exit_code, monkeypatch, capsys):
+            self, symmetric, krylov_name, exit_code, restart, monkeypatch, capsys):
         ran = krylov_runs(monkeypatch)
         rc = cli_main(["--problem", "random", "--seed", "1", "--solver", "opins",
-                       "--symmetric", symmetric])
+                       "--symmetric", symmetric, *restart])
         assert rc == exit_code
         assert ran == [krylov_name]
 

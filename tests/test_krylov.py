@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 from opins.driver import OpinsSetup, SaddleSystem
-from opins.krylov import (_EPS, BREAKDOWN, CONVERGED, MAX_ITERATIONS, _Steps, cg, gmres,
-                          minres)
+from opins.krylov import (_EPS, BREAKDOWN, CONVERGED, MAX_ITERATIONS, STAGNATION, _Steps, cg,
+                          gmres, gmres_restart, minres)
 from opins.operators import LinearOperator
 from test_driver import neumann_laplacian
 from test_qrcp import averaging_b
@@ -286,6 +286,52 @@ class TestGmres:
         out = gmres(op_from(np.eye(4)), np.ones(4), 3, 1e-10, 10, left_precond=prec)
         assert out.status == "breakdown" and out.iterations == 0
         np.testing.assert_array_equal(out.solution, np.zeros(4))
+
+    @pytest.mark.parametrize("restart, dim, maxit, expected", [
+        (None, 3312, 500, 500), (None, 100_000, 1_000_000, 50), (None, 3312, 1, 50),
+        (None, 20, 200, 50), (7, 3312, 500, 7)],
+        ids=["stand-in", "large", "maxit-1", "small", "explicit"])
+    def test_default_restart_fits_the_basis_budget(self, restart, dim, maxit, expected):
+        assert gmres_restart(restart, dim, maxit) == expected
+
+    @pytest.mark.parametrize("n, maxit, length", [(200, 2000, 200), (20, 300, 50)])
+    def test_default_restart_runs_the_resolved_cycle(self, n, maxit, length):
+        mat = np.eye(n) - np.eye(n, k=-1) + sum(np.eye(n, k=j) for j in range(1, 4))
+        b = np.random.default_rng(0).standard_normal(n)
+        default = gmres(op_from(mat), b, None, 1e-10, maxit)
+        explicit = gmres(op_from(mat), b, length, 1e-10, maxit)
+        assert default.converged
+        assert default.iterations == explicit.iterations
+        assert np.array_equal(default.solution, explicit.solution)
+
+    @staticmethod
+    def offset_run(decay, maxit):
+        """GMRES on diag(linspace(1, 2, 200)) in one cycle, with a caller's
+        residual that adds an offset of 1e-8 ||b||, times ``decay`` per call:
+        the recurrence meets 1e-10 long before the true residual can."""
+        n = 200
+        mat = np.diag(np.linspace(1.0, 2.0, n))
+        b = np.random.default_rng(1).standard_normal(n)
+        offset = 1e-8 * np.linalg.norm(b) * np.eye(n)[0]
+        calls = []
+
+        def residual(x):
+            calls.append(1)
+            return b - mat @ x + decay ** len(calls) * offset
+
+        return gmres(op_from(mat), b, None, 1e-10, maxit, residual=residual)
+
+    def test_stall_window_ends_a_long_cycle(self):
+        out = self.offset_run(1.0, 2000)
+        first = next(rec.iter for rec in out.history if rec.relres <= 1e-10)
+        assert first < 50
+        assert (out.status, out.iterations) == (STAGNATION, first + 50)
+        assert all(rec.true_relres > 1e-10 for rec in out.history[first - 1:])
+
+    def test_stall_window_passes_an_improving_true_residual(self):
+        # 0.998^50 = 0.905: each window improves by more than the factor
+        out = self.offset_run(0.998, 150)
+        assert (out.status, out.iterations) == (MAX_ITERATIONS, 150)
 
     def test_orthogonality_kept_on_nonnormal_grcar(self):
         # Grcar matrix: -1 below the diagonal, 1 on it and on 3 above it; its
